@@ -28,7 +28,7 @@ from .bench import (ExperimentReport, RecoveryInstance, mvse_sweep,
                     run_lasso_experiment, run_recovery_experiment)
 from .design import DesignMatrix
 from .errors import CapacityError, SolverStatusError
-from .fields import GF, is_prime
+from .fields import GF, MAX_FIELD_ORDER, is_prime
 from .graphs import (graph_from_json_dict, graph_to_json_dict, load_graph,
                      matching_graph, pv_expander, random_left_regular)
 from .noise import NoiseModel, empirical_noise_bound, thresholds
@@ -118,6 +118,8 @@ def _load_design(spec, seed: int) -> DesignMatrix:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    if q > MAX_FIELD_ORDER:
+        raise CapacityError(f"field order q = {q} exceeds limit {MAX_FIELD_ORDER}")
     for r in range(2, q + 1):
         if q % r == 0:
             if not is_prime(r):

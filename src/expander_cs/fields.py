@@ -2,25 +2,38 @@
 
 Representation
 --------------
-An element of GF(r^k) is a tuple of k integers in [0, r), the coefficients
-of its polynomial-basis representative, lowest degree first. GF(r) elements
-are 1-tuples. The extension modulus is a monic irreducible polynomial of
-degree k over GF(r), chosen deterministically (smallest in the base-r
-counting order of its non-leading coefficients) so that identical field
-parameters always produce identical arithmetic. For k = 1 the modulus is
-the placeholder ``x``.
+Inside this module an element of GF(r^k) is an integer code in [0, q):
+the base-r number whose digits c0 (least significant) .. c_{k-1} are the
+coefficients of its polynomial-basis representative, lowest degree first.
+Each ``GF`` instance builds, once and in O(q^2) vectorised work, its q x q
+addition and multiplication tables and its negation and inversion maps,
+and keeps them as lists indexed by code. A prime field's tables are
+arithmetic mod r. An extension field's modulus is the monic irreducible
+polynomial of degree k over GF(r) that comes first in the base-r counting
+order of its non-leading coefficients, so identical parameters always give
+identical arithmetic; it is found, and the tables built, by this module's
+polynomial routines running over GF(r). For k = 1 the modulus is the
+placeholder ``x``.
 
-Polynomials over GF(q) are tuples of elements, lowest degree first, with no
-trailing zero coefficients; the zero polynomial is the empty tuple.
+Polynomials are lists of codes, lowest degree first, without trailing zero
+codes; the zero polynomial is empty. Graph construction calls the
+``ipoly_*`` routines on them directly. Element tuples, and polynomials as
+tuples of elements, appear only at the public boundary: ``element`` and
+``index``, ``GF.add``/``mul``/``pow``/``inv``, the ``poly_*`` functions and
+``find_irreducible`` convert on the way in and out.
 
-The intended scale is small: field orders are capped (default 512) and
-irreducibility is decided by exhaustive trial division, which is plenty at
-that size and trivially auditable.
+Field orders are capped (default 512) and irreducibility is decided by
+exhaustive trial division, which is plenty at that size and trivially
+auditable.
 """
 
 from __future__ import annotations
 
-from .errors import CapacityError
+from itertools import zip_longest
+
+import numpy as np
+
+from .errors import check_power
 
 MAX_FIELD_ORDER = 512
 
@@ -40,74 +53,6 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over the prime subfield GF(r), as int tuples (lowest degree
-# first, no trailing zeros); only what the modulus machinery needs
-# ---------------------------------------------------------------------------
-
-def _pr_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pr_mul(a: tuple[int, ...], b: tuple[int, ...], r: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % r
-    return _pr_trim(out)
-
-
-def _pr_mod(a: tuple[int, ...], m: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Remainder of a modulo m; m must be monic."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % r
-        a.pop()
-    return _pr_trim(a)
-
-
-def _pr_monic_polys(r: int, degree: int):
-    """All monic int-polynomials of the given degree over GF(r), counting order."""
-    for code in range(r**degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % r)
-            c //= r
-        yield tuple(coeffs) + (1,)
-
-
-def _pr_is_irreducible(m: tuple[int, ...], r: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(m)//2."""
-    deg = len(m) - 1
-    if deg <= 0:
-        return False
-    for t in range(1, deg // 2 + 1):
-        for div in _pr_monic_polys(r, t):
-            if not _pr_mod(m, div, r):
-                return False
-    return True
-
-
-def _pr_find_irreducible(r: int, k: int) -> tuple[int, ...]:
-    if k == 1:
-        return (0, 1)  # x, the placeholder modulus of a prime field
-    for cand in _pr_monic_polys(r, k):
-        if _pr_is_irreducible(cand, r):
-            return cand
-    raise AssertionError(f"no irreducible polynomial of degree {k} over GF({r})")
-
-
-# ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
@@ -124,27 +69,54 @@ class GF:
     """
 
     def __init__(self, r: int, k: int = 1, modulus: tuple[int, ...] | None = None):
-        if not is_prime(r):
-            raise ValueError(f"characteristic {r} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        q = r**k
-        if q > MAX_FIELD_ORDER:
-            raise CapacityError(f"field order {q} exceeds limit {MAX_FIELD_ORDER}")
-        self.r = r
-        self.k = k
-        self.q = q
+        q = check_power("field order r**k", r, k, MAX_FIELD_ORDER)
+        if not is_prime(r):
+            raise ValueError(f"characteristic {r} is not prime")
+        self.r, self.k, self.q = r, k, q
+        prime = GF(r) if k > 1 else None     # the field the modulus lives over
         if modulus is None:
-            modulus = _pr_find_irreducible(r, k)
+            modulus = (0, 1) if k == 1 else tuple(c for (c,) in find_irreducible(prime, k))
         else:
-            modulus = _pr_trim([c % r for c in modulus])
+            modulus = tuple(_trim([c % r for c in modulus]))
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if k > 1 and not _pr_is_irreducible(modulus, r):
+            if k > 1 and not _is_irreducible(prime, modulus):
                 raise ValueError("modulus is reducible over the prime field")
         self.modulus = modulus
         self.zero: Element = (0,) * k
         self.one: Element = (1,) + (0,) * (k - 1)
+
+        codes = np.arange(q)
+        weights = r ** np.arange(k)
+        digits = codes[:, None] // weights % r
+        self._elements = [tuple(d) for d in digits.tolist()]
+        self._neg = (-digits % r @ weights).tolist()
+        # scale[c, a]: the code of c a for c in GF(r)
+        scale = np.arange(r)[:, None, None] * digits % r @ weights
+        times_x = np.array([self.index(_pmod(prime, [0, *d], modulus))
+                            for d in self._elements]) if k > 1 else codes
+        # Column b = low + c r^j of either table follows from column low:
+        # a + b = (a + low) + c x^j and a b = a low + c (a x^j). Each column
+        # is built once from an earlier one, so a table costs O(q^2).
+        add = np.zeros((q, q), dtype=np.intp)
+        add[:, 0] = codes
+        for j in range(k):
+            w = r**j
+            for c in range(1, r):
+                plus = codes + ((digits[:, j] + c) % r - digits[:, j]) * w
+                add[:, c * w:(c + 1) * w] = plus[add[:, :w]]
+        mul = np.zeros((q, q), dtype=np.intp)
+        power = codes                               # a x^j for every a
+        for j in range(k):
+            w = r**j
+            for c in range(1, r):
+                mul[:, c * w:(c + 1) * w] = add[mul[:, :w], scale[c, power][:, None]]
+            power = times_x[power]
+        self._add = add.tolist()
+        self._mul = mul.tolist()
+        self._inv = np.argmax(mul == 1, axis=1).tolist()   # entry 0 is unused
 
     def __repr__(self):
         return f"GF({self.r}^{self.k})" if self.k > 1 else f"GF({self.r})"
@@ -162,13 +134,9 @@ class GF:
         """Element with base-r digit expansion ``index`` (c0 least significant)."""
         if not 0 <= index < self.q:
             raise ValueError(f"element index {index} outside [0, {self.q})")
-        digits = []
-        for _ in range(self.k):
-            digits.append(index % self.r)
-            index //= self.r
-        return tuple(digits)
+        return self._elements[index]
 
-    def index(self, a: Element) -> int:
+    def index(self, a) -> int:
         """Inverse of :meth:`element`."""
         out = 0
         for c in reversed(a):
@@ -176,144 +144,178 @@ class GF:
         return out
 
     def elements(self):
-        return (self.element(i) for i in range(self.q))
+        return iter(self._elements)
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % self.r for x, y in zip(a, b))
+        return self._elements[self._add[self.index(a)][self.index(b)]]
 
     def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % self.r for x, y in zip(a, b))
+        return self._elements[self._add[self.index(a)][self._neg[self.index(b)]]]
 
     def neg(self, a: Element) -> Element:
-        return tuple((-x) % self.r for x in a)
+        return self._elements[self._neg[self.index(a)]]
 
     def mul(self, a: Element, b: Element) -> Element:
-        conv = _pr_mul(_pr_trim(list(a)), _pr_trim(list(b)), self.r)
-        red = _pr_mod(conv, self.modulus, self.r)
-        return tuple(red) + (0,) * (self.k - len(red))
+        return self._elements[self._mul[self.index(a)][self.index(b)]]
 
     def pow(self, a: Element, e: int) -> Element:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        out = self.one
-        base = a
+        mul = self._mul
+        out, base = 1, self.index(a)
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = mul[out][base]
+            base = mul[base][base]
             e >>= 1
-        return out
+        return self._elements[out]
 
     def inv(self, a: Element) -> Element:
-        if a == self.zero:
+        code = self.index(a)
+        if code == 0:
             raise ValueError("inverse of zero")
-        return self.pow(a, self.q - 2)
+        return self._elements[self._inv[code]]
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(q)
+# polynomials over GF(q) as lists of element codes
 # ---------------------------------------------------------------------------
+
+def _trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _pmul(gf: GF, f: list[int], g: list[int]) -> list[int]:
+    if not f or not g:
+        return []
+    add, mul = gf._add, gf._mul
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            row = mul[a]
+            for j, b in enumerate(g):
+                out[i + j] = add[out[i + j]][row[b]]
+    return _trim(out)
+
+
+def _pmod(gf: GF, f: list[int], m: list[int]) -> list[int]:
+    """Remainder of f modulo m; m must have a nonzero leading code."""
+    add, mul = gf._add, gf._mul
+    lead_inv = gf._inv[m[-1]]
+    work = list(f)
+    dm = len(m) - 1
+    while len(work) > dm:
+        lead = work.pop()
+        if lead:
+            row = mul[gf._neg[mul[lead][lead_inv]]]     # -(lead / m_dm) m_i
+            shift = len(work) - dm
+            for i in range(dm):
+                work[shift + i] = add[work[shift + i]][row[m[i]]]
+    return _trim(work)
+
+
+def ipoly_mod_pow(gf: GF, f: list[int], e: int, modulus: list[int]) -> list[int]:
+    """f**e reduced modulo ``modulus``, square-and-multiply, on code lists.
+
+    The modulus must be monic of degree >= 1; the exponent may be any
+    nonnegative integer (reduction happens at every step, so towers like
+    h**i stay cheap). ``f`` may carry trailing zero codes.
+    """
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    if len(modulus) < 2 or modulus[-1] != 1:
+        raise ValueError("modulus must be monic of degree >= 1")
+    out = [1]
+    base = _pmod(gf, f, modulus)
+    while e:
+        if e & 1:
+            out = _pmod(gf, _pmul(gf, out, base), modulus)
+        e >>= 1
+        if e:
+            base = _pmod(gf, _pmul(gf, base, base), modulus)
+    return out
+
+
+def ipoly_values(gf: GF, f: list[int]) -> list[int]:
+    """Codes of f(y) for every element code y = 0 .. q-1 (Horner at all points)."""
+    acc = [0] * gf.q
+    for c in reversed(f):
+        add_c = gf._add[c]
+        acc = [add_c[row[a]] for row, a in zip(gf._mul, acc)]
+    return acc
+
+
+def _monic_polys(q: int, degree: int):
+    """Monic degree-``degree`` code polynomials, base-q counting order."""
+    for code in range(q**degree):
+        coeffs = []
+        for _ in range(degree):
+            coeffs.append(code % q)
+            code //= q
+        yield coeffs + [1]
+
+
+def _is_irreducible(gf: GF, f: list[int]) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg(f)//2."""
+    deg = len(f) - 1
+    if deg <= 0:
+        return False
+    return all(_pmod(gf, f, div) for t in range(1, deg // 2 + 1)
+               for div in _monic_polys(gf.q, t))
+
+
+# ---------------------------------------------------------------------------
+# tuple polynomials: the public boundary
+# ---------------------------------------------------------------------------
+
+def _codes(gf: GF, f: Poly) -> list[int]:
+    return [gf.index(c) for c in f]
+
+
+def _poly(gf: GF, codes: list[int]) -> Poly:
+    return tuple(gf.element(c) for c in codes)
+
 
 def poly_trim(gf: GF, coeffs) -> Poly:
-    c = list(coeffs)
-    while c and c[-1] == gf.zero:
-        c.pop()
-    return tuple(c)
+    return _poly(gf, _trim(_codes(gf, coeffs)))
 
 
 def poly_from_indices(gf: GF, indices) -> Poly:
-    return poly_trim(gf, [gf.element(i) for i in indices])
+    return _poly(gf, _trim(list(indices)))
 
 
 def poly_add(gf: GF, f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    f = f + (gf.zero,) * (n - len(f))
-    g = g + (gf.zero,) * (n - len(g))
-    return poly_trim(gf, [gf.add(a, b) for a, b in zip(f, g)])
+    pairs = zip_longest(_codes(gf, f), _codes(gf, g), fillvalue=0)
+    return _poly(gf, _trim([gf._add[a][b] for a, b in pairs]))
 
 
 def poly_mul(gf: GF, f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ()
-    out = [gf.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a != gf.zero:
-            for j, b in enumerate(g):
-                out[i + j] = gf.add(out[i + j], gf.mul(a, b))
-    return poly_trim(gf, out)
+    return _poly(gf, _pmul(gf, _codes(gf, f), _codes(gf, g)))
 
 
 def poly_mod(gf: GF, f: Poly, m: Poly) -> Poly:
     """Remainder of f modulo m (any nonzero m; leading coefficient inverted)."""
-    if not m:
-        raise ValueError("modulus is the zero polynomial")
-    lead_inv = gf.inv(m[-1])
-    work = list(f)
-    dm = len(m) - 1
-    while len(work) - 1 >= dm and work:
-        lead = work[-1]
-        if lead != gf.zero:
-            factor = gf.mul(lead, lead_inv)
-            shift = len(work) - 1 - dm
-            for i, mi in enumerate(m):
-                work[shift + i] = gf.sub(work[shift + i], gf.mul(factor, mi))
-        work.pop()
-    return poly_trim(gf, work)
+    if not m or m[-1] == gf.zero:
+        raise ValueError("modulus is zero or has a zero leading coefficient")
+    return _poly(gf, _pmod(gf, _codes(gf, f), _codes(gf, m)))
 
 
 def poly_eval(gf: GF, f: Poly, y: Element) -> Element:
     """Horner evaluation of f at y."""
-    acc = gf.zero
-    for c in reversed(f):
-        acc = gf.add(gf.mul(acc, y), c)
-    return acc
+    return gf.element(ipoly_values(gf, _codes(gf, f))[gf.index(y)])
 
 
 def poly_mod_pow(gf: GF, f: Poly, e: int, modulus: Poly) -> Poly:
-    """f**e reduced modulo ``modulus``, square-and-multiply.
-
-    The modulus must be monic of degree >= 1; the exponent may be any
-    nonnegative integer (reduction happens at every step, so towers like
-    h**i stay cheap).
-    """
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    if len(modulus) < 2 or modulus[-1] != gf.one:
-        raise ValueError("modulus must be monic of degree >= 1")
-    out: Poly = (gf.one,)
-    base = poly_mod(gf, f, modulus)
-    while e:
-        if e & 1:
-            out = poly_mod(gf, poly_mul(gf, out, base), modulus)
-        base = poly_mod(gf, poly_mul(gf, base, base), modulus)
-        e >>= 1
-    return out
-
-
-def _monic_polys(gf: GF, degree: int):
-    """Monic degree-``degree`` polynomials over gf, base-q counting order."""
-    for code in range(gf.q**degree):
-        idxs = []
-        c = code
-        for _ in range(degree):
-            idxs.append(c % gf.q)
-            c //= gf.q
-        yield tuple(gf.element(i) for i in idxs) + (gf.one,)
+    """f**e reduced modulo ``modulus``; see :func:`ipoly_mod_pow`."""
+    return _poly(gf, ipoly_mod_pow(gf, _codes(gf, f), e, _codes(gf, modulus)))
 
 
 def poly_is_irreducible(gf: GF, f: Poly) -> bool:
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    for t in range(1, deg // 2 + 1):
-        for div in _monic_polys(gf, t):
-            if not poly_mod(gf, f, div):
-                return False
-    return True
+    return _is_irreducible(gf, _codes(gf, f))
 
 
 def find_irreducible(gf: GF, degree: int, limit: int = 1 << 20) -> Poly:
@@ -325,10 +327,8 @@ def find_irreducible(gf: GF, degree: int, limit: int = 1 << 20) -> Poly:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if gf.q**degree > limit:
-        raise CapacityError(
-            f"irreducible search space {gf.q}**{degree} exceeds limit {limit}")
-    for cand in _monic_polys(gf, degree):
-        if poly_is_irreducible(gf, cand):
-            return cand
+    check_power("irreducible search space q**degree", gf.q, degree, limit)
+    for cand in _monic_polys(gf.q, degree):
+        if _is_irreducible(gf, cand):
+            return _poly(gf, cand)
     raise AssertionError(f"no irreducible polynomial of degree {degree} over {gf!r}")

@@ -13,8 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError
-from .fields import GF, find_irreducible, poly_eval, poly_from_indices, poly_mod_pow
+from .errors import check_power
+from .fields import GF, find_irreducible, ipoly_mod_pow, ipoly_values
 from .rng import Stream
 
 MAX_SIDE = 1 << 20
@@ -29,6 +29,10 @@ class BipartiteGraph:
     provenance: str
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"need p >= 1, got p={self.p}")
+        if not 1 <= self.d <= self.n:
+            raise ValueError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
         if len(self.neighbors) != self.p:
             raise ValueError("neighbor table length differs from p")
         for i, nb in enumerate(self.neighbors):
@@ -124,32 +128,22 @@ def pv_expander(gf: GF, l: int, m: int, h: int,
     if h < 2:
         raise ValueError("need h >= 2")
     q = gf.q
-    p = q**l
-    n = q**(m + 1)
-    if p > max_left:
-        raise CapacityError(f"left side q**l = {p} exceeds limit {max_left}")
-    if n > max_right:
-        raise CapacityError(f"right side q**(m+1) = {n} exceeds limit {max_right}")
+    p = check_power("left side q**l", q, l, max_left)
+    n = check_power("right side q**(m+1)", q, m + 1, max_right)
 
-    modulus = find_irreducible(gf, l, limit=max_left)
+    modulus = [gf.index(c) for c in find_irreducible(gf, l, limit=max_left)]
     exponents = [h**i for i in range(m)]
-    ys = [(gf.element(i), i) for i in range(q)]
 
     neighbors = []
     for code in range(p):
-        idxs = []
-        c = code
+        f = []
         for _ in range(l):
-            idxs.append(c % q)
-            c //= q
-        f = poly_from_indices(gf, idxs)
-        powers = [poly_mod_pow(gf, f, e, modulus) for e in exponents]
-        row = []
-        for y, y_idx in ys:
-            enc = y_idx
-            for fi in powers:
-                enc = enc * q + gf.index(poly_eval(gf, fi, y))
-            row.append(enc)
+            f.append(code % q)
+            code //= q
+        row = list(range(q))
+        for e in exponents:
+            values = ipoly_values(gf, ipoly_mod_pow(gf, f, e, modulus))
+            row = [enc * q + v for enc, v in zip(row, values)]
         row.sort()
         if len(set(row)) != q:
             raise AssertionError("neighbor tuples collided despite distinct y coordinates")
@@ -191,6 +185,8 @@ def graph_from_json_dict(obj: dict) -> BipartiteGraph:
         )
     except KeyError as exc:
         raise ValueError(f"graph object is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed graph object: {exc}") from exc
 
 
 def save_graph(g: BipartiteGraph, path) -> None:

@@ -227,3 +227,26 @@ def test_dumps_17g_roundtrips_floats():
     text = dumps_17g({"v": vals})
     parsed = json.loads(text)
     assert parsed["v"] == vals
+
+
+def test_construct_pv_rejects_huge_q_before_factoring(tmp_path, capsys):
+    code = run(["construct", "pv", "--q", 1000000007, "--l", 2, "--m", 1,
+                "--h", 2, "--out", tmp_path / "g.json"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field order q = 1000000007 exceeds limit 512")
+
+
+@pytest.mark.parametrize("content", [
+    {"p": 1, "n": 2, "d": 0, "provenance": "x", "neighbors": [[]]},
+    {"p": 1, "n": 2, "d": 1, "provenance": "x", "neighbors": None},
+    [[0, 1], [0, 1]],
+])
+def test_malformed_graph_file_is_an_error_not_a_traceback(tmp_path, capsys, content):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(content))
+    code = run(["verify", "--graph", path, "--s", 1, "--eps", 0.125,
+                "--mode", "exhaustive"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -142,9 +142,13 @@ class RecoveryInstance:
         return cls(design, beta, kind, s, support, noise, lambda_multiple, seed)
 
     def offsupport(self, v: np.ndarray) -> float:
-        mask = np.ones(self.design.p, dtype=bool)
-        mask[self.support] = False
-        return float(np.abs(v[mask]).sum())
+        return _offsupport_mass(v, self.support)
+
+
+def _offsupport_mass(v: np.ndarray, support) -> float:
+    mask = np.ones(v.shape[0], dtype=bool)
+    mask[support] = False
+    return float(np.abs(v[mask]).sum())
 
 
 @dataclass
@@ -239,8 +243,40 @@ class ExperimentReport:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _event_holds(X: DesignMatrix, z: np.ndarray, lam_noise: float) -> bool:
-    return float(np.max(np.abs(X.transpose_matvec(z)))) <= lam_noise + 1e-12
+def _check(name: str, lhs: float, rhs: float, slack: float = SLACK) -> CheckResult:
+    return CheckResult(name, lhs, rhs, lhs <= rhs + slack)
+
+
+def _noise_lambda(sigma: float, n: int) -> float:
+    """Lambda = 2 sigma sqrt(log n); 0 for noiseless instances."""
+    return thresholds(sigma, n).lam if sigma > 0 else 0.0
+
+
+def _pred_error(X: DesignMatrix, xb: np.ndarray, beta: np.ndarray) -> float:
+    return float(np.linalg.norm(xb - X.matvec(beta)))
+
+
+def _noisy_trials(instance: RecoveryInstance, xb: np.ndarray, lam_noise: float,
+                  trials: int):
+    """Per trial k, draw z from (seed, k) and yield
+    (k, y = X b* + z, event ||X^T z||_inf <= Lambda, ||X^T z||_inf)."""
+    X = instance.design
+    for k in range(trials):
+        z = sample_noise(instance.noise, derive_seed(instance.seed, k))
+        sup = float(np.max(np.abs(X.transpose_matvec(z))))
+        yield k, xb + z, sup <= lam_noise + 1e-12, sup
+
+
+def _params(estimator: str, instance: RecoveryInstance, lam: float,
+            lam_noise: float, trials: int) -> dict:
+    X = instance.design
+    return {
+        "estimator": estimator, "p": X.p, "n": X.n, "d": X.d, "s": instance.s,
+        "target": instance.kind, "sigma": instance.noise.sigma,
+        "noise": instance.noise.describe(),
+        "lambda_multiple": instance.lambda_multiple, "lambda": lam,
+        "Lambda": lam_noise, "trials": trials, "seed": instance.seed,
+    }
 
 
 def run_lasso_experiment(instance: RecoveryInstance, trials: int) -> ExperimentReport:
@@ -252,7 +288,7 @@ def run_lasso_experiment(instance: RecoveryInstance, trials: int) -> ExperimentR
         raise ValueError("lasso experiments need lambda >= 6 Lambda")
     X = instance.design
     sigma, n = instance.noise.sigma, X.n
-    lam_noise = thresholds(sigma, n).lam if sigma > 0 else 0.0
+    lam_noise = _noise_lambda(sigma, n)
     lam_main = instance.lambda_multiple * lam_noise
     tail = instance.offsupport(instance.beta_star)
 
@@ -261,36 +297,25 @@ def run_lasso_experiment(instance: RecoveryInstance, trials: int) -> ExperimentR
     if extras:
         lambdas.update({6.0 * lam_noise, 7.0 * lam_noise})
 
-    report = ExperimentReport("lasso", {
-        "estimator": "lasso", "p": X.p, "n": n, "d": X.d, "s": instance.s,
-        "target": instance.kind, "sigma": sigma, "noise": instance.noise.describe(),
-        "lambda_multiple": instance.lambda_multiple, "lambda": lam_main,
-        "Lambda": lam_noise, "trials": trials, "seed": instance.seed,
-    })
+    report = ExperimentReport("lasso", _params("lasso", instance, lam_main, lam_noise, trials))
     xb = X.matvec(instance.beta_star)
-    for k in range(trials):
-        z = sample_noise(instance.noise, derive_seed(instance.seed, k))
-        y = xb + z
-        event = _event_holds(X, z, lam_noise)
+    for k, y, event, _ in _noisy_trials(instance, xb, lam_noise, trials):
         sols = {lam: lasso(X, y, lam) for lam in sorted(lambdas)}
         converged = all(s.converged for s in sols.values())
 
-        checks = []
         sol = sols[lam_main]
-        gamma_pred = float(np.linalg.norm(xb - X.matvec(sol.beta)))
+        gamma_pred = _pred_error(X, xb, sol.beta)
         off_err = instance.offsupport(sol.beta - instance.beta_star)
-        lhs = gamma_pred**2 + (lam_main - 6.0 * lam_noise) * off_err
-        rhs = lasso_oracle_rhs(lam_main, n, tail)
-        checks.append(CheckResult("lasso_oracle", lhs, rhs, lhs <= rhs + SLACK))
+        checks = [_check("lasso_oracle",
+                         gamma_pred**2 + (lam_main - 6.0 * lam_noise) * off_err,
+                         lasso_oracle_rhs(lam_main, n, tail))]
         if extras:
-            s6 = sols[6.0 * lam_noise]
-            lhs6 = float(np.linalg.norm(xb - X.matvec(s6.beta)))
-            rhs6 = lasso_prediction_bound(sigma, n)
-            checks.append(CheckResult("lasso_prediction", lhs6, rhs6, lhs6 <= rhs6 + SLACK))
-            s7 = sols[7.0 * lam_noise]
-            lhs7 = instance.offsupport(s7.beta)
-            rhs7 = lasso_selection_bound(sigma, n)
-            checks.append(CheckResult("lasso_selection", lhs7, rhs7, lhs7 <= rhs7 + SLACK))
+            checks.append(_check("lasso_prediction",
+                                 _pred_error(X, xb, sols[6.0 * lam_noise].beta),
+                                 lasso_prediction_bound(sigma, n)))
+            checks.append(_check("lasso_selection",
+                                 instance.offsupport(sols[7.0 * lam_noise].beta),
+                                 lasso_selection_bound(sigma, n)))
 
         report.records.append(TrialRecord(
             k, event, converged, gamma_pred, instance.offsupport(sol.beta), checks))
@@ -305,57 +330,40 @@ def run_dantzig_experiment(instance: RecoveryInstance, trials: int) -> Experimen
         raise ValueError("Dantzig experiments need lambda >= Lambda")
     X = instance.design
     sigma, n = instance.noise.sigma, X.n
-    lam_noise = thresholds(sigma, n).lam if sigma > 0 else 0.0
+    lam_noise = _noise_lambda(sigma, n)
     lam = instance.lambda_multiple * lam_noise
     tail = instance.offsupport(instance.beta_star)
+    # feasibility of the target makes its l1 norm an upper bound
+    target_l1 = float(np.abs(instance.beta_star).sum())
     sparse = instance.kind == "exact-sparse"
     at_floor = instance.lambda_multiple == 1.0 and sigma > 0
 
-    report = ExperimentReport("dantzig", {
-        "estimator": "dantzig", "p": X.p, "n": n, "d": X.d, "s": instance.s,
-        "target": instance.kind, "sigma": sigma, "noise": instance.noise.describe(),
-        "lambda_multiple": instance.lambda_multiple, "lambda": lam,
-        "Lambda": lam_noise, "trials": trials, "seed": instance.seed,
-    })
+    report = ExperimentReport("dantzig", _params("dantzig", instance, lam, lam_noise, trials))
     xb = X.matvec(instance.beta_star)
-    for k in range(trials):
-        z = sample_noise(instance.noise, derive_seed(instance.seed, k))
-        y = xb + z
-        event = _event_holds(X, z, lam_noise)
+    for k, y, event, noise_sup in _noisy_trials(instance, xb, lam_noise, trials):
         try:
             sol = dantzig(X, y, lam)
-            converged = True
         except SolverStatusError:
             report.records.append(TrialRecord(k, event, False, math.nan, math.nan, []))
             continue
 
-        gamma_pred = float(np.linalg.norm(xb - X.matvec(sol.beta)))
-        checks = [CheckResult("dantzig_oracle", gamma_pred**2,
-                              dantzig_oracle_rhs(lam, lam_noise, n, tail),
-                              gamma_pred**2 <= dantzig_oracle_rhs(lam, lam_noise, n, tail) + SLACK)]
-        feas = float(np.max(np.abs(X.transpose_matvec(z))))
-        checks.append(CheckResult("target_feasible", feas, lam, feas <= lam + 1e-12))
-        # feasibility of the target makes its l1 norm an upper bound
-        target_l1 = float(np.abs(instance.beta_star).sum())
-        checks.append(CheckResult("dantzig_l1_bound", sol.l1_norm, target_l1,
-                                  sol.l1_norm <= target_l1 + SLACK))
+        gamma_pred = _pred_error(X, xb, sol.beta)
+        off = instance.offsupport(sol.beta)
+        checks = [_check("dantzig_oracle", gamma_pred**2,
+                         dantzig_oracle_rhs(lam, lam_noise, n, tail)),
+                  _check("target_feasible", noise_sup, lam, 1e-12),
+                  _check("dantzig_l1_bound", sol.l1_norm, target_l1)]
         if sparse:
-            off = instance.offsupport(sol.beta)
-            rhs_ep = dantzig_err_pred_bound(lam, lam_noise, n)
-            checks.append(CheckResult("dantzig_err_pred", gamma_pred, rhs_ep,
-                                      gamma_pred <= rhs_ep + SLACK))
-            rhs_sg = dantzig_selection_general_bound(lam, lam_noise, n)
-            checks.append(CheckResult("dantzig_selection_general", off, rhs_sg,
-                                      off <= rhs_sg + SLACK))
+            checks.append(_check("dantzig_err_pred", gamma_pred,
+                                 dantzig_err_pred_bound(lam, lam_noise, n)))
+            checks.append(_check("dantzig_selection_general", off,
+                                 dantzig_selection_general_bound(lam, lam_noise, n)))
             if at_floor:
-                rhs_p = dantzig_prediction_bound(sigma, n)
-                checks.append(CheckResult("dantzig_prediction", gamma_pred, rhs_p,
-                                          gamma_pred <= rhs_p + SLACK))
-                rhs_s = dantzig_selection_bound(sigma, n)
-                checks.append(CheckResult("dantzig_selection", off, rhs_s,
-                                          off <= rhs_s + SLACK))
-        report.records.append(TrialRecord(
-            k, event, converged, gamma_pred, instance.offsupport(sol.beta), checks))
+                checks.append(_check("dantzig_prediction", gamma_pred,
+                                     dantzig_prediction_bound(sigma, n)))
+                checks.append(_check("dantzig_selection", off,
+                                     dantzig_selection_bound(sigma, n)))
+        report.records.append(TrialRecord(k, event, True, gamma_pred, off, checks))
     return report
 
 
@@ -393,13 +401,11 @@ def run_recovery_experiment(X: DesignMatrix, s: int, trials: int, seed: int,
         denom = float(np.abs(beta).sum())
         err = float(np.abs(est - beta).sum())
         rel = err / denom if denom > 0 else err
-        mask = np.ones(X.p, dtype=bool)
-        mask[support] = False
         report.records.append(TrialRecord(
             k, True, converged,
             float(np.linalg.norm(X.matvec(est - beta))),
-            float(np.abs(est[mask]).sum()),
-            [CheckResult("exact_recovery", rel, 1e-6, rel <= 1e-6)]))
+            _offsupport_mass(est, support),
+            [_check("exact_recovery", rel, 1e-6, 0.0)]))
     return report
 
 
@@ -411,20 +417,15 @@ def ols_oracle_comparison(instance: RecoveryInstance, trials: int,
     informational comparison lines for the l1 estimators."""
     X = instance.design
     sigma, n = instance.noise.sigma, X.n
-    ols_sum = 0.0
-    lasso_sum = dantzig_sum = 0.0
-    lam_noise = thresholds(sigma, n).lam if sigma > 0 else 0.0
+    lam_noise = _noise_lambda(sigma, n)
+    ols_sum = lasso_sum = dantzig_sum = 0.0
     xb = X.matvec(instance.beta_star)
-    for k in range(trials):
-        z = sample_noise(instance.noise, derive_seed(instance.seed, k))
-        y = xb + z
+    for _, y, _, _ in _noisy_trials(instance, xb, lam_noise, trials):
         b = ols_on_support(X, y, instance.support)
-        ols_sum += float(np.linalg.norm(X.matvec(b) - xb)) ** 2 / n
+        ols_sum += _pred_error(X, xb, b) ** 2 / n
         if include_estimators:
-            sl = lasso(X, y, 6.0 * lam_noise)
-            lasso_sum += float(np.linalg.norm(X.matvec(sl.beta) - xb)) ** 2 / n
-            sd = dantzig(X, y, lam_noise)
-            dantzig_sum += float(np.linalg.norm(X.matvec(sd.beta) - xb)) ** 2 / n
+            lasso_sum += _pred_error(X, xb, lasso(X, y, 6.0 * lam_noise).beta) ** 2 / n
+            dantzig_sum += _pred_error(X, xb, dantzig(X, y, lam_noise).beta) ** 2 / n
     ols_mean = ols_sum / trials
     expected = sigma**2 * instance.s / n
     out = {

@@ -113,10 +113,6 @@ def _graph_from_spec(spec, seed: int):
     raise ValueError(f"unknown design kind {kind!r}")
 
 
-def _load_design(spec, seed: int) -> DesignMatrix:
-    return DesignMatrix.from_graph(_graph_from_spec(spec, seed))
-
-
 def _prime_power(q: int) -> tuple[int, int]:
     if q > MAX_FIELD_ORDER:
         raise CapacityError(f"field order q = {q} exceeds limit {MAX_FIELD_ORDER}")
@@ -153,6 +149,12 @@ def _parse_noise_model(n: int, sigma: float, model) -> NoiseModel:
             return NoiseModel(n, sigma, "explicit",
                               corr=np.asarray(model["corr"], dtype=np.float64))
     raise ValueError(f"cannot parse noise model {model!r}")
+
+
+def _noise_from_config(config: dict, n: int) -> NoiseModel:
+    noise_cfg = config.get("noise", {})
+    return _parse_noise_model(n, noise_cfg.get("sigma", 1.0),
+                              noise_cfg.get("model", "iid"))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +220,8 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     problem = json.loads(Path(args.problem).read_text(encoding="utf-8"))
     estimator = problem["estimator"]
-    X = _load_design(problem.get("graph") or problem["graph_path"], args.seed)
+    X = DesignMatrix.from_graph(
+        _graph_from_spec(problem.get("graph") or problem["graph_path"], args.seed))
     y = np.asarray(problem["y"], dtype=np.float64)
     code = 0
     if estimator == "lasso":
@@ -272,16 +275,14 @@ def _report_out(report: ExperimentReport, args, extra_params: dict) -> None:
 def _cmd_bench(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     seed = config.get("seed", args.seed)
-    X = _load_design(config["design"], seed)
+    graph = _graph_from_spec(config["design"], seed)
+    X = DesignMatrix.from_graph(graph)
 
     if args.kind in ("lasso", "dantzig"):
-        noise_cfg = config.get("noise", {})
-        model = _parse_noise_model(X.n, noise_cfg.get("sigma", 1.0),
-                                   noise_cfg.get("model", "iid"))
         target = config.get("target", {})
         inst = RecoveryInstance.build(
             X, target.get("kind", "exact-sparse"), target.get("s", 2),
-            model, config["lambda_multiple"], seed)
+            _noise_from_config(config, X.n), config["lambda_multiple"], seed)
         run = run_lasso_experiment if args.kind == "lasso" else run_dantzig_experiment
         report = run(inst, config.get("trials", 100))
         _report_out(report, args, {"config": config, "seed": seed})
@@ -301,8 +302,7 @@ def _cmd_bench(args) -> int:
         else:
             certify = config.get("certify", {})
             cert = check_expansion_exhaustive(
-                _graph_from_spec(config["design"], seed),
-                certify.get("s", 2 * s), certify.get("eps", 0.125),
+                graph, certify.get("s", 2 * s), certify.get("eps", 0.125),
                 certify.get("budget", 10**7))
         report = run_recovery_experiment(X, s, config.get("trials", 100), seed, cert)
         _report_out(report, args, {"config": config, "seed": seed})
@@ -310,11 +310,8 @@ def _cmd_bench(args) -> int:
         return 0 if ok else 1
 
     if args.kind == "ols":
-        noise_cfg = config.get("noise", {})
-        model = _parse_noise_model(X.n, noise_cfg.get("sigma", 1.0),
-                                   noise_cfg.get("model", "iid"))
         inst = RecoveryInstance.build(X, "exact-sparse", config.get("s", 2),
-                                      model, 6.0, seed)
+                                      _noise_from_config(config, X.n), 6.0, seed)
         out = ols_oracle_comparison(inst, config.get("trials", 1000),
                                     config.get("include_estimators", False))
         _emit(dumps_17g(out), args.out)

@@ -2,10 +2,13 @@
 
 Column i of the n x p matrix holds 1/d at the rows listed by left vertex
 i's neighbors and 0 elsewhere, so every column has l1 norm exactly 1 and
-l2 norm 1/sqrt(d). The value 1/d is never stored; products accumulate the
-stored index structure in ascending-index order and divide by d once,
-which keeps results independent of thread count and of how the matrix was
-built.
+l2 norm 1/sqrt(d). The value 1/d is never stored. The whole index
+structure is one C-contiguous (p, d) int64 array ``rows``: row i lists
+column i's nonzero rows in ascending order, and its flat view is the
+column-major gather/scatter layout. Products accumulate over that view in
+ascending-index order (per output row for X gamma, per column for X^T z)
+and divide by d once, which keeps results independent of thread count and
+of how the matrix was built.
 """
 
 from __future__ import annotations
@@ -18,16 +21,12 @@ from .graphs import BipartiteGraph
 class DesignMatrix:
     """Sparse column-structured design with implicit entry value 1/d."""
 
-    def __init__(self, p: int, n: int, d: int, columns: tuple[tuple[int, ...], ...]):
+    def __init__(self, p: int, n: int, d: int, rows):
         self.p = p
         self.n = n
         self.d = d
-        self.columns = columns
-        # flat gather/scatter layout: column-major, rows ascending per column
-        self._flat = np.fromiter((j for col in columns for j in col),
-                                 dtype=np.int64, count=p * d)
+        self.rows = np.ascontiguousarray(np.asarray(rows, dtype=np.int64).reshape(p, d))
         self._starts = np.arange(0, p * d, d, dtype=np.int64)
-        self.column_rows = tuple(np.asarray(col, dtype=np.int64) for col in columns)
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph) -> "DesignMatrix":
@@ -43,7 +42,8 @@ class DesignMatrix:
         gamma = np.asarray(gamma, dtype=np.float64)
         if gamma.shape != (self.p,):
             raise ValueError(f"expected vector of length {self.p}, got {gamma.shape}")
-        acc = np.bincount(self._flat, weights=np.repeat(gamma, self.d), minlength=self.n)
+        acc = np.bincount(self.rows.reshape(-1), weights=np.repeat(gamma, self.d),
+                          minlength=self.n)
         return acc / self.d
 
     def transpose_matvec(self, z) -> np.ndarray:
@@ -52,15 +52,12 @@ class DesignMatrix:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {z.shape}")
-        acc = np.add.reduceat(z[self._flat], self._starts)
+        acc = np.add.reduceat(z[self.rows.reshape(-1)], self._starts)
         return acc / self.d
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.p))
-        v = 1.0 / self.d
-        for i, col in enumerate(self.columns):
-            for j in col:
-                out[j, i] = v
+        out[self.rows, np.arange(self.p)[:, None]] = 1.0 / self.d
         return out
 
     def write_dense_csv(self, path) -> None:
@@ -70,7 +67,3 @@ class DesignMatrix:
             for row in dense:
                 fh.write(",".join(f"{v:.17g}" for v in row))
                 fh.write("\n")
-
-
-def from_graph(g: BipartiteGraph) -> DesignMatrix:
-    return DesignMatrix.from_graph(g)

@@ -43,8 +43,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.kind == "iid":
             pass
         elif self.kind == "ar1":
@@ -87,10 +87,10 @@ def thresholds(sigma: float, n: int, t: float = 1.0) -> Thresholds:
     """All four threshold quantities, natural logarithm throughout."""
     if n < 2:
         raise ValueError("n must be >= 2 (log n would degenerate)")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not t >= 1:
+        raise ValueError(f"t must be >= 1, got {t}")
     logn = math.log(n)
     root = math.sqrt(logn)
     lam = 2.0 * sigma * root

@@ -219,6 +219,17 @@ class LassoSolution:
     converged: bool
 
 
+def _observations(X: DesignMatrix, y) -> np.ndarray:
+    """y as a float vector of length n; NaN and infinite entries are
+    rejected, since no solver can report on them meaningfully."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (X.n,):
+        raise ValueError(f"expected y of length {X.n}, got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite (no NaN or infinite entries)")
+    return y
+
+
 def _soft(a: float, t: float) -> float:
     return math.copysign(max(abs(a) - t, 0.0), a)
 
@@ -233,15 +244,13 @@ def lasso(X: DesignMatrix, y, lam: float, tol: float = 1e-8,
     max(0, |2 X_j^T (y - X b)| - lam) (zero b_j) drops to ``tol``.
     Coordinates cycle in index order; no randomization, so runs repeat.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n,):
-        raise ValueError(f"expected y of length {X.n}, got {y.shape}")
+    if not lam >= 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    y = _observations(X, y)
     p, d = X.p, X.d
     colsq = 1.0 / d  # every column has squared l2 norm 1/d
     thresh = lam / 2.0
-    cols = X.column_rows
+    cols = list(X.rows)  # a list of row views indexes faster in the inner loop
     beta = np.zeros(p)
     resid = y.copy()
 
@@ -293,11 +302,9 @@ def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
     inequality side. Any optimal vertex is acceptable; the deterministic
     pivot rule fixes which one is returned.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n,):
-        raise ValueError(f"expected y of length {X.n}, got {y.shape}")
+    if not lam >= 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    y = _observations(X, y)
     p = X.p
     dense = X.to_dense()
     gram = dense.T @ dense
@@ -357,9 +364,7 @@ def _independent_rows(M: np.ndarray, tol: float = 1e-10) -> list[int]:
 
 def basis_pursuit(X: DesignMatrix, y) -> np.ndarray:
     """min ||b||_1 subject to X b = y; raises when y is not in the range."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n,):
-        raise ValueError(f"expected y of length {X.n}, got {y.shape}")
+    y = _observations(X, y)
     dense = X.to_dense()
     scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
     fit = np.linalg.lstsq(dense, y, rcond=None)[0]
@@ -394,9 +399,7 @@ def ols_on_support(X: DesignMatrix, y, support) -> np.ndarray:
     if not support:
         return beta
     A = np.zeros((X.n, len(support)))
-    v = 1.0 / X.d
-    for t, i in enumerate(support):
-        A[X.column_rows[i], t] = v
+    A[X.rows[support].T, np.arange(len(support))] = 1.0 / X.d
     coef = np.linalg.lstsq(A, y, rcond=None)[0]
     beta[support] = coef
     return beta

@@ -30,7 +30,7 @@ import numpy as np
 
 from .design import DesignMatrix
 from .errors import CapacityError
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, neighbor_set
 from .rng import Stream, derive_seed, gaussians
 from .solve import LinearProgram, lp_solve
 
@@ -81,8 +81,9 @@ def _subset_budget(p: int, s: int) -> int:
 # expansion
 # ---------------------------------------------------------------------------
 
-def _expansion_scan(g: BipartiteGraph, subsets, eps: float):
-    """Shared core: scan subsets, track the minimum of |J| / (d |I|)."""
+def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
+    """Shared core: scan subsets, track the minimum of |J| / (d |I|).
+    Returns (violated, worst ratio, witness, subsets examined)."""
     masks = [0] * g.p
     for i, nb in enumerate(g.neighbors):
         m = 0
@@ -106,24 +107,28 @@ def _expansion_scan(g: BipartiteGraph, subsets, eps: float):
         if cnt + SLACK < (1.0 - eps) * g.d * len(subset):
             violated = True
             break
-    return violated, worst, worst_subset, worst_count, examined
+    witness = {"s": s, "eps": eps, "p": g.p, "n": g.n, "d": g.d,
+               "subset": list(worst_subset), "neighbor_count": worst_count}
+    return violated, worst, witness, examined
+
+
+def _check_s_range(g: BipartiteGraph, s: int) -> None:
+    if not 1 <= s <= g.p:
+        raise ValueError(f"need 1 <= s <= p, got s={s}, p={g.p}")
 
 
 def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
                                budget: int = 10**7) -> VerificationReport:
     """Exact decision: every left subset of size 1..s must have at least
     (1 - eps) d |I| distinct neighbors. Stops at the first violation."""
-    if not 1 <= s <= g.p:
-        raise ValueError(f"need 1 <= s <= p, got s={s}, p={g.p}")
+    _check_s_range(g, s)
     total = _subset_budget(g.p, s)
     if total > budget:
         raise CapacityError(
             f"{total} subsets exceed budget {budget}; use check_expansion_sampled")
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(g.p), k) for k in range(1, s + 1))
-    violated, worst, subset, cnt, examined = _expansion_scan(g, subsets, eps)
-    witness = {"s": s, "eps": eps, "p": g.p, "n": g.n, "d": g.d,
-               "subset": list(subset), "neighbor_count": cnt}
+    violated, worst, witness, examined = _expansion_scan(g, subsets, s, eps)
     return VerificationReport("expansion_exhaustive", not violated, worst,
                               witness, examined, None)
 
@@ -132,18 +137,13 @@ def check_expansion_sampled(g: BipartiteGraph, s: int, eps: float,
                             trials: int, seed: int) -> VerificationReport:
     """One-sided randomized relaxation of the exhaustive check: samples
     uniformly random subsets of sizes 1..s and can only refute."""
+    _check_s_range(g, s)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = Stream(seed)
-
-    def subsets():
-        for _ in range(trials):
-            k = 1 + rng.below(min(s, g.p))
-            yield rng.sample_without_replacement(g.p, k)
-
-    violated, worst, subset, cnt, _ = _expansion_scan(g, subsets(), eps)
-    witness = {"s": s, "eps": eps, "p": g.p, "n": g.n, "d": g.d,
-               "subset": list(subset), "neighbor_count": cnt}
+    subsets = (rng.sample_without_replacement(g.p, 1 + rng.below(s))
+               for _ in range(trials))
+    violated, worst, witness, _ = _expansion_scan(g, subsets, s, eps)
     return VerificationReport("expansion_sampled", not violated, worst,
                               witness, trials, seed)
 
@@ -162,6 +162,11 @@ def _sparse_sample(p: int, s: int, seed: int) -> tuple[list[int], np.ndarray]:
     return support, gamma
 
 
+def _rip1_num_den(X: DesignMatrix, gamma: np.ndarray) -> tuple[float, float]:
+    """|X gamma|_1 and |gamma|_1."""
+    return float(np.abs(X.matvec(gamma)).sum()), float(np.abs(gamma).sum())
+
+
 def check_rip1_sampled(X: DesignMatrix, s: int, eps: float,
                        trials: int, seed: int) -> VerificationReport:
     """Sampled check of (1-2 eps) |gamma_S|_1 <= |X gamma_S|_1 <= |gamma_S|_1
@@ -170,38 +175,63 @@ def check_rip1_sampled(X: DesignMatrix, s: int, eps: float,
         raise ValueError("s cannot exceed p")
     lower = 1.0 - 2.0 * eps
     worst = math.inf
-    worst_witness = None
+    worst_witness = {}
     ok = True
     for t in range(trials):
         support, gamma = _sparse_sample(X.p, s, derive_seed(seed, t))
-        num = float(np.abs(X.matvec(gamma)).sum())
-        den = float(np.abs(gamma).sum())
+        num, den = _rip1_num_den(X, gamma)
         if den == 0.0:
             continue
         ratio = num / den
-        if ratio < worst:
+        broken = ratio < lower - 1e-12 or ratio > 1.0 + 1e-12
+        if ratio < worst or broken:
             worst = ratio
             worst_witness = {"support": support, "values": [float(gamma[i]) for i in support]}
-        if ratio < lower - 1e-12 or ratio > 1.0 + 1e-12:
+        if broken:
             ok = False
-            worst_witness = {"support": support, "values": [float(gamma[i]) for i in support]}
-            worst = ratio
             break
-    witness = {"s": s, "eps": eps, **(worst_witness or {})}
-    return VerificationReport("rip1_sampled", ok, worst, witness, trials, seed)
+    return VerificationReport("rip1_sampled", ok, worst,
+                              {"s": s, "eps": eps, **worst_witness}, trials, seed)
+
+
+def _top_s(gamma: np.ndarray, s: int) -> list[int]:
+    """Indices of the s largest magnitudes (stable ties), ascending."""
+    order = np.argsort(-np.abs(gamma), kind="stable")
+    return sorted(int(i) for i in order[:s])
+
+
+def _mass_split(gamma: np.ndarray, support) -> tuple[float, float]:
+    """(|gamma_S|_1, |gamma_{S^c}|_1); the support mass is summed in the
+    order of ``support``, the complement as total minus that mass."""
+    mass_s = float(sum(abs(gamma[i]) for i in support))
+    return mass_s, float(np.abs(gamma).sum()) - mass_s
+
+
+def _top_s_scan(vectors, lhs_rhs) -> tuple[bool, float, dict]:
+    """Scan test vectors for the worst ratio lhs/rhs, where ``lhs_rhs(gamma)``
+    returns (lhs, rhs, support). Stops at the first lhs > rhs + SLACK.
+    Returns (ok, worst ratio, witness of the worst vector)."""
+    worst = 0.0
+    witness = {}
+    for gamma in vectors:
+        lhs, rhs, support = lhs_rhs(gamma)
+        ratio = lhs / rhs if rhs > 0 else math.inf
+        if ratio > worst or not math.isfinite(ratio):
+            worst = ratio
+            witness = {"support": support, "gamma": [float(v) for v in gamma],
+                       "lhs": lhs, "rhs": rhs}
+        if lhs > rhs + SLACK:
+            return False, worst, witness
+    return True, worst, witness
 
 
 def up2_lhs_rhs(X: DesignMatrix, gamma: np.ndarray, s: int) -> tuple[float, float, list[int]]:
     """Evaluate the order-s uncertainty inequality at the worst subset for
     this gamma, the s largest magnitudes: |gamma_S|_1 vs
     2 |X gamma|_1 + 1/2 |gamma_{S^c}|_1."""
-    order = np.argsort(-np.abs(gamma), kind="stable")
-    top = sorted(int(i) for i in order[:s])
-    mass_s = float(sum(abs(gamma[i]) for i in top))
-    total = float(np.abs(gamma).sum())
-    lhs = mass_s
-    rhs = 2.0 * float(np.abs(X.matvec(gamma)).sum()) + 0.5 * (total - mass_s)
-    return lhs, rhs, top
+    top = _top_s(gamma, s)
+    mass_s, mass_c = _mass_split(gamma, top)
+    return mass_s, 2.0 * float(np.abs(X.matvec(gamma)).sum()) + 0.5 * mass_c, top
 
 
 def check_up2_sampled(X: DesignMatrix, s: int, trials: int, seed: int) -> VerificationReport:
@@ -211,22 +241,10 @@ def check_up2_sampled(X: DesignMatrix, s: int, trials: int, seed: int) -> Verifi
     covers every subset."""
     if s > X.p:
         raise ValueError("s cannot exceed p")
-    worst = 0.0
-    worst_witness = None
-    ok = True
-    for t in range(trials):
-        gamma = gaussians(derive_seed(seed, t), X.p)
-        lhs, rhs, top = up2_lhs_rhs(X, gamma, s)
-        ratio = lhs / rhs if rhs > 0 else math.inf
-        if ratio > worst or not math.isfinite(ratio):
-            worst = ratio
-            worst_witness = {"support": top, "gamma": [float(v) for v in gamma],
-                             "lhs": lhs, "rhs": rhs}
-        if lhs > rhs + SLACK:
-            ok = False
-            break
-    witness = {"s": s, **(worst_witness or {})}
-    return VerificationReport("up2_sampled", ok, worst, witness, trials, seed)
+    ok, worst, witness = _top_s_scan(
+        (gaussians(derive_seed(seed, t), X.p) for t in range(trials)),
+        lambda gamma: up2_lhs_rhs(X, gamma, s))
+    return VerificationReport("up2_sampled", ok, worst, {"s": s, **witness}, trials, seed)
 
 
 def kernel_basis(X: DesignMatrix, tol: float = 1e-10) -> np.ndarray:
@@ -238,35 +256,28 @@ def kernel_basis(X: DesignMatrix, tol: float = 1e-10) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
+def _kernel_lhs_rhs(gamma: np.ndarray, s: int) -> tuple[float, float, list[int]]:
+    """|gamma_S|_1 vs 1/2 |gamma_{S^c}|_1 at the top-s support."""
+    top = _top_s(gamma, s)
+    mass_s, mass_c = _mass_split(gamma, top)
+    return mass_s, 0.5 * mass_c, top
+
+
 def check_kernel_concentration(X: DesignMatrix, s: int, trials: int,
                                seed: int) -> VerificationReport:
     """Sampled check that kernel vectors satisfy
     |gamma_S|_1 <= 1/2 |gamma_{S^c}|_1 at the top-s support. Vacuously ok
     for a trivial kernel."""
     basis = kernel_basis(X)
-    if basis.shape[1] == 0:
+    dim = int(basis.shape[1])
+    if dim == 0:
         return VerificationReport("kernel_concentration", True, 0.0,
                                   {"s": s, "kernel_dim": 0}, 0, seed)
-    worst = 0.0
-    worst_witness = None
-    ok = True
-    for t in range(trials):
-        coeff = gaussians(derive_seed(seed, t), basis.shape[1])
-        gamma = basis @ coeff
-        order = np.argsort(-np.abs(gamma), kind="stable")
-        top = sorted(int(i) for i in order[:s])
-        lhs = float(sum(abs(gamma[i]) for i in top))
-        rhs = 0.5 * (float(np.abs(gamma).sum()) - lhs)
-        ratio = lhs / rhs if rhs > 0 else math.inf
-        if ratio > worst or not math.isfinite(ratio):
-            worst = ratio
-            worst_witness = {"support": top, "gamma": [float(v) for v in gamma],
-                             "lhs": lhs, "rhs": rhs}
-        if lhs > rhs + SLACK:
-            ok = False
-            break
-    witness = {"s": s, "kernel_dim": int(basis.shape[1]), **(worst_witness or {})}
-    return VerificationReport("kernel_concentration", ok, worst, witness, trials, seed)
+    ok, worst, witness = _top_s_scan(
+        (basis @ gaussians(derive_seed(seed, t), dim) for t in range(trials)),
+        lambda gamma: _kernel_lhs_rhs(gamma, s))
+    return VerificationReport("kernel_concentration", ok, worst,
+                              {"s": s, "kernel_dim": dim, **witness}, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -362,36 +373,25 @@ def recheck_violation(report: VerificationReport,
         if g is None:
             raise ValueError("expansion recheck needs the graph")
         subset = w["subset"]
-        joined = set()
-        for i in subset:
-            joined.update(g.neighbors[i])
-        return (1.0 - w["eps"]) * g.d * len(subset) - len(joined)
+        return (1.0 - w["eps"]) * g.d * len(subset) - len(neighbor_set(g, subset))
     if X is None:
         raise ValueError(f"{cond} recheck needs the design matrix")
     if cond == "rip1_sampled":
         gamma = np.zeros(X.p)
         for i, v in zip(w["support"], w["values"]):
             gamma[i] = v
-        num = float(np.abs(X.matvec(gamma)).sum())
-        den = float(np.abs(gamma).sum())
+        num, den = _rip1_num_den(X, gamma)
         lower = (1.0 - 2.0 * w["eps"]) * den
         return max(lower - num, num - den)
     if cond == "up2_sampled":
-        gamma = np.asarray(w["gamma"])
-        lhs, rhs, _ = up2_lhs_rhs(X, gamma, w["s"])
+        lhs, rhs, _ = up2_lhs_rhs(X, np.asarray(w["gamma"]), w["s"])
         return lhs - rhs
-    if cond == "kernel_concentration":
+    if cond in ("kernel_concentration", "nullspace_property"):
         gamma = np.asarray(w["gamma"])
-        top = w["support"]
-        lhs = float(sum(abs(gamma[i]) for i in top))
-        rhs = 0.5 * (float(np.abs(gamma).sum()) - lhs)
-        return lhs - rhs
-    if cond == "nullspace_property":
-        gamma = np.asarray(w["gamma"])
-        support = w["support"]
+        mass_s, mass_c = _mass_split(gamma, w["support"])
+        if cond == "kernel_concentration":
+            return mass_s - 0.5 * mass_c
         if np.max(np.abs(X.matvec(gamma))) > 1e-8:
             return -math.inf  # witness is not a kernel vector; recheck fails
-        mass_s = float(sum(abs(gamma[i]) for i in support))
-        mass_c = float(np.abs(gamma).sum()) - mass_s
         return mass_s - mass_c + SLACK
     raise ValueError(f"unknown condition {cond!r}")

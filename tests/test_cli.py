@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from expander_cs.cli import dumps_17g, main
+from expander_cs.graphs import matching_graph
 
 
 def run(args):
@@ -250,3 +251,18 @@ def test_malformed_graph_file_is_an_error_not_a_traceback(tmp_path, capsys, cont
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bench_recovery_builds_the_design_once(tmp_path, monkeypatch):
+    # without a certificate file the inline certification reuses the graph
+    # the design was built from instead of constructing it a second time
+    import expander_cs.cli as cli
+    built = []
+    monkeypatch.setattr(cli, "matching_graph",
+                        lambda n: built.append(n) or matching_graph(n))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": {"kind": "matching", "n": 12},
+                               "s": 2, "trials": 2, "seed": 1}))
+    assert run(["bench", "recovery", "--config", cfg,
+                "--out", tmp_path / "rec.csv"]) == 0
+    assert built == [12]

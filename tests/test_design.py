@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expander_cs import DesignMatrix, matching_graph, random_left_regular
-from expander_cs.rng import gaussians
+from expander_cs.rng import Stream, gaussians
 
 
 def test_entry_value_and_column_norms():
@@ -88,3 +88,49 @@ def test_dense_csv_roundtrip(tmp_path):
     parsed = np.array([[float(v) for v in row] for row in rows])
     np.testing.assert_array_equal(parsed, X.to_dense())
     assert parsed.shape == (5, 4)
+
+
+# -- reference oracle ----------------------------------------------------------
+
+def reference_dense(g):
+    """Entry-by-entry construction of the n x p design, the oracle for the
+    vectorized ``to_dense``."""
+    out = np.zeros((g.n, g.p))
+    v = 1.0 / g.d
+    for i, col in enumerate(g.neighbors):
+        for j in col:
+            out[j, i] = v
+    return out
+
+
+def _oracle_graphs():
+    rng = Stream(4242)
+    graphs = [matching_graph(1), matching_graph(7)]
+    for k in range(52):
+        n = 1 + rng.below(40)
+        p = 1 + rng.below(60)
+        d = n if k % 8 == 0 else 1 + rng.below(n)      # d = n: all-ones columns
+        graphs.append(random_left_regular(p, d, n, seed=rng.next_u64() % 10**6))
+    return graphs
+
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+
+@pytest.mark.parametrize("idx", range(len(ORACLE_GRAPHS)))
+def test_design_matches_reference_oracle(idx):
+    g = ORACLE_GRAPHS[idx]
+    X = DesignMatrix.from_graph(g)
+    dense = reference_dense(g)
+    np.testing.assert_array_equal(X.to_dense(), dense)
+    for t in range(3):
+        gamma = gaussians(1000 * idx + t, g.p)
+        z = gaussians(2000 * idx + t, g.n)
+        Xg, XTz = X.matvec(gamma), X.transpose_matvec(z)
+        # summation order differs from BLAS, so compare at 1e-15 of the scale
+        g_scale = max(1.0, np.abs(gamma).sum())
+        z_scale = max(1.0, g.d * np.abs(z).max())
+        np.testing.assert_allclose(Xg, dense @ gamma, rtol=0, atol=1e-15 * g_scale)
+        np.testing.assert_allclose(XTz, dense.T @ z, rtol=0, atol=1e-15 * z_scale)
+        assert abs(Xg @ z - gamma @ XTz) <= 1e-12 * g_scale * z_scale
+        assert np.max(np.abs(XTz)) <= np.max(np.abs(z))

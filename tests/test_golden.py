@@ -1,0 +1,226 @@
+"""Cross-commit byte identity of the CLI reports.
+
+Each case runs the CLI on a small seeded input and compares the SHA-256 of
+the bytes it writes against a digest recorded before the design, verify
+and bench internals were folded into single implementations. The other
+byte-identity tests compare two runs of the same code; these compare
+against earlier code, so a refactor that moves a float by one ulp fails
+here.
+
+The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11).
+The kernel and LP cases go through LAPACK and the float formatting of
+17 significant digits, so a different numpy or BLAS build may legitimately
+change them; re-record them from a commit known to be good on that build.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from expander_cs import DesignMatrix, load_graph
+from expander_cs.cli import main
+from expander_cs.verify import (check_kernel_concentration, check_rip1_sampled,
+                                check_up2_sampled, nullspace_property_oracle,
+                                recheck_violation)
+
+TALL = ["--p", 12, "--d", 4, "--n", 80, "--seed", 2]     # n > p: trivial kernel
+WIDE = ["--p", 16, "--d", 3, "--n", 10, "--seed", 5]     # n < p: kernel dim >= 6
+
+VERIFY = {
+    "verify_expansion_exhaustive": ("tall", ["--s", 2]),
+    "verify_expansion_sampled": ("wide", ["--s", 3, "--mode", "sampled",
+                                          "--trials", 300, "--seed", 2]),
+    "verify_rip1_tall": ("tall", ["--check", "rip1", "--s", 2, "--trials", 200,
+                                  "--seed", 3]),
+    "verify_rip1_wide": ("wide", ["--check", "rip1", "--s", 3, "--eps", 0.05,
+                                  "--trials", 200, "--seed", 3]),
+    "verify_up2_tall": ("tall", ["--check", "up2", "--s", 2, "--trials", 100,
+                                 "--seed", 4]),
+    "verify_up2_wide": ("wide", ["--check", "up2", "--s", 6, "--trials", 100,
+                                 "--seed", 4]),
+    "verify_kernel_wide": ("wide", ["--check", "kernel", "--s", 2, "--trials", 100,
+                                    "--seed", 5]),
+    "verify_kernel_tall": ("tall", ["--check", "kernel", "--s", 2, "--trials", 10]),
+    "verify_nsp_tall": ("tall", ["--check", "nsp", "--s", 2]),
+    "verify_nsp_wide": ("wide", ["--check", "nsp", "--s", 2]),
+    "verify_up2_csv": ("tall", ["--check", "up2", "--s", 2, "--trials", 50,
+                                "--format", "csv"]),
+}
+
+NOISY = {"design": {"kind": "random", "p": 16, "d": 4, "n": 60, "seed": 3},
+         "target": {"kind": "exact-sparse", "s": 2},
+         "noise": {"sigma": 0.02, "model": "ar1:0.4"},
+         "seed": 8}
+
+BENCH = {
+    "bench_lasso_ar1_csv": ("lasso", "csv", {**NOISY, "lambda_multiple": 6.0,
+                                             "trials": 5}),
+    "bench_lasso_compressible_json": ("lasso", "json", {
+        **NOISY, "target": {"kind": "compressible", "s": 3},
+        "lambda_multiple": 6.5, "trials": 3}),
+    "bench_dantzig_csv": ("dantzig", "csv", {**NOISY, "noise": {"sigma": 0.02},
+                                             "lambda_multiple": 1.0, "trials": 4}),
+    "bench_dantzig_json": ("dantzig", "json", {**NOISY, "lambda_multiple": 1.5,
+                                               "trials": 3}),
+    "bench_recovery_csv": ("recovery", "csv", {
+        "design": {"kind": "random", "p": 12, "d": 4, "n": 200, "seed": 0},
+        "s": 1, "trials": 4, "seed": 2}),
+    "bench_recovery_json": ("recovery", "json", {
+        "design": {"kind": "matching", "n": 10}, "s": 2, "trials": 3, "seed": 5}),
+    "bench_ols_json": ("ols", None, {
+        "design": {"kind": "random", "p": 16, "d": 4, "n": 60, "seed": 3},
+        "s": 2, "noise": {"sigma": 0.02, "model": "ar1:0.4"}, "trials": 4,
+        "include_estimators": True, "seed": 9}),
+}
+
+SOLVE_GRAPH = {"kind": "random", "p": 20, "d": 3, "n": 8, "seed": 1}
+SOLVE_Y = [0.5, -1.25, 2.0, 0.0, 0.75, -0.5, 1.5, -2.0]
+SOLVE = {
+    "solve_lasso": {"estimator": "lasso", "lambda": 0.3},
+    "solve_dantzig": {"estimator": "dantzig", "lambda": 0.2},
+    "solve_bp": {"estimator": "bp"},
+}
+
+GOLDEN = {
+    "bench_dantzig_csv":
+        "5da46e57c1e09bf34ba005c6bb1c9ef9489df55704822bbbe0d6545183bc7704",
+    "bench_dantzig_json":
+        "fadf6fd05e5c5f0d81febe3d88dce9c50f121ddc7ee9abc11b5afb7f62be4170",
+    "bench_lasso_ar1_csv":
+        "93a5471d20ae7cf1c60b66402cd4d197e7a7fb07cc4b6199dd7b9db005cbd180",
+    "bench_lasso_compressible_json":
+        "f8c7986304db41a1fbde2d87435be07ebbedef5394d6fe2477079266b2ad24d0",
+    "bench_ols_json":
+        "808f6a117fe1f31218dbfbd52c6b723f0a98bb6351dd0fa4707f5908d8b1a27d",
+    "bench_recovery_certificate_csv":
+        "17b6ae2c1ffc10d0b5664ba1328542eead6e779791d77254f3b50fb52691fdcf",
+    "bench_recovery_csv":
+        "c2dc999103bcdaaf51be634907e2cb420ab0d78ac615836c24dc2aba85c94f71",
+    "bench_recovery_json":
+        "4c12ca67e43160039c4e93f0e7bcb116f83b840e1494bd59790f671c361efcec",
+    "construct_tall":
+        "fb0e457b800f9c7f6502426f51a91984de3da02687b8f0217c50704fb0cf1ae3",
+    "construct_wide":
+        "6c7fb0edd868faf6513fe4b9c47365232d18357db5cb8c0566035ebf64d5f67e",
+    "noise_check_wide":
+        "aa3ab66ad67f517ae8a2e73acc37c4e313816fddf390a6ef2b0db3269eedfe3f",
+    "recheck_margins":
+        "d1c3e55e80c7f457cd6b9ea9e82d555eef1712abb0aa03c96d37321fe1945d3e",
+    "solve_bp":
+        "8f874353ade6089285bb28c6295bdf64e8e2c014eac6aae2e33c4c7b32fe83fe",
+    "solve_dantzig":
+        "dcac516cbe4d6912667b32f6b19b4e5d36027ae595fd1dc4bf08032d43bec645",
+    "solve_lasso":
+        "2ac100da6df5eeb3497f656070c7dacafced2ae772e2e0909c1803c8daa4c938",
+    "verify_expansion_exhaustive":
+        "f581fc2cf7c26a208f01a490dbbe23c170e97a9683d12b828572188d7aa88f5d",
+    "verify_expansion_sampled":
+        "6d2298ef3c5acc0183f64548f3482e592b7b030395854eab2105b25a7c98efa3",
+    "verify_kernel_tall":
+        "9c34aee34dd31994572770612871184bde34dd3b70dd95335ee20a0ba35cdc83",
+    "verify_kernel_wide":
+        "a22ea233e545b053f340810a8dfeff4192a2cf3063831997c4162ca61c88418f",
+    "verify_nsp_tall":
+        "2a0071fadeb21414ec3550f10e0b9bc0cd83db328268f8ff7a62234602914a9d",
+    "verify_nsp_wide":
+        "4e913b8f842100c1d06cfc847c732be9d67380c4c2d266d0409b1713766b824a",
+    "verify_rip1_tall":
+        "26d2aabee237e87104ea67383190230b218d3b2b961e317b28b5e457763c279c",
+    "verify_rip1_wide":
+        "718f68dddc7765bb304c31bd30f32885c00334eb2da03de7581a8c73d89462f2",
+    "verify_up2_csv":
+        "cca6a7e6921bdc8b6c722a36564fc85e26d72ea27e85b68ab9f9a995178222de",
+    "verify_up2_tall":
+        "602adb95d9ceffa6dc5ada4b3ed85b9275ca8d0a66e54bf788314dfa9bcb3fc3",
+    "verify_up2_wide":
+        "81ba0851fd6902262660b1e5e0b82b59f17e4b66e2caad0d8c7e306f96d7ea66",
+}
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+@pytest.fixture(scope="module")
+def graphs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, spec in (("tall", TALL), ("wide", WIDE)):
+        paths[name] = root / f"{name}.json"
+        assert run(["construct", "random", *spec, "--out", paths[name]]) == 0
+    return paths
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _check(name: str, data: bytes) -> None:
+    assert name in GOLDEN, f"no digest recorded for {name}"
+    assert _digest(data) == GOLDEN[name], f"{name} output changed"
+
+
+def test_graph_files(graphs):
+    for name, path in graphs.items():
+        _check(f"construct_{name}", path.read_bytes())
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY))
+def test_verify_reports(graphs, tmp_path, case):
+    which, args = VERIFY[case]
+    out = tmp_path / "rep"
+    run(["verify", "--graph", graphs[which], *args, "--out", out])
+    _check(case, out.read_bytes())
+
+
+@pytest.mark.parametrize("case", sorted(BENCH))
+def test_bench_reports(tmp_path, case):
+    kind, fmt, config = BENCH[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rep"
+    args = ["bench", kind, "--config", cfg, "--out", out]
+    run(args + (["--format", fmt] if fmt else []))
+    _check(case, out.read_bytes())
+
+
+def test_bench_recovery_with_certificate_file(graphs, tmp_path):
+    cert = tmp_path / "cert.json"
+    assert run(["verify", "--graph", graphs["tall"], "--s", 2, "--out", cert]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": str(graphs["tall"]), "s": 1,
+                               "certificate": str(cert), "trials": 3, "seed": 4}))
+    out = tmp_path / "rep.csv"
+    run(["bench", "recovery", "--config", cfg, "--out", out])
+    _check("bench_recovery_certificate_csv", out.read_bytes())
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE))
+def test_solve_outputs(tmp_path, case):
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({**SOLVE[case], "graph": SOLVE_GRAPH, "y": SOLVE_Y}))
+    out = tmp_path / "sol.json"
+    run(["solve", "--problem", problem, "--out", out])
+    _check(case, out.read_bytes())
+
+
+def test_noise_check_with_graph(graphs, tmp_path):
+    out = tmp_path / "nc.json"
+    run(["noise-check", "--n", 10, "--trials", 200, "--model", "ar1:0.5",
+         "--graph", graphs["wide"], "--seed", 3, "--out", out])
+    _check("noise_check_wide", out.read_bytes())
+
+
+def test_recheck_margins(graphs):
+    """Margins of the standalone re-check on failing sampled reports."""
+    X = DesignMatrix.from_graph(load_graph(graphs["wide"]))
+    reports = [check_rip1_sampled(X, 3, 0.05, 200, 3),
+               check_up2_sampled(X, 6, 100, 4),
+               check_kernel_concentration(X, 2, 100, 5),
+               nullspace_property_oracle(X, 2)]
+    lines = []
+    for rep in reports:
+        margin = recheck_violation(rep, X=X) if not rep.ok else None
+        lines.append(f"{rep.condition} {rep.ok} {rep.worst_ratio!r} {margin!r}")
+    _check("recheck_margins", "\n".join(lines).encode())

@@ -32,6 +32,18 @@ def test_threshold_domain_errors():
         thresholds(1.0, 10, t=0.5)
 
 
+def test_threshold_rejects_nan_parameters():
+    with pytest.raises(ValueError, match="t must be"):
+        thresholds(1.0, 100, t=math.nan)
+    with pytest.raises(ValueError, match="sigma must be"):
+        thresholds(math.nan, 100)
+
+
+def test_noise_model_rejects_nan_sigma():
+    with pytest.raises(ValueError, match="sigma must be"):
+        NoiseModel(10, math.nan)
+
+
 def test_eta_decreasing_bound_increasing():
     etas = [thresholds(1.0, n).eta_n for n in (10, 50, 200, 1000)]
     assert all(a > b for a, b in zip(etas, etas[1:]))

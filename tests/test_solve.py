@@ -149,6 +149,32 @@ def test_lasso_rejects_negative_lambda():
         lasso(X, [1.0, 1.0], -0.5)
 
 
+def test_lasso_rejects_nan_observations():
+    # a NaN residual never beats the running KKT maximum, so without the
+    # input check the solver reports converged after one sweep
+    X = DesignMatrix.from_graph(random_left_regular(8, 3, 10, seed=2))
+    y = gaussians(5, 10)
+    y[3] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        lasso(X, y, 0.5)
+
+
+def test_lasso_rejects_nan_lambda():
+    X = DesignMatrix.from_graph(random_left_regular(8, 3, 10, seed=2))
+    with pytest.raises(ValueError, match="lam"):
+        lasso(X, gaussians(5, 10), math.nan)
+
+
+def test_dantzig_and_bp_reject_nonfinite_observations():
+    X = DesignMatrix.from_graph(matching_graph(3))
+    with pytest.raises(ValueError, match="finite"):
+        dantzig(X, [1.0, math.inf, 0.0], 0.5)
+    with pytest.raises(ValueError, match="lam"):
+        dantzig(X, [1.0, 2.0, 0.0], math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        basis_pursuit(X, [1.0, math.nan, 0.0])
+
+
 # -- Dantzig selector ------------------------------------------------------------
 
 def test_dantzig_identity_hand_example():

@@ -63,6 +63,17 @@ def test_expansion_budget():
         check_expansion_exhaustive(g, 5, 0.125, budget=1000)
 
 
+def test_sampled_rejects_s_outside_range():
+    # the same contract as the exhaustive check; clamping s silently would
+    # put s=50 in the witness of a p=10 graph
+    g = random_left_regular(10, 3, 30, seed=1)
+    for s in (0, 11, 50):
+        with pytest.raises(ValueError, match="need 1 <= s <= p"):
+            check_expansion_sampled(g, s, 0.125, trials=10, seed=0)
+        with pytest.raises(ValueError, match="need 1 <= s <= p"):
+            check_expansion_exhaustive(g, s, 0.125)
+
+
 def test_sampled_finds_tiny_violation():
     g = BipartiteGraph(2, 2, 2, ((0, 1), (0, 1)), "overlap")
     rep = check_expansion_sampled(g, 2, 0.125, trials=50, seed=0)

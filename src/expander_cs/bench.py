@@ -232,12 +232,6 @@ class ExperimentReport:
                        f"{c.lhs:.17g}", f"{c.rhs:.17g}", int(c.holds),
                        f"{r.pred_error:.17g}", f"{r.offsupport_mass:.17g}")
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.csv_rows():
-                fh.write(",".join(str(v) for v in row))
-                fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # experiments

@@ -1,12 +1,18 @@
 """Command-line interface.
 
 Subcommands: construct | verify | solve | bench | noise-check. Every
-subcommand takes --seed (default 0), --out and --format. Runs that write an
-output file also write ``<out>.manifest.json`` recording the command, all
-resolved parameters, the package version and the seed, so any number in a
-report can be regenerated from the manifest alone (nothing time-dependent
-is ever written). Exit codes: 0 when every asserted check passed, 1 when a
-check failed, 2 on usage errors.
+subcommand takes --seed (default 0) and --out; verify (default JSON) and
+bench (default CSV; ols writes JSON only) also take --format {json,csv}.
+Runs that write an output file also write ``<out>.manifest.json``
+recording the command, all resolved parameters, the package version and
+the seed, so any number in a report can be regenerated from the manifest
+alone (nothing time-dependent is ever written). Exit codes: 0 when every
+asserted check passed, 1 when a check failed, 2 on usage errors and
+invalid input.
+
+Each ``_cmd_*`` returns ``(text, params, code)``: the report, the
+manifest's parameters and the exit code. ``main`` alone writes the report
+and the manifest and maps exceptions to exit codes.
 
 Vectors in problem/solution JSON are written with 17 significant digits,
 enough to round-trip doubles exactly.
@@ -71,6 +77,15 @@ def dumps_17g(obj, indent: int = 0) -> str:
     if isinstance(obj, (np.integer, np.floating, np.bool_)):
         return dumps_17g(obj.item(), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _csv(rows) -> str:
+    """CSV text, one line per row. A None cell is empty, a float is written
+    at 17 significant digits and anything else with ``str``."""
+    return "\n".join(
+        ",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                 for v in row)
+        for row in rows)
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -166,133 +181,133 @@ def _usage(message: str) -> None:
     raise SystemExit(2)
 
 
-def _cmd_construct(args) -> int:
-    if args.kind == "pv":
-        for name in ("q", "l", "m", "h"):
-            if getattr(args, name) is None:
-                _usage(f"construct pv requires --{name}")
-        r, k = _prime_power(args.q)
-        g = pv_expander(GF(r, k), args.l, args.m, args.h)
-        params = {"kind": "pv", "q": args.q, "l": args.l, "m": args.m, "h": args.h}
-    else:
-        for name in ("p", "d", "n"):
-            if getattr(args, name) is None:
-                _usage(f"construct random requires --{name}")
-        g = random_left_regular(args.p, args.d, args.n, args.seed)
-        params = {"kind": "random", "p": args.p, "d": args.d, "n": args.n,
-                  "seed": args.seed}
-    _emit(json.dumps(graph_to_json_dict(g), indent=2), args.out)
-    _write_manifest(args.out, "construct", params)
-    return 0
+_CONSTRUCT_ARGS = {"pv": ("q", "l", "m", "h"), "random": ("p", "d", "n")}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_construct(args) -> tuple[str, dict, int]:
+    spec = {"kind": args.kind}
+    for name in _CONSTRUCT_ARGS[args.kind]:
+        if getattr(args, name) is None:
+            _usage(f"construct {args.kind} requires --{name}")
+        spec[name] = getattr(args, name)
+    if args.kind == "random":
+        spec["seed"] = args.seed
+    g = _graph_from_spec(spec, args.seed)
+    return json.dumps(graph_to_json_dict(g), indent=2), spec, 0
+
+
+def _cmd_verify(args) -> tuple[str, dict, int]:
     g = load_graph(args.graph)
-    X = DesignMatrix.from_graph(g)
-    if args.check == "expansion":
-        if args.mode == "exhaustive":
-            report = check_expansion_exhaustive(g, args.s, args.eps, args.budget)
+    if args.check == "expansion" and args.mode == "exhaustive":
+        report = check_expansion_exhaustive(g, args.s, args.eps, args.budget)
+    elif args.check == "expansion":
+        report = check_expansion_sampled(g, args.s, args.eps, args.trials, args.seed)
+    else:
+        X = DesignMatrix.from_graph(g)
+        if args.check == "rip1":
+            report = check_rip1_sampled(X, args.s, args.eps, args.trials, args.seed)
+        elif args.check == "up2":
+            report = check_up2_sampled(X, args.s, args.trials, args.seed)
+        elif args.check == "kernel":
+            report = check_kernel_concentration(X, args.s, args.trials, args.seed)
         else:
-            report = check_expansion_sampled(g, args.s, args.eps, args.trials, args.seed)
-    elif args.check == "rip1":
-        report = check_rip1_sampled(X, args.s, args.eps, args.trials, args.seed)
-    elif args.check == "up2":
-        report = check_up2_sampled(X, args.s, args.trials, args.seed)
-    elif args.check == "kernel":
-        report = check_kernel_concentration(X, args.s, args.trials, args.seed)
-    else:
-        report = nullspace_property_oracle(X, args.s, args.budget)
+            report = nullspace_property_oracle(X, args.s, args.budget)
+    d = report.to_json_dict()
     if args.format == "csv":
-        d = report.to_json_dict()
-        head = "condition,ok,worst_ratio,trials,seed"
-        ratio = "" if d["worst_ratio"] is None else f'{d["worst_ratio"]:.17g}'
-        line = f'{d["condition"]},{int(d["ok"])},{ratio},{d["trials"]},{d["seed"]}'
-        _emit(head + "\n" + line, args.out)
+        text = _csv([("condition", "ok", "worst_ratio", "trials", "seed"),
+                     (d["condition"], int(d["ok"]), d["worst_ratio"], d["trials"],
+                      d["seed"])])
     else:
-        _emit(dumps_17g(report.to_json_dict()), args.out)
-    _write_manifest(args.out, "verify", {
-        "graph": str(args.graph), "check": args.check, "mode": args.mode,
-        "s": args.s, "eps": args.eps, "trials": args.trials,
-        "budget": args.budget, "seed": args.seed})
-    return 0 if report.ok else 1
+        text = dumps_17g(d)
+    params = {"graph": str(args.graph), "check": args.check, "mode": args.mode,
+              "s": args.s, "eps": args.eps, "trials": args.trials,
+              "budget": args.budget, "seed": args.seed}
+    return text, params, 0 if report.ok else 1
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[str, dict, int]:
     problem = json.loads(Path(args.problem).read_text(encoding="utf-8"))
     estimator = problem["estimator"]
     X = DesignMatrix.from_graph(
         _graph_from_spec(problem.get("graph") or problem["graph_path"], args.seed))
     y = np.asarray(problem["y"], dtype=np.float64)
     code = 0
-    if estimator == "lasso":
-        sol = lasso(X, y, problem["lambda"], problem.get("tol", 1e-8),
-                    problem.get("max_iter", 100000))
-        result = {"estimator": "lasso", "beta": sol.beta,
-                  "objective": sol.objective, "kkt_residual": sol.kkt_residual,
-                  "iterations": sol.iterations, "converged": sol.converged}
-        code = 0 if sol.converged else 1
-    elif estimator == "dantzig":
-        try:
+    try:
+        if estimator == "lasso":
+            sol = lasso(X, y, problem["lambda"], problem.get("tol", 1e-8),
+                        problem.get("max_iter", 100000))
+            result = {"estimator": "lasso", "beta": sol.beta,
+                      "objective": sol.objective, "kkt_residual": sol.kkt_residual,
+                      "iterations": sol.iterations, "converged": sol.converged}
+            code = 0 if sol.converged else 1
+        elif estimator == "dantzig":
             sol = dantzig(X, y, problem["lambda"])
             result = {"estimator": "dantzig", "beta": sol.beta,
                       "l1_norm": sol.l1_norm,
                       "constraint_slack": sol.constraint_slack,
                       "status": sol.status}
-        except SolverStatusError as exc:
-            result = {"estimator": "dantzig", "error": str(exc)}
-            code = 1
-    elif estimator == "bp":
-        try:
+        elif estimator == "bp":
             beta = basis_pursuit(X, y)
             result = {"estimator": "bp", "beta": beta,
                       "l1_norm": float(np.abs(beta).sum()), "status": "optimal"}
-        except SolverStatusError as exc:
-            result = {"estimator": "bp", "error": str(exc)}
-            code = 1
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    _emit(dumps_17g(result), args.out)
-    _write_manifest(args.out, "solve", {"problem": str(args.problem),
-                                        "estimator": estimator, "seed": args.seed})
-    return code
+        else:
+            raise ValueError(f"unknown estimator {estimator!r}")
+    except SolverStatusError as exc:
+        result = {"estimator": estimator, "error": str(exc)}
+        code = 1
+    params = {"problem": str(args.problem), "estimator": estimator, "seed": args.seed}
+    return dumps_17g(result), params, code
 
 
-def _report_out(report: ExperimentReport, args, extra_params: dict) -> None:
-    if args.format == "json":
-        rows = [dict(zip(("trial", "check", "event", "converged", "lhs", "rhs",
-                          "holds", "pred_error", "offsupport_mass"), r))
-                for r in list(report.csv_rows())[1:]]
-        _emit(dumps_17g({"params": report.params, "rows": rows,
-                         "pass_fractions": report.pass_fractions(),
-                         "event_frequency": report.event_frequency,
-                         "flagged": report.flagged}), args.out)
-    else:
-        text = "\n".join(",".join(str(v) for v in row) for row in report.csv_rows())
-        _emit(text, args.out)
-    _write_manifest(args.out, "bench", extra_params)
+def _experiment_text(report: ExperimentReport, fmt: str | None) -> str:
+    rows = list(report.csv_rows())
+    if fmt != "json":
+        return _csv(rows)
+    return dumps_17g({"params": report.params,
+                      "rows": [dict(zip(rows[0], r)) for r in rows[1:]],
+                      "pass_fractions": report.pass_fractions(),
+                      "event_frequency": report.event_frequency,
+                      "flagged": report.flagged})
 
 
-def _cmd_bench(args) -> int:
+_MVSE_COLUMNS = ("p", "s", "d", "n", "alpha", "skipped", "certified",
+                 "graph_seed", "proxy", "bound")
+
+
+def _cmd_bench(args) -> tuple[str, dict, int]:
+    if args.kind == "ols" and args.format == "csv":
+        _usage("bench ols writes JSON only")
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     seed = config.get("seed", args.seed)
+    params = {"config": config, "seed": seed}
+
+    if args.kind == "mvse":
+        ps = config["ps"]
+        if "s_values" in config:
+            s_rule = dict(zip(ps, config["s_values"])).__getitem__
+        else:
+            expo = config.get("s_exponent", 0.4)
+            s_rule = lambda p: max(1, round(p**expo))
+        rows = mvse_sweep(ps, s_rule, config.get("alpha", 1.0),
+                          config.get("trials", 50), seed,
+                          sigma=config.get("sigma", 1.0), d=config.get("d", 8),
+                          n=config.get("n", 1536))
+        if args.format == "json":
+            text = dumps_17g(rows)
+        else:
+            text = _csv([_MVSE_COLUMNS,
+                         *([row.get(c) for c in _MVSE_COLUMNS] for row in rows)])
+        return text, params, 0 if all(not r["skipped"] for r in rows) else 1
+
     graph = _graph_from_spec(config["design"], seed)
     X = DesignMatrix.from_graph(graph)
 
-    if args.kind in ("lasso", "dantzig"):
-        target = config.get("target", {})
-        inst = RecoveryInstance.build(
-            X, target.get("kind", "exact-sparse"), target.get("s", 2),
-            _noise_from_config(config, X.n), config["lambda_multiple"], seed)
-        run = run_lasso_experiment if args.kind == "lasso" else run_dantzig_experiment
-        report = run(inst, config.get("trials", 100))
-        _report_out(report, args, {"config": config, "seed": seed})
-        eta = thresholds(1.0, X.n).eta_n
-        ok = report.all_event_checks_hold() and report.event_bound_ok(eta)
-        summary = {"event_frequency": report.event_frequency,
-                   "pass_fractions": report.pass_fractions(),
-                   "flagged": report.flagged, "ok": ok}
-        print(dumps_17g(summary), file=sys.stderr)
-        return 0 if ok else 1
+    if args.kind == "ols":
+        inst = RecoveryInstance.build(X, "exact-sparse", config.get("s", 2),
+                                      _noise_from_config(config, X.n), 6.0, seed)
+        out = ols_oracle_comparison(inst, config.get("trials", 1000),
+                                    config.get("include_estimators", False))
+        return dumps_17g(out), params, 0 if out["within_10pct"] else 1
 
     if args.kind == "recovery":
         s = config["s"]
@@ -305,50 +320,24 @@ def _cmd_bench(args) -> int:
                 graph, certify.get("s", 2 * s), certify.get("eps", 0.125),
                 certify.get("budget", 10**7))
         report = run_recovery_experiment(X, s, config.get("trials", 100), seed, cert)
-        _report_out(report, args, {"config": config, "seed": seed})
         ok = report.all_event_checks_hold() and report.flagged == 0
-        return 0 if ok else 1
-
-    if args.kind == "ols":
-        inst = RecoveryInstance.build(X, "exact-sparse", config.get("s", 2),
-                                      _noise_from_config(config, X.n), 6.0, seed)
-        out = ols_oracle_comparison(inst, config.get("trials", 1000),
-                                    config.get("include_estimators", False))
-        _emit(dumps_17g(out), args.out)
-        _write_manifest(args.out, "bench", {"config": config, "seed": seed})
-        return 0 if out["within_10pct"] else 1
-
-    # mvse
-    ps = config["ps"]
-    if "s_values" in config:
-        s_map = dict(zip(ps, config["s_values"]))
-        s_rule = s_map.__getitem__
     else:
-        expo = config.get("s_exponent", 0.4)
-        s_rule = lambda p: max(1, round(p**expo))
-    rows = mvse_sweep(ps, s_rule, config.get("alpha", 1.0),
-                      config.get("trials", 50), seed,
-                      sigma=config.get("sigma", 1.0), d=config.get("d", 8),
-                      n=config.get("n", 1536))
-    if args.format == "json":
-        _emit(dumps_17g(rows), args.out)
-    else:
-        cols = ["p", "s", "d", "n", "alpha", "skipped", "certified",
-                "graph_seed", "proxy", "bound"]
-        lines = [",".join(cols)]
-        for row in rows:
-            vals = []
-            for cname in cols:
-                v = row.get(cname)
-                vals.append("" if v is None else
-                            (f"{v:.17g}" if isinstance(v, float) else str(v)))
-            lines.append(",".join(vals))
-        _emit("\n".join(lines), args.out)
-    _write_manifest(args.out, "bench", {"config": config, "seed": seed})
-    return 0 if all(not r["skipped"] for r in rows) else 1
+        target = config.get("target", {})
+        inst = RecoveryInstance.build(
+            X, target.get("kind", "exact-sparse"), target.get("s", 2),
+            _noise_from_config(config, X.n), config["lambda_multiple"], seed)
+        run = run_lasso_experiment if args.kind == "lasso" else run_dantzig_experiment
+        report = run(inst, config.get("trials", 100))
+        eta = thresholds(1.0, X.n).eta_n
+        ok = report.all_event_checks_hold() and report.event_bound_ok(eta)
+        summary = {"event_frequency": report.event_frequency,
+                   "pass_fractions": report.pass_fractions(),
+                   "flagged": report.flagged, "ok": ok}
+        print(dumps_17g(summary), file=sys.stderr)
+    return _experiment_text(report, args.format), params, 0 if ok else 1
 
 
-def _cmd_noise_check(args) -> int:
+def _cmd_noise_check(args) -> tuple[str, dict, int]:
     if args.graph:
         X = DesignMatrix.from_graph(load_graph(args.graph))
         if X.n != args.n:
@@ -359,12 +348,10 @@ def _cmd_noise_check(args) -> int:
         X = DesignMatrix.from_graph(matching_graph(args.n))
     model = _parse_noise_model(args.n, args.sigma, args.model)
     check = empirical_noise_bound(X, model, args.t, args.trials, args.seed)
-    _emit(dumps_17g(check.to_json_dict()), args.out)
-    _write_manifest(args.out, "noise-check", {
-        "n": args.n, "sigma": args.sigma, "t": args.t, "trials": args.trials,
-        "model": args.model, "graph": str(args.graph) if args.graph else None,
-        "seed": args.seed})
-    return 0 if check.passed else 1
+    params = {"n": args.n, "sigma": args.sigma, "t": args.t, "trials": args.trials,
+              "model": args.model, "graph": str(args.graph) if args.graph else None,
+              "seed": args.seed}
+    return dumps_17g(check.to_json_dict()), params, 0 if check.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--out", type=Path, default=None, help="output path")
-    common.add_argument("--format", choices=["json", "csv"], default=None)
 
     c = sub.add_parser("construct", parents=[common], help="build a graph file")
     c.add_argument("kind", choices=["pv", "random"])
@@ -402,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--eps", type=float, default=0.125)
     v.add_argument("--trials", type=int, default=1000)
     v.add_argument("--budget", type=int, default=10**7)
+    v.add_argument("--format", choices=["json", "csv"], default="json")
     v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("solve", parents=[common], help="solve one problem file")
@@ -411,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", parents=[common], help="run an experiment from a config")
     b.add_argument("kind", choices=["lasso", "dantzig", "recovery", "ols", "mvse"])
     b.add_argument("--config", type=Path, required=True)
+    b.add_argument("--format", choices=["json", "csv"], default=None,
+                   help="report format (default csv; ols writes JSON only)")
     b.set_defaults(func=_cmd_bench)
 
     nc = sub.add_parser("noise-check", parents=[common],
@@ -429,10 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError, KeyError, CapacityError, SolverStatusError) as exc:
+        text, params, code = args.func(args)
+        _emit(text, args.out)
+        _write_manifest(args.out, args.command, params)
+    except SolverStatusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, KeyError, OSError, CapacityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ null with the exact numerator and denominator kept in the witness.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,9 +57,6 @@ class VerificationReport:
             "trials": self.trials,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def report_from_json_dict(obj: dict) -> VerificationReport:

@@ -233,7 +233,7 @@ def test_dumps_17g_roundtrips_floats():
 def test_construct_pv_rejects_huge_q_before_factoring(tmp_path, capsys):
     code = run(["construct", "pv", "--q", 1000000007, "--l", 2, "--m", 1,
                 "--h", 2, "--out", tmp_path / "g.json"])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: field order q = 1000000007 exceeds limit 512")
 
@@ -248,7 +248,7 @@ def test_malformed_graph_file_is_an_error_not_a_traceback(tmp_path, capsys, cont
     path.write_text(json.dumps(content))
     code = run(["verify", "--graph", path, "--s", 1, "--eps", 0.125,
                 "--mode", "exhaustive"])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -266,3 +266,54 @@ def test_bench_recovery_builds_the_design_once(tmp_path, monkeypatch):
     assert run(["bench", "recovery", "--config", cfg,
                 "--out", tmp_path / "rec.csv"]) == 0
     assert built == [12]
+
+
+def test_bench_mvse_needs_no_design(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ps": [12], "s_values": [1], "trials": 2, "n": 64}))
+    out = tmp_path / "mvse.csv"
+    assert run(["bench", "mvse", "--config", cfg, "--out", out]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "p,s,d,n,alpha,skipped,certified,graph_seed,proxy,bound"
+    assert lines[1].startswith("12,1,8,64,1,False,exhaustive,")
+
+
+def test_verify_csv_writes_null_as_empty_cell(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(["construct", "random", "--p", 12, "--d", 4, "--n", 80, "--seed", 2,
+         "--out", g])
+    assert run(["verify", "--graph", g, "--s", 2, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == [
+        "condition,ok,worst_ratio,trials,seed", "expansion_exhaustive,1,0.875,78,"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "random", "--p", 4, "--d", 2, "--n", 8, "--format", "csv"],
+    ["solve", "--problem", "prob.json", "--format", "json"],
+    ["noise-check", "--n", 10, "--format", "json"],
+])
+def test_format_is_rejected_where_unused(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+def test_bench_ols_rejects_csv(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": {"kind": "matching", "n": 8}, "trials": 2}))
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "ols", "--config", cfg, "--format", "csv"])
+    assert exc.value.code == 2
+
+
+def test_invalid_input_exits_2_not_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"target": {"s": 1}, "trials": 2}))
+    assert run(["bench", "lasso", "--config", cfg]) == 2        # no design
+    assert run(["bench", "lasso", "--config", tmp_path / "missing.json"]) == 2
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({"estimator": "ridge", "y": [1.0],
+                                   "graph": {"kind": "matching", "n": 1}}))
+    assert run(["solve", "--problem", problem]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 3 and "Traceback" not in err

@@ -5,7 +5,9 @@ the bytes it writes against a digest recorded before the design, verify
 and bench internals were folded into single implementations. The other
 byte-identity tests compare two runs of the same code; these compare
 against earlier code, so a refactor that moves a float by one ulp fails
-here.
+here. The ``construct pv``, ``bench mvse`` and ``manifest_*`` digests were
+recorded before report and manifest writing moved into ``cli.main``; a
+manifest is hashed with its temporary paths replaced by placeholders.
 
 The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11).
 The kernel and LP cases go through LAPACK and the float formatting of
@@ -74,6 +76,9 @@ BENCH = {
         "include_estimators": True, "seed": 9}),
 }
 
+MVSE = {"design": {"kind": "matching", "n": 4}, "ps": [12], "s_values": [1],
+        "trials": 2, "n": 64, "seed": 3}
+
 SOLVE_GRAPH = {"kind": "random", "p": 20, "d": 3, "n": 8, "seed": 1}
 SOLVE_Y = [0.5, -1.25, 2.0, 0.0, 0.75, -0.5, 1.5, -2.0]
 SOLVE = {
@@ -91,6 +96,10 @@ GOLDEN = {
         "93a5471d20ae7cf1c60b66402cd4d197e7a7fb07cc4b6199dd7b9db005cbd180",
     "bench_lasso_compressible_json":
         "f8c7986304db41a1fbde2d87435be07ebbedef5394d6fe2477079266b2ad24d0",
+    "bench_mvse_csv":
+        "4aac2994196595dd47cc26109a3d35fdd8d603f7ac7103630435edba025a6334",
+    "bench_mvse_json":
+        "2d788bad8c64267007c82f8f8db9f598ab9985ef5b85bd8876307fd44932ac67",
     "bench_ols_json":
         "808f6a117fe1f31218dbfbd52c6b723f0a98bb6351dd0fa4707f5908d8b1a27d",
     "bench_recovery_certificate_csv":
@@ -99,10 +108,30 @@ GOLDEN = {
         "c2dc999103bcdaaf51be634907e2cb420ab0d78ac615836c24dc2aba85c94f71",
     "bench_recovery_json":
         "4c12ca67e43160039c4e93f0e7bcb116f83b840e1494bd59790f671c361efcec",
+    "construct_pv":
+        "0affe14a14dd1f142e80a8cd3d6fe8c0820438cb89293340a11b134282bc1e74",
     "construct_tall":
         "fb0e457b800f9c7f6502426f51a91984de3da02687b8f0217c50704fb0cf1ae3",
     "construct_wide":
         "6c7fb0edd868faf6513fe4b9c47365232d18357db5cb8c0566035ebf64d5f67e",
+    "manifest_bench_lasso_ar1_csv":
+        "d98768bf4e1c4a2b61da501bb0645973296a949f423c5c92e8b39de12453f8ab",
+    "manifest_bench_mvse":
+        "28e0093856c34b0720d19d192d4c126e8eb121488682b8302be7ec75a7c2ed37",
+    "manifest_bench_ols_json":
+        "e66bbccf4a5a9db00fcccfd54c0b35e80c2135893d320f82ed4e676b24787a64",
+    "manifest_construct_pv":
+        "31c54012bab0eaa8a58ee77ab10499b9f9b8371d01160af9c49727af33e89a09",
+    "manifest_construct_random":
+        "1ef128f42a435aa265a099adf3b647f66f7876ee86a22e30efc2a26b76d90e45",
+    "manifest_noise_check_wide":
+        "6a5061b96217a4ea21f5f0a1319f68e22f008d1912bd71633aa3d67d27276052",
+    "manifest_solve_bp":
+        "49fd177f15dbe7b02ca5d20f11cf81c6101d9fa017e45002acf721291d5b5075",
+    "manifest_verify_expansion_sampled":
+        "cca35f20e80141f5aa6fe5503a60254c567a681588abc944c43429c9b3642032",
+    "manifest_verify_up2_csv":
+        "a406f69db26801df52bb788cd473e132b68ea263c582fae0c511df04ea2a56c5",
     "noise_check_wide":
         "aa3ab66ad67f517ae8a2e73acc37c4e313816fddf390a6ef2b0db3269eedfe3f",
     "recheck_margins":
@@ -159,6 +188,15 @@ def _digest(data: bytes) -> str:
 def _check(name: str, data: bytes) -> None:
     assert name in GOLDEN, f"no digest recorded for {name}"
     assert _digest(data) == GOLDEN[name], f"{name} output changed"
+
+
+def _check_manifest(name: str, out, **paths) -> None:
+    """Digest of ``<out>.manifest.json`` with the run's temporary paths
+    (the output and any input file) replaced by fixed placeholders."""
+    text = (out.parent / (out.name + ".manifest.json")).read_text(encoding="utf-8")
+    for key, path in {"out": out, **paths}.items():
+        text = text.replace(str(path), f"<{key}>")
+    _check(f"manifest_{name}", text.encode())
 
 
 def test_graph_files(graphs):
@@ -224,3 +262,60 @@ def test_recheck_margins(graphs):
         margin = recheck_violation(rep, X=X) if not rep.ok else None
         lines.append(f"{rep.condition} {rep.ok} {rep.worst_ratio!r} {margin!r}")
     _check("recheck_margins", "\n".join(lines).encode())
+
+
+def test_construct_pv_graph_file(tmp_path):
+    out = tmp_path / "pv.json"
+    assert run(["construct", "pv", "--q", 4, "--l", 2, "--m", 2, "--h", 2,
+                "--out", out]) == 0
+    _check("construct_pv", out.read_bytes())
+    _check_manifest("construct_pv", out)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bench_mvse_reports(tmp_path, fmt):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MVSE))
+    out = tmp_path / "rep"
+    assert run(["bench", "mvse", "--config", cfg, "--format", fmt,
+                "--out", out]) == 0
+    _check(f"bench_mvse_{fmt}", out.read_bytes())
+    _check_manifest("bench_mvse", out)
+
+
+def test_manifest_construct(graphs):
+    _check_manifest("construct_random", graphs["tall"])
+
+
+@pytest.mark.parametrize("case", ["verify_expansion_sampled", "verify_up2_csv"])
+def test_manifest_verify(graphs, tmp_path, case):
+    which, args = VERIFY[case]
+    out = tmp_path / "rep"
+    run(["verify", "--graph", graphs[which], *args, "--out", out])
+    _check_manifest(case, out, graph=graphs[which])
+
+
+def test_manifest_solve(tmp_path):
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({**SOLVE["solve_bp"], "graph": SOLVE_GRAPH,
+                                   "y": SOLVE_Y}))
+    out = tmp_path / "sol.json"
+    run(["solve", "--problem", problem, "--out", out])
+    _check_manifest("solve_bp", out, problem=problem)
+
+
+@pytest.mark.parametrize("case", ["bench_lasso_ar1_csv", "bench_ols_json"])
+def test_manifest_bench(tmp_path, case):
+    kind, _, config = BENCH[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rep"
+    run(["bench", kind, "--config", cfg, "--out", out])
+    _check_manifest(case, out)
+
+
+def test_manifest_noise_check(graphs, tmp_path):
+    out = tmp_path / "nc.json"
+    run(["noise-check", "--n", 10, "--trials", 200, "--model", "ar1:0.5",
+         "--graph", graphs["wide"], "--seed", 3, "--out", out])
+    _check_manifest("noise_check_wide", out, graph=graphs["wide"])

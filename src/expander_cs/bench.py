@@ -44,6 +44,8 @@ SLACK = 1e-9
 
 SQRT2 = math.sqrt(2.0)
 
+MVSE_SEEDS = 200      # graph seeds mvse_sweep tries per p before skipping it
+
 
 # ---------------------------------------------------------------------------
 # closed-form bounds
@@ -404,11 +406,11 @@ def run_recovery_experiment(X: DesignMatrix, s: int, trials: int, seed: int,
 
 
 def ols_oracle_comparison(instance: RecoveryInstance, trials: int,
-                          include_estimators: bool = False,
-                          alpha: float = 1.0, theta: float = 8.0) -> dict:
+                          include_estimators: bool = False) -> dict:
     """Monte Carlo mean of (1/n) ||X b_ols - X b*||_2^2 for least squares
     on the known support, against its expectation sigma^2 s / n, plus
-    informational comparison lines for the l1 estimators."""
+    informational comparison lines for the l1 estimators (the rho and tau
+    lines use alpha = 1 and theta = 8)."""
     X = instance.design
     sigma, n = instance.noise.sigma, X.n
     lam_noise = _noise_lambda(sigma, n)
@@ -429,7 +431,7 @@ def ols_oracle_comparison(instance: RecoveryInstance, trials: int,
         "within_10pct": abs(ols_mean - expected) <= 0.10 * expected if expected else ols_mean == 0.0,
     }
     if instance.s >= 2 and X.p > instance.s:
-        rho, tau = oracle_factors(instance.s, X.p, alpha, theta)
+        rho, tau = oracle_factors(instance.s, X.p, 1.0, 8.0)
         out["rho_line"] = rho * expected
         out["tau_line"] = tau * sigma**2 * (1.0 / X.d) * instance.s * math.log(X.p) / n
     if include_estimators:
@@ -445,9 +447,9 @@ def ols_oracle_comparison(instance: RecoveryInstance, trials: int,
 # ---------------------------------------------------------------------------
 
 def search_certified_graph(p: int, d: int, n_values, s: int, eps: float,
-                           max_seeds: int, seed0: int = 0,
-                           budget: int = 10**7):
-    """Scan (n, seed) pairs until the exhaustive expansion check passes.
+                           max_seeds: int):
+    """Scan (n, seed) pairs, seeds 0 .. max_seeds-1, until the exhaustive
+    expansion check passes.
 
     Returns (graph, report, attempts) or (None, None, attempts). Failing
     graphs die at their first violating subset, so the scan is dominated
@@ -457,23 +459,22 @@ def search_certified_graph(p: int, d: int, n_values, s: int, eps: float,
     for n in n_values:
         for j in range(max_seeds):
             attempts += 1
-            g = random_left_regular(p, d, n, seed0 + j)
-            rep = check_expansion_exhaustive(g, s, eps, budget)
+            g = random_left_regular(p, d, n, j)
+            rep = check_expansion_exhaustive(g, s, eps)
             if rep.ok:
                 return g, rep, attempts
     return None, None, attempts
 
 
 def mvse_sweep(ps, s_rule, alpha: float, trials: int, seed: int, *,
-               sigma: float = 1.0, d: int = 8, n: int = 1536,
-               max_seeds: int = 200, budget: int = 10**7) -> list[dict]:
+               sigma: float = 1.0, d: int = 8, n: int = 1536) -> list[dict]:
     """Mean-variable-selection-error proxy across a size sweep.
 
-    For each p: certify a random design at order 2 s(p) (exhaustively when
-    the subset budget allows, sampled otherwise), run the lasso at
-    lam = 7 Lambda, and report the worst event-trial off-support mass per
-    off-support coordinate. Rows that fail construction or certification
-    are marked skipped.
+    For each p: certify a random design at order 2 s(p), trying up to
+    MVSE_SEEDS seeds (exhaustively when the default subset budget allows,
+    sampled otherwise), run the lasso at lam = 7 Lambda, and report the
+    worst event-trial off-support mass per off-support coordinate. Rows
+    that fail construction or certification are marked skipped.
     """
     rows = []
     for idx, p in enumerate(ps):
@@ -485,11 +486,11 @@ def mvse_sweep(ps, s_rule, alpha: float, trials: int, seed: int, *,
             continue
         graph = None
         mode = None
-        for j in range(max_seeds):
-            gseed = derive_seed(seed, idx * max_seeds + j)
+        for j in range(MVSE_SEEDS):
+            gseed = derive_seed(seed, idx * MVSE_SEEDS + j)
             g = random_left_regular(p, d, n, gseed)
             try:
-                rep = check_expansion_exhaustive(g, 2 * s, 0.125, budget)
+                rep = check_expansion_exhaustive(g, 2 * s, 0.125)
                 this_mode = "exhaustive"
             except CapacityError:
                 rep = check_expansion_sampled(g, 2 * s, 0.125, 2000, gseed)

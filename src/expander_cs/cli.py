@@ -108,6 +108,36 @@ def _write_manifest(out: Path | None, command: str, params: dict) -> None:
         dumps_17g(manifest) + "\n", encoding="utf-8")
 
 
+_REQUIRED = object()
+
+
+def _is(value, kind: type) -> bool:
+    """Whether a JSON value has the type ``kind``; a float may be written
+    as an int, and a bool counts only as a bool."""
+    return (isinstance(value, bool) == (kind is bool)
+            and isinstance(value, (int, float) if kind is float else kind))
+
+
+def _read(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """``obj[key]`` checked to have the type ``kind``, or ``default`` when
+    the key is absent. A missing required key raises KeyError, a value of
+    the wrong type ValueError; both name the key."""
+    if key not in obj and default is not _REQUIRED:
+        return default
+    value = obj[key]
+    if not _is(value, kind):
+        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _load_object(path) -> dict:
+    """A JSON file whose top level is an object."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    return obj
+
+
 def _graph_from_spec(spec, seed: int):
     """Graph from a file path or an inline construction object."""
     if isinstance(spec, str):
@@ -116,13 +146,13 @@ def _graph_from_spec(spec, seed: int):
         raise ValueError("design must be a path or a construction object")
     kind = spec.get("kind")
     if kind == "random":
-        return random_left_regular(spec["p"], spec["d"], spec["n"],
-                                   spec.get("seed", seed))
+        return random_left_regular(*(_read(spec, key, int) for key in "pdn"),
+                                   _read(spec, "seed", int, seed))
     if kind == "pv":
-        r, k = _prime_power(spec["q"])
-        return pv_expander(GF(r, k), spec["l"], spec["m"], spec["h"])
+        r, k = _prime_power(_read(spec, "q", int))
+        return pv_expander(GF(r, k), *(_read(spec, key, int) for key in "lmh"))
     if kind == "matching":
-        return matching_graph(spec["n"])
+        return matching_graph(_read(spec, "n", int))
     if kind == "graph":
         return graph_from_json_dict(spec)
     raise ValueError(f"unknown design kind {kind!r}")
@@ -159,7 +189,7 @@ def _parse_noise_model(n: int, sigma: float, model) -> NoiseModel:
         if kind == "iid":
             return NoiseModel(n, sigma)
         if kind == "ar1":
-            return NoiseModel(n, sigma, "ar1", rho=float(model["rho"]))
+            return NoiseModel(n, sigma, "ar1", rho=_read(model, "rho", float))
         if kind == "explicit":
             return NoiseModel(n, sigma, "explicit",
                               corr=np.asarray(model["corr"], dtype=np.float64))
@@ -167,8 +197,8 @@ def _parse_noise_model(n: int, sigma: float, model) -> NoiseModel:
 
 
 def _noise_from_config(config: dict, n: int) -> NoiseModel:
-    noise_cfg = config.get("noise", {})
-    return _parse_noise_model(n, noise_cfg.get("sigma", 1.0),
+    noise_cfg = _read(config, "noise", dict, {})
+    return _parse_noise_model(n, _read(noise_cfg, "sigma", float, 1.0),
                               noise_cfg.get("model", "iid"))
 
 
@@ -226,7 +256,7 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
 
 
 def _cmd_solve(args) -> tuple[str, dict, int]:
-    problem = json.loads(Path(args.problem).read_text(encoding="utf-8"))
+    problem = _load_object(args.problem)
     estimator = problem["estimator"]
     X = DesignMatrix.from_graph(
         _graph_from_spec(problem.get("graph") or problem["graph_path"], args.seed))
@@ -234,14 +264,15 @@ def _cmd_solve(args) -> tuple[str, dict, int]:
     code = 0
     try:
         if estimator == "lasso":
-            sol = lasso(X, y, problem["lambda"], problem.get("tol", 1e-8),
-                        problem.get("max_iter", 100000))
+            sol = lasso(X, y, _read(problem, "lambda", float),
+                        _read(problem, "tol", float, 1e-8),
+                        _read(problem, "max_iter", int, 100000))
             result = {"estimator": "lasso", "beta": sol.beta,
                       "objective": sol.objective, "kkt_residual": sol.kkt_residual,
                       "iterations": sol.iterations, "converged": sol.converged}
             code = 0 if sol.converged else 1
         elif estimator == "dantzig":
-            sol = dantzig(X, y, problem["lambda"])
+            sol = dantzig(X, y, _read(problem, "lambda", float))
             result = {"estimator": "dantzig", "beta": sol.beta,
                       "l1_norm": sol.l1_norm,
                       "constraint_slack": sol.constraint_slack,
@@ -270,6 +301,8 @@ def _experiment_text(report: ExperimentReport, fmt: str | None) -> str:
                       "flagged": report.flagged})
 
 
+_DEFAULT_TRIALS = {"mvse": 50, "ols": 1000, "lasso": 100, "dantzig": 100,
+                   "recovery": 100}
 _MVSE_COLUMNS = ("p", "s", "d", "n", "alpha", "skipped", "certified",
                  "graph_seed", "proxy", "bound")
 
@@ -277,21 +310,26 @@ _MVSE_COLUMNS = ("p", "s", "d", "n", "alpha", "skipped", "certified",
 def _cmd_bench(args) -> tuple[str, dict, int]:
     if args.kind == "ols" and args.format == "csv":
         _usage("bench ols writes JSON only")
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    seed = config.get("seed", args.seed)
+    config = _load_object(args.config)
+    seed = _read(config, "seed", int, args.seed)
+    trials = _read(config, "trials", int, _DEFAULT_TRIALS[args.kind])
+    if trials < 1:
+        raise ValueError(f"'trials' must be >= 1, got {trials}")
     params = {"config": config, "seed": seed}
 
     if args.kind == "mvse":
-        ps = config["ps"]
+        ps = _read(config, "ps", list)
+        s_values = _read(config, "s_values", list, [])
+        if not all(_is(v, int) for v in ps + s_values):
+            raise ValueError("'ps' and 's_values' must be lists of integers")
         if "s_values" in config:
-            s_rule = dict(zip(ps, config["s_values"])).__getitem__
+            s_rule = dict(zip(ps, s_values)).__getitem__
         else:
-            expo = config.get("s_exponent", 0.4)
+            expo = _read(config, "s_exponent", float, 0.4)
             s_rule = lambda p: max(1, round(p**expo))
-        rows = mvse_sweep(ps, s_rule, config.get("alpha", 1.0),
-                          config.get("trials", 50), seed,
-                          sigma=config.get("sigma", 1.0), d=config.get("d", 8),
-                          n=config.get("n", 1536))
+        rows = mvse_sweep(ps, s_rule, _read(config, "alpha", float, 1.0), trials, seed,
+                          sigma=_read(config, "sigma", float, 1.0),
+                          d=_read(config, "d", int, 8), n=_read(config, "n", int, 1536))
         if args.format == "json":
             text = dumps_17g(rows)
         else:
@@ -303,31 +341,30 @@ def _cmd_bench(args) -> tuple[str, dict, int]:
     X = DesignMatrix.from_graph(graph)
 
     if args.kind == "ols":
-        inst = RecoveryInstance.build(X, "exact-sparse", config.get("s", 2),
+        inst = RecoveryInstance.build(X, "exact-sparse", _read(config, "s", int, 2),
                                       _noise_from_config(config, X.n), 6.0, seed)
-        out = ols_oracle_comparison(inst, config.get("trials", 1000),
-                                    config.get("include_estimators", False))
+        out = ols_oracle_comparison(inst, trials,
+                                    _read(config, "include_estimators", bool, False))
         return dumps_17g(out), params, 0 if out["within_10pct"] else 1
 
     if args.kind == "recovery":
-        s = config["s"]
+        s = _read(config, "s", int)
         if "certificate" in config:
-            cert = report_from_json_dict(json.loads(
-                Path(config["certificate"]).read_text(encoding="utf-8")))
+            cert = report_from_json_dict(_load_object(_read(config, "certificate", str)))
         else:
-            certify = config.get("certify", {})
+            certify = _read(config, "certify", dict, {})
             cert = check_expansion_exhaustive(
-                graph, certify.get("s", 2 * s), certify.get("eps", 0.125),
-                certify.get("budget", 10**7))
-        report = run_recovery_experiment(X, s, config.get("trials", 100), seed, cert)
+                graph, _read(certify, "s", int, 2 * s), _read(certify, "eps", float, 0.125),
+                _read(certify, "budget", int, 10**7))
+        report = run_recovery_experiment(X, s, trials, seed, cert)
         ok = report.all_event_checks_hold() and report.flagged == 0
     else:
-        target = config.get("target", {})
+        target = _read(config, "target", dict, {})
         inst = RecoveryInstance.build(
-            X, target.get("kind", "exact-sparse"), target.get("s", 2),
-            _noise_from_config(config, X.n), config["lambda_multiple"], seed)
+            X, target.get("kind", "exact-sparse"), _read(target, "s", int, 2),
+            _noise_from_config(config, X.n), _read(config, "lambda_multiple", float), seed)
         run = run_lasso_experiment if args.kind == "lasso" else run_dantzig_experiment
-        report = run(inst, config.get("trials", 100))
+        report = run(inst, trials)
         eta = thresholds(1.0, X.n).eta_n
         ok = report.all_event_checks_hold() and report.event_bound_ok(eta)
         summary = {"event_frequency": report.event_frequency,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import check_power
-from .fields import GF, find_irreducible, ipoly_mod_pow, ipoly_values
+from .fields import GF, find_irreducible, poly_eval, poly_mod_pow
 from .rng import Stream
 
 MAX_SIDE = 1 << 20
@@ -110,8 +110,7 @@ def suggest_pv_bounds(p: int, s: int, params: ExpanderParams) -> tuple[float, fl
     return inner ** (1.0 + 1.0 / a), s ** (1.0 + a) * inner ** (2.0 + 2.0 / a)
 
 
-def pv_expander(gf: GF, l: int, m: int, h: int,
-                max_left: int = MAX_SIDE, max_right: int = MAX_SIDE) -> BipartiteGraph:
+def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
     """Deterministic graph from iterated polynomial powers over GF(q).
 
     Left vertices are the q**l polynomials f of degree < l over GF(q),
@@ -121,17 +120,18 @@ def pv_expander(gf: GF, l: int, m: int, h: int,
     The neighbor of f for a field element y is the tuple
     (y, f_0(y), ..., f_{m-1}(y)) encoded in base q with y most significant,
     so d = q and n = q**(m+1). The first tuple coordinate is y, hence the d
-    neighbors of a vertex are automatically distinct.
+    neighbors of a vertex are automatically distinct. Both sides are capped
+    at MAX_SIDE vertices.
     """
     if l < 1 or m < 1:
         raise ValueError("need l >= 1 and m >= 1")
     if h < 2:
         raise ValueError("need h >= 2")
     q = gf.q
-    p = check_power("left side q**l", q, l, max_left)
-    n = check_power("right side q**(m+1)", q, m + 1, max_right)
+    p = check_power("left side q**l", q, l, MAX_SIDE)
+    n = check_power("right side q**(m+1)", q, m + 1, MAX_SIDE)
 
-    modulus = [gf.index(c) for c in find_irreducible(gf, l, limit=max_left)]
+    modulus = find_irreducible(gf, l, limit=MAX_SIDE)
     exponents = [h**i for i in range(m)]
 
     neighbors = []
@@ -142,7 +142,7 @@ def pv_expander(gf: GF, l: int, m: int, h: int,
             code //= q
         row = list(range(q))
         for e in exponents:
-            values = ipoly_values(gf, ipoly_mod_pow(gf, f, e, modulus))
+            values = poly_eval(gf, poly_mod_pow(gf, f, e, modulus))
             row = [enc * q + v for enc, v in zip(row, values)]
         row.sort()
         if len(set(row)) != q:

@@ -108,16 +108,20 @@ def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
     return violated, worst, witness, examined
 
 
-def _check_s_range(g: BipartiteGraph, s: int) -> None:
-    if not 1 <= s <= g.p:
-        raise ValueError(f"need 1 <= s <= p, got s={s}, p={g.p}")
+def _check_s_range(p: int, s: int, trials: int = 1) -> None:
+    """Reject an order s outside [1, p] and, for a sampled check, fewer
+    than one trial: either would make the report vacuous."""
+    if not 1 <= s <= p:
+        raise ValueError(f"need 1 <= s <= p, got s={s}, p={p}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
                                budget: int = 10**7) -> VerificationReport:
     """Exact decision: every left subset of size 1..s must have at least
     (1 - eps) d |I| distinct neighbors. Stops at the first violation."""
-    _check_s_range(g, s)
+    _check_s_range(g.p, s)
     total = _subset_budget(g.p, s)
     if total > budget:
         raise CapacityError(
@@ -133,9 +137,7 @@ def check_expansion_sampled(g: BipartiteGraph, s: int, eps: float,
                             trials: int, seed: int) -> VerificationReport:
     """One-sided randomized relaxation of the exhaustive check: samples
     uniformly random subsets of sizes 1..s and can only refute."""
-    _check_s_range(g, s)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_s_range(g.p, s, trials)
     rng = Stream(seed)
     subsets = (rng.sample_without_replacement(g.p, 1 + rng.below(s))
                for _ in range(trials))
@@ -167,8 +169,7 @@ def check_rip1_sampled(X: DesignMatrix, s: int, eps: float,
                        trials: int, seed: int) -> VerificationReport:
     """Sampled check of (1-2 eps) |gamma_S|_1 <= |X gamma_S|_1 <= |gamma_S|_1
     for s-sparse gamma. Records the worst lower ratio."""
-    if s > X.p:
-        raise ValueError("s cannot exceed p")
+    _check_s_range(X.p, s, trials)
     lower = 1.0 - 2.0 * eps
     worst = math.inf
     worst_witness = {}
@@ -235,8 +236,7 @@ def check_up2_sampled(X: DesignMatrix, s: int, trials: int, seed: int) -> Verifi
     vectors. For fixed gamma the top-s support maximizes
     |gamma_S|_1 - 1/2 |gamma_{S^c}|_1 over all |S| <= s, so testing it
     covers every subset."""
-    if s > X.p:
-        raise ValueError("s cannot exceed p")
+    _check_s_range(X.p, s, trials)
     ok, worst, witness = _top_s_scan(
         (gaussians(derive_seed(seed, t), X.p) for t in range(trials)),
         lambda gamma: up2_lhs_rhs(X, gamma, s))
@@ -264,6 +264,7 @@ def check_kernel_concentration(X: DesignMatrix, s: int, trials: int,
     """Sampled check that kernel vectors satisfy
     |gamma_S|_1 <= 1/2 |gamma_{S^c}|_1 at the top-s support. Vacuously ok
     for a trivial kernel."""
+    _check_s_range(X.p, s, trials)
     basis = kernel_basis(X)
     dim = int(basis.shape[1])
     if dim == 0:
@@ -292,6 +293,7 @@ def nullspace_property_oracle(X: DesignMatrix, s: int,
     property fails outright; that case is detected by a rank test first.
     """
     p = X.p
+    _check_s_range(p, s)
     count = math.comb(p, s) * 2**s
     if count > budget:
         raise CapacityError(f"{count} subset/sign pairs exceed budget {budget}")

@@ -317,3 +317,70 @@ def test_invalid_input_exits_2_not_1(tmp_path, capsys):
     assert run(["solve", "--problem", problem]) == 2
     err = capsys.readouterr().err
     assert err.count("error: ") == 3 and "Traceback" not in err
+
+
+@pytest.fixture
+def tall_graph(tmp_path):
+    g = tmp_path / "tall.json"
+    run(["construct", "random", "--p", 12, "--d", 4, "--n", 80, "--seed", 2,
+         "--out", g])
+    return g
+
+
+@pytest.mark.parametrize("extra", [
+    ["--check", "nsp", "--s", 0],
+    ["--check", "nsp", "--s", 13],
+    *(["--check", check, "--s", 0] for check in ("rip1", "up2", "kernel")),
+    *(["--check", check, "--s", 2, "--trials", 0] for check in ("rip1", "up2", "kernel")),
+    ["--check", "expansion", "--mode", "sampled", "--s", 13],
+])
+def test_verify_rejects_order_and_trials_out_of_range(tall_graph, capsys, extra):
+    assert run(["verify", "--graph", tall_graph, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _bench_lasso_config(**overrides):
+    config = {"design": {"kind": "random", "p": 12, "d": 4, "n": 80, "seed": 2},
+              "target": {"s": 1}, "lambda_multiple": 6.0, "trials": 2}
+    config.update(overrides)
+    return config
+
+
+@pytest.mark.parametrize("kind,config", [
+    ("lasso", _bench_lasso_config(trials="5")),
+    ("lasso", _bench_lasso_config(trials=True)),
+    ("lasso", _bench_lasso_config(trials=0)),
+    ("lasso", _bench_lasso_config(lambda_multiple="6")),
+    ("lasso", _bench_lasso_config(design={"kind": "random", "p": "12", "d": 4, "n": 80})),
+    ("lasso", _bench_lasso_config(noise={"sigma": "1"})),
+    ("lasso", _bench_lasso_config(noise={"model": {"kind": "ar1", "rho": [0.5]}})),
+    ("lasso", [_bench_lasso_config()]),
+    ("dantzig", _bench_lasso_config(seed=1.5)),
+    ("recovery", {"design": {"kind": "matching", "n": 4}, "s": "1", "trials": 2}),
+    ("ols", _bench_lasso_config(include_estimators=1)),
+    ("mvse", {"ps": [12], "s_values": [1], "trials": "2", "n": 64}),
+    ("mvse", {"ps": ["12"], "s_values": [1], "trials": 2, "n": 64}),
+])
+def test_bench_config_field_types_exit_2(tmp_path, capsys, kind, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["bench", kind, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem", [
+    {"estimator": "lasso", "lambda": "0.3"},
+    {"estimator": "dantzig", "lambda": "0.3"},
+    {"estimator": "lasso", "lambda": 0.3, "max_iter": 10.5},
+])
+def test_solve_problem_field_types_exit_2(tmp_path, capsys, problem):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({**problem, "y": [1.0, 0.0],
+                                "graph": {"kind": "matching", "n": 2}}))
+    assert run(["solve", "--problem", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    path.write_text(json.dumps([problem]))
+    assert run(["solve", "--problem", path]) == 2

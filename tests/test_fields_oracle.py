@@ -3,14 +3,16 @@
 The reference below is the straightforward tuple arithmetic: elements are
 coefficient tuples over GF(r), products are convolutions reduced by trial
 division, polynomials over GF(q) are tuples of elements. It is slow and
-obviously correct; the fast code must agree with it exactly.
+obviously correct; the fast code, which works on integer codes, must agree
+with it exactly once each code i is read as the tuple ``RefField.element(i)``.
 """
 
 import pytest
 
-from expander_cs import GF, find_irreducible, pv_expander
+from expander_cs import GF, find_irreducible, poly_eval, poly_mod_pow, pv_expander
 from expander_cs.errors import CapacityError
 from expander_cs.fields import is_prime
+from expander_cs.rng import Stream
 
 # ---------------------------------------------------------------------------
 # reference: polynomials over GF(r) as int tuples, no trailing zeros
@@ -190,22 +192,43 @@ PRIME_POWERS = [(r, k) for r in range(2, 65) if is_prime(r)
 @pytest.mark.parametrize("r,k", PRIME_POWERS)
 def test_field_tables_match_reference(r, k):
     gf, ref = GF(r, k), RefField(r, k)
-    assert gf.modulus == ref.modulus
+    assert tuple(gf.modulus) == ref.modulus
     els = [ref.element(i) for i in range(ref.q)]
-    assert list(gf.elements()) == els
-    for a in els:
-        for b in els:
-            assert gf.add(a, b) == ref.add(a, b)
-            assert gf.mul(a, b) == ref.mul(a, b)
-        if a != ref.zero:
-            assert gf.inv(a) == ref.inv(a)
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            assert els[gf.add[i][j]] == ref.add(a, b)
+            assert els[gf.mul[i][j]] == ref.mul(a, b)
+        assert els[gf.neg[i]] == ref.sub(ref.zero, a)
+        if i:
+            assert els[gf.inv[i]] == ref.inv(a)
 
 
 @pytest.mark.parametrize("r,k", PRIME_POWERS)
 def test_find_irreducible_matches_reference(r, k):
     gf, ref = GF(r, k), RefField(r, k)
     for degree in (2, 3):
-        assert find_irreducible(gf, degree) == ref_find_irreducible(ref, degree)
+        f = find_irreducible(gf, degree)
+        assert tuple(ref.element(c) for c in f) == ref_find_irreducible(ref, degree)
+
+
+@pytest.mark.parametrize("r,k", PRIME_POWERS)
+def test_poly_routines_match_reference(r, k):
+    # seeded random polynomials (trailing zero codes allowed) and random
+    # monic moduli of degree 1..3
+    gf, ref = GF(r, k), RefField(r, k)
+    rng = Stream(1000 * r + k)
+
+    def as_ref(f):
+        return tuple(ref.element(c) for c in f)
+
+    for _ in range(8):
+        f = [rng.below(gf.q) for _ in range(rng.below(5))]
+        modulus = [rng.below(gf.q) for _ in range(1 + rng.below(3))] + [1]
+        e = rng.below(25)
+        got = poly_mod_pow(gf, f, e, modulus)
+        assert as_ref(got) == ref_poly_mod_pow(ref, as_ref(f), e, as_ref(modulus))
+        assert [ref.element(v) for v in poly_eval(gf, f)] == [
+            ref_poly_eval(ref, as_ref(f), y) for y in map(ref.element, range(gf.q))]
 
 
 @pytest.mark.parametrize("r,k,l,m,h", [

@@ -451,9 +451,10 @@ def search_certified_graph(p: int, d: int, n_values, s: int, eps: float,
     """Scan (n, seed) pairs, seeds 0 .. max_seeds-1, until the exhaustive
     expansion check passes.
 
-    Returns (graph, report, attempts) or (None, None, attempts). Failing
-    graphs die at their first violating subset, so the scan is dominated
-    by the rare full passes.
+    Returns (graph, report, attempts) or (None, None, attempts). Each
+    check examines only the subsets that are connected in the collision
+    graph, up to the first violator, so a full pass on a graph whose
+    neighbor lists rarely overlap costs little more than a refutation.
     """
     attempts = 0
     for n in n_values:

@@ -39,10 +39,10 @@ from .graphs import (graph_from_json_dict, graph_to_json_dict, load_graph,
                      matching_graph, pv_expander, random_left_regular)
 from .noise import NoiseModel, empirical_noise_bound, thresholds
 from .solve import basis_pursuit, dantzig, lasso
-from .verify import (check_expansion_exhaustive, check_expansion_sampled,
-                     check_kernel_concentration, check_rip1_sampled,
-                     check_up2_sampled, nullspace_property_oracle,
-                     report_from_json_dict)
+from .verify import (EXPANSION_BUDGET, NSP_BUDGET, check_expansion_exhaustive,
+                     check_expansion_sampled, check_kernel_concentration,
+                     check_rip1_sampled, check_up2_sampled,
+                     nullspace_property_oracle, report_from_json_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +228,11 @@ def _cmd_construct(args) -> tuple[str, dict, int]:
 
 def _cmd_verify(args) -> tuple[str, dict, int]:
     g = load_graph(args.graph)
+    budget = args.budget
+    if budget is None:
+        budget = NSP_BUDGET if args.check == "nsp" else EXPANSION_BUDGET
     if args.check == "expansion" and args.mode == "exhaustive":
-        report = check_expansion_exhaustive(g, args.s, args.eps, args.budget)
+        report = check_expansion_exhaustive(g, args.s, args.eps, budget)
     elif args.check == "expansion":
         report = check_expansion_sampled(g, args.s, args.eps, args.trials, args.seed)
     else:
@@ -241,7 +244,7 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
         elif args.check == "kernel":
             report = check_kernel_concentration(X, args.s, args.trials, args.seed)
         else:
-            report = nullspace_property_oracle(X, args.s, args.budget)
+            report = nullspace_property_oracle(X, args.s, budget)
     d = report.to_json_dict()
     if args.format == "csv":
         text = _csv([("condition", "ok", "worst_ratio", "trials", "seed"),
@@ -251,7 +254,7 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
         text = dumps_17g(d)
     params = {"graph": str(args.graph), "check": args.check, "mode": args.mode,
               "s": args.s, "eps": args.eps, "trials": args.trials,
-              "budget": args.budget, "seed": args.seed}
+              "budget": budget, "seed": args.seed}
     return text, params, 0 if report.ok else 1
 
 
@@ -355,7 +358,7 @@ def _cmd_bench(args) -> tuple[str, dict, int]:
             certify = _read(config, "certify", dict, {})
             cert = check_expansion_exhaustive(
                 graph, _read(certify, "s", int, 2 * s), _read(certify, "eps", float, 0.125),
-                _read(certify, "budget", int, 10**7))
+                _read(certify, "budget", int, EXPANSION_BUDGET))
         report = run_recovery_experiment(X, s, trials, seed, cert)
         ok = report.all_event_checks_hold() and report.flagged == 0
     else:
@@ -424,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--s", type=int, required=True)
     v.add_argument("--eps", type=float, default=0.125)
     v.add_argument("--trials", type=int, default=1000)
-    v.add_argument("--budget", type=int, default=10**7)
+    v.add_argument("--budget", type=int, default=None,
+                   help=f"subset cap (default {EXPANSION_BUDGET} for expansion, "
+                        f"{NSP_BUDGET} subset/sign pairs for nsp)")
     v.add_argument("--format", choices=["json", "csv"], default="json")
     v.set_defaults(func=_cmd_verify)
 

@@ -78,8 +78,7 @@ def random_left_regular(p: int, d: int, n: int, seed: int) -> BipartiteGraph:
         raise ValueError("p must be >= 1")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    rng = Stream(seed)
-    neighbors = tuple(tuple(rng.sample_without_replacement(n, d)) for _ in range(p))
+    neighbors = tuple(map(tuple, Stream(seed).samples_without_replacement(n, d, p)))
     return BipartiteGraph(p, n, d, neighbors,
                           f"random(p={p},d={d},n={n},seed={seed})")
 
@@ -176,17 +175,29 @@ def graph_to_json_dict(g: BipartiteGraph) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json_dict(obj: dict) -> BipartiteGraph:
+    """The graph of an interchange object. Every field must have its exact
+    JSON type (a bool is not an integer); anything else is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("graph object must be a JSON object")
     try:
-        return BipartiteGraph(
-            int(obj["p"]), int(obj["n"]), int(obj["d"]),
-            tuple(tuple(int(j) for j in nb) for nb in obj["neighbors"]),
-            str(obj["provenance"]),
-        )
+        p, n, d, provenance, neighbors = (obj[key] for key in
+                                          ("p", "n", "d", "provenance", "neighbors"))
     except KeyError as exc:
         raise ValueError(f"graph object is missing field {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"malformed graph object: {exc}") from exc
+    for key, value in (("p", p), ("n", n), ("d", d)):
+        if not _is_int(value):
+            raise ValueError(f"graph field {key!r} must be an integer, got {value!r}")
+    if not isinstance(provenance, str):
+        raise ValueError(f"graph field 'provenance' must be a string, got {provenance!r}")
+    if not (isinstance(neighbors, list)
+            and all(isinstance(nb, list) and all(map(_is_int, nb)) for nb in neighbors)):
+        raise ValueError("graph field 'neighbors' must be an array of integer arrays")
+    return BipartiteGraph(p, n, d, tuple(map(tuple, neighbors)), provenance)
 
 
 def save_graph(g: BipartiteGraph, path) -> None:

@@ -17,8 +17,9 @@ Derived values:
   * standard Gaussians: Box-Muller on word pairs (u1, u2) with
     r = sqrt(-2 ln(1 - u1)), angle 2 pi u2; the pair yields r cos, r sin.
 
-``Stream`` consumes words one by one; ``gaussians`` computes the same
-words in bulk with numpy. Both walk the identical counter sequence.
+``Stream`` consumes words one by one; ``gaussians`` and
+``Stream.samples_without_replacement`` compute the same words in bulk with
+numpy. All walk the identical counter sequence.
 """
 
 from __future__ import annotations
@@ -87,11 +88,30 @@ class Stream:
         """Sorted k distinct integers from [0, n), partial Fisher-Yates."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} from {n}")
-        arr = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        return sorted(arr[:k])
+        return _fisher_yates(n, [self.next_u64() for _ in range(k)])
+
+    def samples_without_replacement(self, n: int, k: int, count: int) -> list[list[int]]:
+        """``count`` successive ``sample_without_replacement(n, k)`` draws,
+        with the words computed in bulk."""
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot draw {k} from {n}")
+        words = _words(self._seed, self._i, count * k).tolist()
+        self._i += count * k
+        return [_fisher_yates(n, words[c * k:(c + 1) * k]) for c in range(count)]
+
+
+def _fisher_yates(n: int, words: list[int]) -> list[int]:
+    """Sorted first len(words) entries of range(n) after a partial
+    Fisher-Yates shuffle in which slot i swaps with slot i + words[i] mod
+    (n - i). Only the displaced slots are stored, so a draw costs O(k)
+    whatever n is."""
+    moved: dict[int, int] = {}
+    out = []
+    for i, w in enumerate(words):
+        j = i + w % (n - i)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return sorted(out)
 
 
 def _words(seed: int, start: int, count: int) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Certify or refute the structural conditions a design must satisfy.
 
-Ground truth is exhaustive subset enumeration on the graph (expansion).
-The vector-quantified conditions (RIP-1, the uncertainty-principle
-inequality, kernel concentration) are quantified over all of R^p and can
-only be falsified by sampling, so those checks are one-sided: a failure is
-definitive, a pass means "no violation found". The nullspace property gets
-an exact LP-based decision at tiny scale.
+Ground truth is the exact expansion certificate on the graph. It decides
+every left subset of size 1..s, but it examines only the subsets that are
+connected in the collision graph (left vertices linked when they share a
+right vertex): neighbor counts add up over components, so the first
+violator and the first worst subset of a full (size, lex) scan are always
+connected, and the report equals that scan's, ``trials`` included (see
+:func:`check_expansion_exhaustive`). The vector-quantified conditions
+(RIP-1, the uncertainty-principle inequality, kernel concentration) are
+quantified over all of R^p and can only be falsified by sampling, so those
+checks are one-sided: a failure is definitive, a pass means "no violation
+found". The nullspace property gets an exact LP-based decision at tiny
+scale.
 
 Sampling distributions are fixed: supports are uniform without
 replacement, sparse magnitudes are uniform in [-1, 1], and dense test
@@ -21,6 +27,7 @@ null with the exact numerator and denominator kept in the witness.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,12 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import CapacityError
+from .errors import CapacityError, SolverStatusError
 from .graphs import BipartiteGraph, neighbor_set
 from .rng import Stream, derive_seed, gaussians
 from .solve import LinearProgram, lp_solve
 
 SLACK = 1e-9  # absolute slack for near-integer / floating comparisons
+EXPANSION_BUDGET = 10**7  # default cap on the subsets an exhaustive expansion check covers
+NSP_BUDGET = 10**4        # default cap on the subset/sign pairs of the NSP oracle
 
 
 @dataclass
@@ -77,9 +86,19 @@ def _subset_budget(p: int, s: int) -> int:
 # expansion
 # ---------------------------------------------------------------------------
 
+def _least_counts(d: int, s: int, eps: float) -> list[int]:
+    """Entry k is the least neighbor count that k left vertices may have
+    without violating |N(I)| >= (1 - eps) d |I| (beyond SLACK); d k + 1
+    when every count violates."""
+    return [bisect.bisect_left(range(d * k + 1), True,
+                               key=lambda c: not c + SLACK < (1.0 - eps) * d * k)
+            for k in range(s + 1)]
+
+
 def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
-    """Shared core: scan subsets, track the minimum of |J| / (d |I|).
-    Returns (violated, worst ratio, witness, subsets examined)."""
+    """Shared core: scan subsets, track the first strict minimum of
+    |N(I)| / (d |I|) and stop at the first violator.
+    Returns (first violator or None, worst ratio, witness, subsets examined)."""
     masks = [0] * g.p
     for i, nb in enumerate(g.neighbors):
         m = 0
@@ -89,8 +108,9 @@ def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
     worst = math.inf
     worst_subset = None
     worst_count = 0
-    violated = False
+    violator = None
     examined = 0
+    least = _least_counts(g.d, s, eps)
     for subset in subsets:
         examined += 1
         m = 0
@@ -100,12 +120,78 @@ def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
         ratio = cnt / (g.d * len(subset))
         if ratio < worst:
             worst, worst_subset, worst_count = ratio, tuple(subset), cnt
-        if cnt + SLACK < (1.0 - eps) * g.d * len(subset):
-            violated = True
+        if cnt < least[len(subset)]:
+            violator = tuple(subset)
             break
     witness = {"s": s, "eps": eps, "p": g.p, "n": g.n, "d": g.d,
                "subset": list(worst_subset), "neighbor_count": worst_count}
-    return violated, worst, witness, examined
+    return violator, worst, witness, examined
+
+
+def _collision_graph(g: BipartiteGraph) -> list[int]:
+    """Left-vertex collision graph: entry i is a bitmask with bit j set when
+    left vertices i != j share a right vertex."""
+    rows = [0] * g.n
+    for i, nb in enumerate(g.neighbors):
+        bit = 1 << i
+        for j in nb:
+            rows[j] |= bit
+    adj = []
+    for i, nb in enumerate(g.neighbors):
+        m = 0
+        for j in nb:
+            m |= rows[j]
+        adj.append(m & ~(1 << i))
+    return adj
+
+
+def _connected_sets(adj: list[int], root: int, k: int) -> list[tuple[int, ...]]:
+    """The k-sets (k >= 2) that are connected in the collision graph and
+    whose smallest vertex is ``root``, as ascending tuples in lex order.
+
+    ESU enumeration (Wernicke 2006): a set grows only by vertices above the
+    root that neighbor it, and a vertex joins the candidate list only
+    through the first member it neighbors, so each set is built once."""
+    above = ~((2 << root) - 1)
+    if not adj[root] & above:
+        return []
+    found = []
+    stack = [((root,), adj[root] | (1 << root), adj[root] & above)]
+    while stack:
+        members, closed, ext = stack.pop()
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
+            grown = (*members, w) if w > members[-1] else tuple(sorted((*members, w)))
+            if len(grown) == k:
+                found.append(grown)
+            else:
+                stack.append((grown, closed | adj[w], ext | (adj[w] & ~closed & above)))
+    found.sort()
+    return found
+
+
+def _connected_subsets(g: BipartiteGraph, s: int):
+    """Connected subsets of size 1..s in (size, lex) order, built lazily one
+    (size, smallest vertex) block at a time."""
+    yield from ((i,) for i in range(g.p))
+    adj = _collision_graph(g)
+    for k in range(2, s + 1):
+        for root in range(g.p):
+            yield from _connected_sets(adj, root, k)
+
+
+def _lex_rank(subset: tuple[int, ...], p: int) -> int:
+    """0-based position of an ascending k-subset of range(p) among all
+    k-subsets in lex order (combinatorial number system)."""
+    k = len(subset)
+    rank = 0
+    prev = -1
+    for i, c in enumerate(subset):
+        rank += math.comb(p - prev - 1, k - i) - math.comb(p - c, k - i)
+        prev = c
+    return rank
 
 
 def _check_s_range(p: int, s: int, trials: int = 1) -> None:
@@ -118,19 +204,44 @@ def _check_s_range(p: int, s: int, trials: int = 1) -> None:
 
 
 def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
-                               budget: int = 10**7) -> VerificationReport:
+                               budget: int = EXPANSION_BUDGET) -> VerificationReport:
     """Exact decision: every left subset of size 1..s must have at least
-    (1 - eps) d |I| distinct neighbors. Stops at the first violation."""
+    (1 - eps) d |I| distinct neighbors. Raises CapacityError when the
+    sum of C(p, k) over k = 1..s exceeds ``budget``.
+
+    The report is the one a scan of every subset in (size, lex) order would
+    give, stopping at the first violator, but only subsets that are
+    connected in the collision graph are examined (two left vertices are
+    linked when they share a right vertex). The deficiency d|I| - |N(I)|
+    adds up over the components of I, so |N(I)| / (d |I|) is a weighted
+    mean of its components' ratios, and every component precedes I in the
+    scan order. Hence the first violator and the first strict minimiser of
+    the ratio are connected. ``trials`` counts the subsets the full scan
+    decides: the sum of C(p, k) on a pass, and on a refutation the first
+    violator's 1-based position in (size, lex) order.
+
+    The argument needs the least passing count per size to be
+    subadditive. An eps that puts (1 - eps) d k just past an integer can
+    break that, because components that each pass within SLACK can add up
+    to a violation; such an eps raises ValueError.
+    """
     _check_s_range(g.p, s)
     total = _subset_budget(g.p, s)
     if total > budget:
         raise CapacityError(
             f"{total} subsets exceed budget {budget}; use check_expansion_sampled")
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(g.p), k) for k in range(1, s + 1))
-    violated, worst, witness, examined = _expansion_scan(g, subsets, s, eps)
-    return VerificationReport("expansion_exhaustive", not violated, worst,
-                              witness, examined, None)
+    least = _least_counts(g.d, s, eps)
+    if any(least[a] + least[k - a] < least[k]
+           for k in range(2, s + 1) for a in range(1, k // 2 + 1)):
+        raise ValueError(f"eps={eps!r} is within slack of an integer threshold "
+                         f"at d={g.d}; the connected-subset certificate is not exact there")
+    violator, worst, witness, _ = _expansion_scan(g, _connected_subsets(g, s), s, eps)
+    if violator is None:
+        trials = total
+    else:
+        trials = _subset_budget(g.p, len(violator) - 1) + _lex_rank(violator, g.p) + 1
+    return VerificationReport("expansion_exhaustive", violator is None, worst,
+                              witness, trials, None)
 
 
 def check_expansion_sampled(g: BipartiteGraph, s: int, eps: float,
@@ -141,8 +252,8 @@ def check_expansion_sampled(g: BipartiteGraph, s: int, eps: float,
     rng = Stream(seed)
     subsets = (rng.sample_without_replacement(g.p, 1 + rng.below(s))
                for _ in range(trials))
-    violated, worst, witness, _ = _expansion_scan(g, subsets, s, eps)
-    return VerificationReport("expansion_sampled", not violated, worst,
+    violator, worst, witness, _ = _expansion_scan(g, subsets, s, eps)
+    return VerificationReport("expansion_sampled", violator is None, worst,
                               witness, trials, seed)
 
 
@@ -282,7 +393,7 @@ def check_kernel_concentration(X: DesignMatrix, s: int, trials: int,
 # ---------------------------------------------------------------------------
 
 def nullspace_property_oracle(X: DesignMatrix, s: int,
-                              budget: int = 10**4) -> VerificationReport:
+                              budget: int = NSP_BUDGET) -> VerificationReport:
     """Exact decision of the order-s nullspace property.
 
     For every |S| = s and sign pattern sigma on S, solve the LP
@@ -337,7 +448,7 @@ def nullspace_property_oracle(X: DesignMatrix, s: int,
                 return VerificationReport("nullspace_property", False, math.inf,
                                           witness, examined, None)
             if res.status != "optimal":
-                raise AssertionError(f"unexpected LP status {res.status}")
+                raise SolverStatusError(f"NSP LP for support {list(support)} is {res.status}")
             value = -res.objective
             if value > worst:
                 gamma = res.x[:p] - res.x[p:2 * p]

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -384,3 +385,68 @@ def test_solve_problem_field_types_exit_2(tmp_path, capsys, problem):
     assert err.startswith("error: ") and "Traceback" not in err
     path.write_text(json.dumps([problem]))
     assert run(["solve", "--problem", path]) == 2
+
+
+def test_verify_nsp_uses_its_own_budget(tmp_path, capsys):
+    # the nsp oracle's 10**4 subset/sign pairs, not the expansion budget:
+    # C(64, 3) * 8 = 333,312 LPs are refused up front instead of started
+    g = tmp_path / "g.json"
+    run(["construct", "random", "--p", 64, "--d", 8, "--n", 1536, "--seed", 3,
+         "--out", g])
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    code = run(["verify", "--graph", g, "--check", "nsp", "--s", 3,
+                "--out", tmp_path / "r.json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 333312 subset/sign pairs exceed budget 10000")
+
+
+def test_verify_manifest_records_the_effective_budget(tall_graph, tmp_path):
+    for check, budget in (("nsp", 10**4), ("expansion", 10**7)):
+        out = tmp_path / f"{check}.json"
+        run(["verify", "--graph", tall_graph, "--check", check, "--s", 1, "--out", out])
+        manifest = json.loads((tmp_path / f"{check}.json.manifest.json").read_text())
+        assert manifest["params"]["budget"] == budget
+    out = tmp_path / "given.json"
+    run(["verify", "--graph", tall_graph, "--s", 1, "--budget", 50, "--out", out])
+    assert json.loads((tmp_path / "given.json.manifest.json").read_text())["params"]["budget"] == 50
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 1331.9), ("p", "121"), ("d", True), ("provenance", 7),
+    ("neighbors", "bad"), ("neighbor", True), ("neighbor", 3.0),
+])
+def test_graph_file_field_types_exit_2(tmp_path, capsys, field, value):
+    path = tmp_path / "g.json"
+    run(["construct", "pv", "--q", 11, "--l", 2, "--m", 2, "--h", 2, "--out", path])
+    obj = json.loads(path.read_text())
+    if field == "neighbor":
+        obj["neighbors"][0][0] = value
+    else:
+        obj[field] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", "--graph", path, "--s", 1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_nsp_lp_status_is_a_solver_error_not_an_assertion(tall_graph, tmp_path,
+                                                         capsys, monkeypatch):
+    import expander_cs.verify as verify
+    from expander_cs import DesignMatrix, load_graph
+    from expander_cs.errors import SolverStatusError
+    from expander_cs.solve import LpResult
+
+    monkeypatch.setattr(verify, "lp_solve",
+                        lambda lp: LpResult("iteration_limit", None, None, 0))
+    X = DesignMatrix.from_graph(load_graph(tall_graph))
+    with pytest.raises(SolverStatusError, match="iteration_limit"):
+        verify.nullspace_property_oracle(X, 2)
+    capsys.readouterr()
+    assert run(["verify", "--graph", tall_graph, "--check", "nsp", "--s", 2]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "iteration_limit" in err
+    assert "Traceback" not in err

@@ -1,0 +1,81 @@
+"""Property tests (hypothesis): design products, the graph interchange
+format and the connected-subset expansion certificate."""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
+                         check_expansion_exhaustive)
+from expander_cs.graphs import graph_from_json_dict, graph_to_json_dict  # noqa: E402
+from expander_cs.verify import _expansion_scan  # noqa: E402
+
+SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                               database=None)
+VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+PROVENANCE = st.text(alphabet='pv(q=7,l2) "\\é', max_size=12)  # quote, backslash, non-ASCII
+
+
+@st.composite
+def graphs(draw, max_p=12, max_n=24, max_d=5):
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, min(n, max_d)))
+    p = draw(st.integers(1, max_p))
+    neighbors = tuple(
+        tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d,
+                                   unique=True))))
+        for _ in range(p))
+    return BipartiteGraph(p, n, d, neighbors, draw(PROVENANCE))
+
+
+@st.composite
+def design_and_vectors(draw):
+    X = DesignMatrix.from_graph(draw(graphs()))
+    gamma = np.array(draw(st.lists(VALUES, min_size=X.p, max_size=X.p)))
+    z = np.array(draw(st.lists(VALUES, min_size=X.n, max_size=X.n)))
+    return X, gamma, z
+
+
+@SETTINGS
+@hypothesis.given(design_and_vectors())
+def test_matvec_and_transpose_matvec_are_adjoint(case):
+    X, gamma, z = case
+    lhs = float(z @ X.matvec(gamma))
+    rhs = float(X.transpose_matvec(z) @ gamma)
+    scale = max(1.0, float(np.abs(z).max()) * float(np.abs(gamma).sum()))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@SETTINGS
+@hypothesis.given(design_and_vectors())
+def test_products_never_amplify_their_norms(case):
+    # every column holds d entries 1/d: X^T z averages d entries of z,
+    # and X gamma spreads each gamma_i over d rows
+    X, gamma, z = case
+    assert np.abs(X.transpose_matvec(z)).max() <= np.abs(z).max() * (1 + 1e-12)
+    assert np.abs(X.matvec(gamma)).sum() <= np.abs(gamma).sum() * (1 + 1e-12)
+
+
+@SETTINGS
+@hypothesis.given(graphs(max_p=30, max_n=60, max_d=10))
+def test_graph_json_round_trip(g):
+    text = json.dumps(graph_to_json_dict(g))
+    assert graph_from_json_dict(json.loads(text)) == g
+
+
+@SETTINGS
+@hypothesis.given(graphs(max_p=10, max_n=30), st.integers(1, 4),
+                  st.sampled_from([0.125, 0.25, 0.5]))
+def test_connected_certificate_equals_full_scan(g, s, eps):
+    s = min(s, g.p)
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(g.p), k) for k in range(1, s + 1))
+    violator, worst, witness, examined = _expansion_scan(g, subsets, s, eps)
+    rep = check_expansion_exhaustive(g, s, eps)
+    assert (rep.ok, rep.worst_ratio, rep.witness, rep.trials) == (
+        violator is None, worst, witness, examined)

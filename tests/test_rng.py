@@ -58,3 +58,27 @@ def test_gaussian_moments():
     g = gaussians(123, 200000)
     assert abs(g.mean()) < 0.01
     assert abs(g.std() - 1.0) < 0.01
+
+
+def _reference_sample(stream, n, k):
+    """The list-based partial Fisher-Yates the dict-based draw replaced."""
+    arr = list(range(n))
+    for i in range(k):
+        j = i + stream.below(n - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return sorted(arr[:k])
+
+
+def test_draws_match_list_based_fisher_yates():
+    pick = Stream(77)
+    for _ in range(300):
+        n = 1 + pick.below(40)
+        k = pick.below(n + 1)
+        count = 1 + pick.below(5)
+        seed = pick.next_u64()
+        ref, one, bulk = Stream(seed), Stream(seed), Stream(seed)
+        want = [_reference_sample(ref, n, k) for _ in range(count)]
+        assert [one.sample_without_replacement(n, k) for _ in range(count)] == want
+        assert bulk.samples_without_replacement(n, k, count) == want
+        # the stream goes on from the same position
+        assert one.next_u64() == bulk.next_u64() == ref.next_u64()

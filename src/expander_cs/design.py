@@ -9,6 +9,10 @@ column-major gather/scatter layout. Products accumulate over that view in
 ascending-index order (per output row for X gamma, per column for X^T z)
 and divide by d once, which keeps results independent of thread count and
 of how the matrix was built.
+
+``rows`` is read-only, so state derived from the design alone (the
+solvers' LP matrices) can be computed once and kept on the instance
+through ``_cached``; it lives and dies with the design.
 """
 
 from __future__ import annotations
@@ -25,12 +29,21 @@ class DesignMatrix:
         self.p = p
         self.n = n
         self.d = d
-        self.rows = np.ascontiguousarray(np.asarray(rows, dtype=np.int64).reshape(p, d))
+        self.rows = np.array(rows, dtype=np.int64, order="C").reshape(p, d)
+        self.rows.flags.writeable = False
         self._starts = np.arange(0, p * d, d, dtype=np.int64)
+        self._state: dict = {}
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph) -> "DesignMatrix":
         return cls(g.p, g.n, g.d, g.neighbors)
+
+    def _cached(self, build):
+        """``build(self)``, computed on the first call and kept on this
+        instance for later ones. ``build`` must depend on the design only."""
+        if build not in self._state:
+            self._state[build] = build(self)
+        return self._state[build]
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -9,7 +9,17 @@ lassos scale differently, which is why the solver lives here.
 Linear programs are solved by a dense two-phase simplex with Bland's
 smallest-index anti-cycling rule. Instances are desk scale (a few hundred
 variables), where the dense tableau is fast enough and every pivot is
-auditable. Optimality means all reduced costs >= -1e-10.
+auditable. Optimality means all reduced costs >= -1e-10. Pricing and the
+crash basis are numpy scans; the ratio test loops over the eligible rows
+only, because its tie rule is sequential. A failed solve (phase 1 reported
+unbounded, the pivot limit) raises SolverStatusError.
+
+What the Dantzig selector and basis pursuit need of X alone is built once
+per DesignMatrix and kept on it (``DesignMatrix._cached``): the Dantzig
+constraint matrix from the Gram matrix, and for basis pursuit X's nonzero
+rows, the dense submatrix on them, an independent row subset and the LP
+matrix. A Monte Carlo experiment then pays per trial only for what depends
+on y. No n x p array or factor of X is kept, so the state stays small.
 """
 
 from __future__ import annotations
@@ -77,34 +87,48 @@ def _simplex(T: np.ndarray, zrow: np.ndarray, basis: np.ndarray,
              in_basis: np.ndarray, allowed: np.ndarray,
              max_iter: int) -> tuple[str, int]:
     """Bland-rule simplex on a canonical tableau. T's last column is the
-    right side; zrow holds reduced costs with -objective in its last slot."""
+    right side; zrow holds reduced costs with -objective in its last slot.
+
+    Pricing takes the smallest eligible column index. The ratio test visits
+    the rows with a positive pivot entry in ascending order and keeps the
+    first minimum, breaking ties within PIV_TOL by the smaller basic index;
+    the tie rule chains through the visit order, so that loop stays
+    sequential."""
     ncols = T.shape[1] - 1
     it = 0
     while True:
-        pcol = -1
-        for j in range(ncols):
-            if allowed[j] and not in_basis[j] and zrow[j] < -RC_TOL:
-                pcol = j
-                break
-        if pcol < 0:
+        entering = allowed & ~in_basis & (zrow[:ncols] < -RC_TOL)
+        pcol = int(np.argmax(entering))
+        if not entering[pcol]:
             return "optimal", it
         col = T[:, pcol]
+        rows = np.flatnonzero(col > PIV_TOL)
         best_ratio = math.inf
-        prow = -1
-        for i in range(T.shape[0]):
-            if col[i] > PIV_TOL:
-                ratio = T[i, -1] / col[i]
-                if (ratio < best_ratio - PIV_TOL
-                        or (abs(ratio - best_ratio) <= PIV_TOL
-                            and (prow < 0 or basis[i] < basis[prow]))):
-                    best_ratio = ratio
-                    prow = i
+        prow = best_basic = -1
+        for i, ratio, basic in zip(rows.tolist(), (T[rows, -1] / col[rows]).tolist(),
+                                   basis[rows].tolist()):
+            if (ratio < best_ratio - PIV_TOL
+                    or (abs(ratio - best_ratio) <= PIV_TOL
+                        and (prow < 0 or basic < best_basic))):
+                best_ratio, prow, best_basic = ratio, i, basic
         if prow < 0:
             return "unbounded", it
         _pivot(T, zrow, basis, in_basis, prow, pcol)
         it += 1
         if it > max_iter:
-            raise RuntimeError(f"simplex exceeded {max_iter} pivots")
+            raise SolverStatusError(f"simplex exceeded {max_iter} pivots")
+
+
+def _crash_basis(A: np.ndarray) -> np.ndarray:
+    """Per row, the first column that is an exact unit vector there (a
+    single nonzero, equal to 1.0), or -1 where no column is."""
+    m, n = A.shape
+    nonzero = A != 0
+    row = np.argmax(nonzero, axis=0)
+    unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (A[row, np.arange(n)] == 1.0))
+    first = np.full(m, n, dtype=np.int64)
+    np.minimum.at(first, row[unit], unit)
+    return np.where(first < n, first, -1)
 
 
 def lp_solve(lp: LinearProgram, max_iter: int = 200000) -> LpResult:
@@ -112,6 +136,8 @@ def lp_solve(lp: LinearProgram, max_iter: int = 200000) -> LpResult:
 
     Rows with negative right side are negated; unit columns seed the
     initial basis where possible and artificial variables fill the rest.
+    Raises SolverStatusError when phase 1 ends unbounded (which only lost
+    accuracy can cause) or a phase passes ``max_iter`` pivots.
     """
     A = lp.A.copy()
     b = lp.b.copy()
@@ -127,23 +153,15 @@ def lp_solve(lp: LinearProgram, max_iter: int = 200000) -> LpResult:
     b[neg] *= -1.0
 
     # crash basis: exact unit columns claim their rows, artificials fill in
-    basis = np.full(m, -1, dtype=np.int64)
-    claimed = np.zeros(m, dtype=bool)
-    for j in range(n):
-        col = A[:, j]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 1 and col[nz[0]] == 1.0 and not claimed[nz[0]]:
-            basis[nz[0]] = j
-            claimed[nz[0]] = True
-    art_rows = [i for i in range(m) if basis[i] < 0]
+    basis = _crash_basis(A)
+    art_rows = np.flatnonzero(basis < 0)
     n_art = len(art_rows)
     ncols = n + n_art
+    basis[art_rows] = np.arange(n, ncols)
 
     T = np.zeros((m, ncols + 1))
     T[:, :n] = A
-    for t, i in enumerate(art_rows):
-        T[i, n + t] = 1.0
-        basis[i] = n + t
+    T[art_rows, basis[art_rows]] = 1.0
     T[:, -1] = b
     in_basis = np.zeros(ncols, dtype=bool)
     in_basis[basis] = True
@@ -160,19 +178,16 @@ def lp_solve(lp: LinearProgram, max_iter: int = 200000) -> LpResult:
         status, it = _simplex(T, zrow, basis, in_basis, allowed, max_iter)
         iterations += it
         if status != "optimal":
-            raise AssertionError("phase 1 cannot be unbounded")
+            raise SolverStatusError("phase 1 cannot be unbounded: the tableau has lost accuracy")
         if -zrow[-1] > 1e-8 * (1.0 + float(np.abs(b).sum())):
             return LpResult("infeasible", None, None, iterations)
         # drive leftover artificials out or drop their (redundant) rows
         drop = []
         for i in range(m):
             if basis[i] >= n:
-                pcol = -1
-                for j in range(n):
-                    if not in_basis[j] and abs(T[i, j]) > PIV_TOL:
-                        pcol = j
-                        break
-                if pcol >= 0:
+                entering = ~in_basis[:n] & (np.abs(T[i, :n]) > PIV_TOL)
+                pcol = int(np.argmax(entering))
+                if entering[pcol]:
                     _pivot(T, zrow, basis, in_basis, i, pcol)
                     iterations += 1
                 else:
@@ -295,21 +310,12 @@ class DantzigSolution:
     status: str
 
 
-def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
-    """min ||b||_1 subject to ||X^T (y - X b)||_inf <= lam.
-
-    Solved in standard form with b = u - v and one slack block per
-    inequality side. Any optimal vertex is acceptable; the deterministic
-    pivot rule fixes which one is returned.
-    """
-    if not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    y = _observations(X, y)
+def _dantzig_matrix(X: DesignMatrix) -> np.ndarray:
+    """The Dantzig LP's 2p x 4p constraint matrix [[-G, G, I, 0], [G, -G, 0, I]]
+    with G = X^T X; only the right side depends on y."""
     p = X.p
     dense = X.to_dense()
     gram = dense.T @ dense
-    corr = X.transpose_matvec(y)
-
     A = np.zeros((2 * p, 4 * p))
     A[:p, :p] = -gram
     A[:p, p:2 * p] = gram
@@ -317,12 +323,30 @@ def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
     A[p:, :p] = gram
     A[p:, p:2 * p] = -gram
     A[p:, 3 * p:] = np.eye(p)
+    A.flags.writeable = False
+    return A
+
+
+def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
+    """min ||b||_1 subject to ||X^T (y - X b)||_inf <= lam.
+
+    Solved in standard form with b = u - v and one slack block per
+    inequality side. Any optimal vertex is acceptable; the deterministic
+    pivot rule fixes which one is returned. The constraint matrix depends
+    on X only and is built once per design; each call forms only the
+    right side from X^T y.
+    """
+    if not lam >= 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    y = _observations(X, y)
+    p = X.p
+    corr = X.transpose_matvec(y)
     b = np.concatenate([lam - corr, lam + corr])
     c = np.concatenate([np.ones(2 * p), np.zeros(2 * p)])
 
-    res = lp_solve(LinearProgram(c, A, b))
+    res = lp_solve(LinearProgram(c, X._cached(_dantzig_matrix), b))
     if res.status == "unbounded":
-        raise AssertionError("Dantzig LP cannot be unbounded: objective >= 0")
+        raise SolverStatusError("Dantzig LP cannot be unbounded: objective >= 0")
     if res.status != "optimal":
         raise SolverStatusError(f"Dantzig LP is {res.status}")
     beta = res.x[:p] - res.x[p:2 * p]
@@ -362,20 +386,48 @@ def _independent_rows(M: np.ndarray, tol: float = 1e-10) -> list[int]:
     return kept
 
 
+@dataclass(frozen=True)
+class _BasisPursuitState:
+    """What basis pursuit needs of X alone, built once per design."""
+
+    support: np.ndarray    # indices of X's nonzero rows, ascending
+    dense: np.ndarray      # X restricted to those rows
+    rows: np.ndarray       # a maximal independent row subset, full indices
+    A: np.ndarray          # the LP matrix [X_rows, -X_rows]
+
+
+def _basis_pursuit_state(X: DesignMatrix) -> _BasisPursuitState:
+    support = np.flatnonzero(np.bincount(X.rows.reshape(-1), minlength=X.n))
+    dense = X.to_dense()[support]
+    # _independent_rows skips zero rows itself, so scanning only the
+    # nonzero ones keeps the same rows and computes the same floats
+    kept = _independent_rows(dense)
+    A = np.concatenate([dense[kept], -dense[kept]], axis=1)
+    state = _BasisPursuitState(support, dense, support[kept], A)
+    for a in (state.support, state.dense, state.rows, state.A):
+        a.flags.writeable = False
+    return state
+
+
 def basis_pursuit(X: DesignMatrix, y) -> np.ndarray:
-    """min ||b||_1 subject to X b = y; raises when y is not in the range."""
+    """min ||b||_1 subject to X b = y; raises when y is not in the range.
+
+    X's nonzero rows, an independent subset of them and the LP matrix are
+    computed once per design. Each call checks that y is in the range by
+    least squares on the nonzero rows only: zero rows change neither the
+    minimiser nor the singular values, and the cutoff is the one numpy
+    uses for the full n x p matrix. The residual is then taken over all n
+    rows, so y with mass on a zero row is still refused.
+    """
     y = _observations(X, y)
-    dense = X.to_dense()
+    st = X._cached(_basis_pursuit_state)
     scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
-    fit = np.linalg.lstsq(dense, y, rcond=None)[0]
-    if float(np.max(np.abs(dense @ fit - y))) > 1e-8 * scale:
+    rcond = np.finfo(np.float64).eps * max(X.n, X.p)
+    fit = np.linalg.lstsq(st.dense, y[st.support], rcond=rcond)[0]
+    if float(np.max(np.abs(X.matvec(fit) - y))) > 1e-8 * scale:
         raise SolverStatusError("basis pursuit is infeasible: y is not in the range of X")
 
-    rows = _independent_rows(dense)
-    A = np.concatenate([dense[rows], -dense[rows]], axis=1)
-    b = y[rows]
-    c = np.ones(2 * X.p)
-    res = lp_solve(LinearProgram(c, A, b))
+    res = lp_solve(LinearProgram(np.ones(2 * X.p), st.A, y[st.rows]))
     if res.status != "optimal":
         raise SolverStatusError(f"basis pursuit LP is {res.status}")
     beta = res.x[:X.p] - res.x[X.p:]

@@ -104,6 +104,26 @@ def test_solve_bp_and_dantzig(tmp_path):
         np.testing.assert_allclose(sol["beta"], expected, atol=1e-8)
 
 
+def test_solve_bp_solver_failure_exits_1_without_traceback(tmp_path, capsys):
+    from expander_cs import DesignMatrix, random_left_regular
+    from expander_cs.bench import sparse_target
+
+    X = DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0))
+    y = X.matvec(sparse_target(96, 2, 7)[0])
+    problem = tmp_path / "bp.json"
+    problem.write_text(json.dumps({
+        "estimator": "bp",
+        "graph": {"kind": "random", "p": 96, "d": 8, "n": 64, "seed": 0},
+        "y": y.tolist(),
+    }))
+    out = tmp_path / "sol.json"
+    capsys.readouterr()
+    assert run(["solve", "--problem", problem, "--out", out]) == 1
+    sol = json.loads(out.read_text())
+    assert sol["estimator"] == "bp" and "phase 1" in sol["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_noise_check_json_contract(tmp_path, capsys):
     assert run(["noise-check", "--n", 100, "--sigma", 1.0, "--t", 1.0,
                 "--trials", 400, "--seed", 3, "--model", "iid"]) == 0

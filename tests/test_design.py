@@ -71,6 +71,16 @@ def test_nonamplification_exact():
         assert np.max(np.abs(X.transpose_matvec(z))) <= np.max(np.abs(z))
 
 
+def test_rows_are_read_only_and_copied():
+    # state derived from the rows is kept on the design, so they cannot change
+    rows = np.array(random_left_regular(6, 2, 8, seed=3).neighbors)
+    X = DesignMatrix(6, 8, 2, rows)
+    with pytest.raises(ValueError):
+        X.rows[0, 0] = 7
+    rows[0, 0] = 7                                    # the caller's array stays writable
+    assert X.rows[0, 0] != 7
+
+
 def test_shape_mismatch_errors():
     X = DesignMatrix.from_graph(matching_graph(3))
     with pytest.raises(ValueError):

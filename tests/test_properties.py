@@ -1,5 +1,6 @@
 """Property tests (hypothesis): design products, the graph interchange
-format and the connected-subset expansion certificate."""
+format, the connected-subset expansion certificate and the lasso's
+optimality conditions."""
 
 import itertools
 import json
@@ -11,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
-                         check_expansion_exhaustive)
+                         check_expansion_exhaustive, lasso)
 from expander_cs.graphs import graph_from_json_dict, graph_to_json_dict  # noqa: E402
 from expander_cs.verify import _expansion_scan  # noqa: E402
 
@@ -79,3 +80,20 @@ def test_connected_certificate_equals_full_scan(g, s, eps):
     rep = check_expansion_exhaustive(g, s, eps)
     assert (rep.ok, rep.worst_ratio, rep.witness, rep.trials) == (
         violator is None, worst, witness, examined)
+
+
+@SETTINGS
+@hypothesis.given(design_and_vectors(), st.floats(0.0, 50.0))
+def test_lasso_kkt_holds_at_convergence(case, lam):
+    # recomputed from the returned beta with a dense X^T (y - X beta), not
+    # from the solver's running residual
+    X, _, y = case
+    tol = 1e-8
+    sol = lasso(X, y, lam, tol=tol, max_iter=2000)
+    if not sol.converged:
+        return
+    dense = X.to_dense()
+    corr = 2.0 * dense.T @ (y - dense @ sol.beta)
+    kkt = np.where(sol.beta != 0.0, np.abs(corr - lam * np.sign(sol.beta)),
+                   np.maximum(0.0, np.abs(corr) - lam))
+    assert kkt.max() <= tol

@@ -7,9 +7,11 @@ import pytest
 from expander_cs import (DesignMatrix, LinearProgram, basis_pursuit, dantzig,
                          lasso, lp_solve, matching_graph, ols_on_support,
                          random_left_regular)
+from expander_cs.bench import sparse_target
 from expander_cs.errors import SolverStatusError
 from expander_cs.graphs import BipartiteGraph
 from expander_cs.rng import Stream, gaussians
+from expander_cs.solve import _basis_pursuit_state, _independent_rows
 
 
 def soft(a, t):
@@ -276,6 +278,74 @@ def test_bp_redundant_rows_reduced():
     y = X.matvec(beta_star)
     est = basis_pursuit(X, y)
     assert np.max(np.abs(X.matvec(est) - y)) <= 1e-9
+
+
+@pytest.mark.parametrize("p,d,n,seed", [(12, 4, 80, 2), (16, 3, 10, 5)])  # golden TALL, WIDE
+def test_bp_range_check_on_nonzero_rows_agrees_with_full_matrix(p, d, n, seed):
+    # the full-matrix least squares the check ran before decides the same
+    X = DesignMatrix.from_graph(random_left_regular(p, d, n, seed))
+    dense = X.to_dense()
+    for t in range(6):
+        y = X.matvec(gaussians(400 + t, p)) if t % 2 else gaussians(400 + t, n)
+        fit = np.linalg.lstsq(dense, y, rcond=None)[0]
+        in_range = np.max(np.abs(dense @ fit - y)) <= 1e-8 * (1.0 + np.max(np.abs(y)))
+        if in_range:
+            assert np.max(np.abs(X.matvec(basis_pursuit(X, y)) - y)) <= 1e-7 * (1 + np.max(np.abs(y)))
+        else:
+            with pytest.raises(SolverStatusError, match="not in the range"):
+                basis_pursuit(X, y)
+
+
+def test_bp_compressive_failure_is_a_solver_error():
+    # p > n: the phase-1 tableau loses accuracy and reports unbounded, which
+    # phase 1 cannot be; callers see a SolverStatusError, not an assertion
+    X = DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0))
+    y = X.matvec(sparse_target(96, 2, 7)[0])
+    with pytest.raises(SolverStatusError, match="phase 1"):
+        basis_pursuit(X, y)
+
+
+# -- state kept per design ---------------------------------------------------------
+
+@pytest.mark.parametrize("p,d,n,seed", [(12, 4, 80, 2), (16, 3, 10, 5)])  # golden TALL, WIDE
+def test_bp_state_rows_equal_full_scan(p, d, n, seed):
+    X = DesignMatrix.from_graph(random_left_regular(p, d, n, seed))
+    check_bp_state(X)
+
+
+def test_bp_state_rows_equal_full_scan_on_certified(certified):
+    check_bp_state(certified[1])
+
+
+def check_bp_state(X):
+    dense = X.to_dense()
+    rows = _independent_rows(dense)
+    st = _basis_pursuit_state(X)
+    np.testing.assert_array_equal(st.support, np.flatnonzero(np.abs(dense).sum(axis=1)))
+    np.testing.assert_array_equal(st.dense, dense[st.support])
+    assert st.rows.tolist() == rows
+    assert st.A.tobytes() == np.concatenate([dense[rows], -dense[rows]], axis=1).tobytes()
+
+
+def test_repeated_solves_on_one_design_match_fresh_designs(certified):
+    graph, _, _ = certified
+    X = DesignMatrix.from_graph(graph)
+    lam = 0.02
+    calls = []
+    for seed in range(3):
+        beta = sparse_target(graph.p, 2, seed)[0]
+        calls.append(("bp", X.matvec(beta)))
+        calls.append(("dantzig", X.matvec(beta) + 0.05 * gaussians(300 + seed, graph.n)))
+    calls += calls[:2]                    # a repeat after the state exists
+
+    def solve(design, kind, y):
+        if kind == "bp":
+            return basis_pursuit(design, y).tobytes()
+        sol = dantzig(design, y, lam)
+        return sol.beta.tobytes(), sol.constraint_slack, sol.l1_norm
+
+    for kind, y in calls:
+        assert solve(X, kind, y) == solve(DesignMatrix.from_graph(graph), kind, y)
 
 
 # -- least squares on a support ---------------------------------------------------

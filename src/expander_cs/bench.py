@@ -366,7 +366,13 @@ def run_dantzig_experiment(instance: RecoveryInstance, trials: int) -> Experimen
 def require_expander_certificate(X: DesignMatrix, s: int,
                                  certificate: VerificationReport) -> None:
     """Refuse to run recovery claims without a (2s, eps <= 1/8) expansion
-    certificate matching this design."""
+    certificate matching this design.
+
+    The match is a necessary check only: (p, n, d) must agree, and the
+    witness subset's neighbour count is recounted on X. A certificate of
+    another graph of the same shape still passes when its witness subset
+    has the same count here; binding it fully needs a graph digest in the
+    report, which would change report bytes."""
     w = certificate.witness or {}
     if (certificate.condition != "expansion_exhaustive" or not certificate.ok
             or w.get("p") != X.p or w.get("n") != X.n or w.get("d") != X.d
@@ -374,6 +380,16 @@ def require_expander_certificate(X: DesignMatrix, s: int,
         raise ValueError(
             "recovery experiment needs an exhaustive expansion certificate of "
             f"order >= {2 * s} at eps <= 1/8 for this exact design")
+    subset = w.get("subset")
+    if (not isinstance(subset, list) or not subset
+            or not all(type(i) is int and 0 <= i < X.p for i in subset)):
+        raise ValueError("expansion certificate has no valid witness subset")
+    count = len(set(X.rows[subset].ravel().tolist()))
+    if count != w.get("neighbor_count"):
+        raise ValueError(
+            f"expansion certificate does not match this design: its witness "
+            f"subset {subset} has {w.get('neighbor_count')} neighbours in the "
+            f"certified graph and {count} here")
 
 
 def run_recovery_experiment(X: DesignMatrix, s: int, trials: int, seed: int,

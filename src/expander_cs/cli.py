@@ -384,7 +384,7 @@ def _cmd_noise_check(args) -> tuple[str, dict, int]:
             raise ValueError(f"graph has {X.n} rows, --n says {args.n}")
     else:
         # identity permutation design: ||X^T z||_inf equals ||z||_inf, the
-        # extremal case allowed by non-amplification
+        # extremal case that non-amplification permits
         X = DesignMatrix.from_graph(matching_graph(args.n))
     model = _parse_noise_model(args.n, args.sigma, args.model)
     check = empirical_noise_bound(X, model, args.t, args.trials, args.seed)

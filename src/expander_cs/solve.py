@@ -9,7 +9,11 @@ lassos scale differently, which is why the solver lives here.
 Linear programs are solved by a dense two-phase simplex with Bland's
 smallest-index anti-cycling rule. Instances are desk scale (a few hundred
 variables), where the dense tableau is fast enough and every pivot is
-auditable. Optimality means all reduced costs >= -1e-10. Pricing and the
+auditable. Optimality means all reduced costs >= -1e-10. The simplex
+state is (T, zrow, basis): the tableau, its reduced costs and each row's
+basic column. No basis mask is kept, because every basic column of T is an
+exact unit vector with reduced cost exactly 0. Phase 2 runs on the real LP,
+without phase 1's artificial columns or redundant rows. Pricing and the
 crash basis are numpy scans; the ratio test loops over the eligible rows
 only, because its tie rule is sequential. A failed solve (phase 1 reported
 unbounded, the pivot limit) raises SolverStatusError.
@@ -69,7 +73,13 @@ class LpResult:
 
 
 def _pivot(T: np.ndarray, zrow: np.ndarray, basis: np.ndarray,
-           in_basis: np.ndarray, prow: int, pcol: int) -> None:
+           prow: int, pcol: int) -> None:
+    """Pivot on (prow, pcol). The entering column is written as an exact
+    unit vector with reduced cost exactly 0; every other basic column has a
+    0 in the pivot row and so is left untouched. Crash and artificial
+    columns start in that form, so every basic column keeps it: pricing
+    (zrow < -RC_TOL) and the drive-out test (|T[i, :n]| > PIV_TOL) skip
+    basic columns without a basis mask."""
     T[prow] /= T[prow, pcol]
     factor = T[:, pcol].copy()
     factor[prow] = 0.0
@@ -78,26 +88,23 @@ def _pivot(T: np.ndarray, zrow: np.ndarray, basis: np.ndarray,
     T[:, pcol] = 0.0
     T[prow, pcol] = 1.0
     zrow[pcol] = 0.0
-    in_basis[basis[prow]] = False
-    in_basis[pcol] = True
     basis[prow] = pcol
 
 
 def _simplex(T: np.ndarray, zrow: np.ndarray, basis: np.ndarray,
-             in_basis: np.ndarray, allowed: np.ndarray,
              max_iter: int) -> tuple[str, int]:
-    """Bland-rule simplex on a canonical tableau. T's last column is the
-    right side; zrow holds reduced costs with -objective in its last slot.
+    """Bland-rule simplex on the state (T, zrow, basis): a canonical
+    tableau whose last column is the right side, reduced costs with
+    -objective in the last slot, and the basic column of each row.
 
-    Pricing takes the smallest eligible column index. The ratio test visits
-    the rows with a positive pivot entry in ascending order and keeps the
-    first minimum, breaking ties within PIV_TOL by the smaller basic index;
-    the tie rule chains through the visit order, so that loop stays
-    sequential."""
-    ncols = T.shape[1] - 1
+    Pricing takes the smallest column index with a negative reduced cost
+    (basic columns have exactly 0). The ratio test visits the rows with a
+    positive pivot entry in ascending order and keeps the first minimum,
+    breaking ties within PIV_TOL by the smaller basic index; the tie rule
+    chains through the visit order, so that loop stays sequential."""
     it = 0
     while True:
-        entering = allowed & ~in_basis & (zrow[:ncols] < -RC_TOL)
+        entering = zrow[:-1] < -RC_TOL
         pcol = int(np.argmax(entering))
         if not entering[pcol]:
             return "optimal", it
@@ -113,7 +120,7 @@ def _simplex(T: np.ndarray, zrow: np.ndarray, basis: np.ndarray,
                 best_ratio, prow, best_basic = ratio, i, basic
         if prow < 0:
             return "unbounded", it
-        _pivot(T, zrow, basis, in_basis, prow, pcol)
+        _pivot(T, zrow, basis, prow, pcol)
         it += 1
         if it > max_iter:
             raise SolverStatusError(f"simplex exceeded {max_iter} pivots")
@@ -131,13 +138,26 @@ def _crash_basis(A: np.ndarray) -> np.ndarray:
     return np.where(first < n, first, -1)
 
 
+def _reduced_costs(cost: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """zrow for ``cost`` against the basis, -objective in the last slot."""
+    cost_b = cost[basis]
+    zrow = np.empty(T.shape[1])
+    zrow[:-1] = cost - cost_b @ T[:, :-1]
+    zrow[-1] = -float(cost_b @ T[:, -1])
+    return zrow
+
+
 def lp_solve(lp: LinearProgram, max_iter: int = 200000) -> LpResult:
     """Two-phase dense simplex returning an optimal basic solution.
 
     Rows with negative right side are negated; unit columns seed the
     initial basis where possible and artificial variables fill the rest.
-    Raises SolverStatusError when phase 1 ends unbounded (which only lost
-    accuracy can cause) or a phase passes ``max_iter`` pivots.
+    Phase 1 minimises the artificials' sum; the artificials still basic
+    after it are driven out, or their rows dropped as redundant. Phase 2
+    then runs on the real LP alone: the kept rows, the n real columns and
+    the right side. Raises SolverStatusError when phase 1 ends unbounded
+    (which only lost accuracy can cause) or a phase passes ``max_iter``
+    pivots.
     """
     A = lp.A.copy()
     b = lp.b.copy()
@@ -155,68 +175,43 @@ def lp_solve(lp: LinearProgram, max_iter: int = 200000) -> LpResult:
     # crash basis: exact unit columns claim their rows, artificials fill in
     basis = _crash_basis(A)
     art_rows = np.flatnonzero(basis < 0)
-    n_art = len(art_rows)
-    ncols = n + n_art
+    ncols = n + len(art_rows)
     basis[art_rows] = np.arange(n, ncols)
 
     T = np.zeros((m, ncols + 1))
     T[:, :n] = A
     T[art_rows, basis[art_rows]] = 1.0
     T[:, -1] = b
-    in_basis = np.zeros(ncols, dtype=bool)
-    in_basis[basis] = True
 
     iterations = 0
-    if n_art:
+    if ncols > n:
         cost1 = np.zeros(ncols)
         cost1[n:] = 1.0
-        cost_b = cost1[basis]
-        zrow = np.empty(ncols + 1)
-        zrow[:ncols] = cost1 - cost_b @ T[:, :ncols]
-        zrow[-1] = -float(cost_b @ T[:, -1])
-        allowed = np.ones(ncols, dtype=bool)
-        status, it = _simplex(T, zrow, basis, in_basis, allowed, max_iter)
+        zrow = _reduced_costs(cost1, T, basis)
+        status, it = _simplex(T, zrow, basis, max_iter)
         iterations += it
         if status != "optimal":
             raise SolverStatusError("phase 1 cannot be unbounded: the tableau has lost accuracy")
         if -zrow[-1] > 1e-8 * (1.0 + float(np.abs(b).sum())):
             return LpResult("infeasible", None, None, iterations)
-        # drive leftover artificials out or drop their (redundant) rows
-        drop = []
-        for i in range(m):
-            if basis[i] >= n:
-                entering = ~in_basis[:n] & (np.abs(T[i, :n]) > PIV_TOL)
-                pcol = int(np.argmax(entering))
-                if entering[pcol]:
-                    _pivot(T, zrow, basis, in_basis, i, pcol)
-                    iterations += 1
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            for i in drop:
-                in_basis[basis[i]] = False
-            T = T[keep]
-            basis = basis[keep]
-            m = len(keep)
+        # drive leftover artificials out; a row no real column can enter is redundant
+        for i in np.flatnonzero(basis >= n).tolist():
+            entering = np.abs(T[i, :n]) > PIV_TOL
+            pcol = int(np.argmax(entering))
+            if entering[pcol]:
+                _pivot(T, zrow, basis, i, pcol)
+                iterations += 1
+        real = basis < n
+        T = np.concatenate([T[real, :n], T[real, -1:]], axis=1)
+        basis = basis[real]
 
-    cost2 = np.zeros(ncols)
-    cost2[:n] = c
-    cost_b = cost2[basis]
-    zrow = np.empty(ncols + 1)
-    zrow[:ncols] = cost2 - cost_b @ T[:, :ncols]
-    zrow[-1] = -float(cost_b @ T[:, -1])
-    allowed = np.zeros(ncols, dtype=bool)
-    allowed[:n] = True
-    status, it = _simplex(T, zrow, basis, in_basis, allowed, max_iter)
+    status, it = _simplex(T, _reduced_costs(c, T, basis), basis, max_iter)
     iterations += it
     if status == "unbounded":
         return LpResult("unbounded", None, None, iterations)
 
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
+    x[basis] = T[:, -1]
     np.clip(x, 0.0, None, out=x)
     return LpResult("optimal", x, float(lp.c @ x), iterations)
 

@@ -410,6 +410,14 @@ def nullspace_property_oracle(X: DesignMatrix, s: int,
         raise CapacityError(f"{count} subset/sign pairs exceed budget {budget}")
     dense = X.to_dense()
     n = X.n
+    # one constraint matrix [[X, -X, 0], [l1 row, 1]] for every LP; each
+    # support rewrites only the off-support l1 row, each sign pattern only c
+    A = np.zeros((n + 1, 2 * p + 1))
+    A[:n, :p] = dense
+    A[:n, p:2 * p] = -dense
+    A[n, 2 * p] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
     worst = 0.0
     worst_witness = None
     ok = True
@@ -425,22 +433,15 @@ def nullspace_property_oracle(X: DesignMatrix, s: int,
                        "gamma": [float(v) for v in gamma]}
             return VerificationReport("nullspace_property", False, math.inf,
                                       witness, examined, None)
+        A[n, :2 * p] = 1.0
+        for i in support:
+            A[n, i] = A[n, p + i] = 0.0
         for signs in itertools.product((1.0, -1.0), repeat=s):
             examined += 1
             c = np.zeros(2 * p + 1)
             for pos, i in enumerate(support):
                 c[i] = -signs[pos]
                 c[p + i] = signs[pos]
-            A = np.zeros((n + 1, 2 * p + 1))
-            A[:n, :p] = dense
-            A[:n, p:2 * p] = -dense
-            off = [i for i in range(p) if i not in support]
-            for i in off:
-                A[n, i] = 1.0
-                A[n, p + i] = 1.0
-            A[n, 2 * p] = 1.0
-            b = np.zeros(n + 1)
-            b[n] = 1.0
             res = lp_solve(LinearProgram(c, A, b))
             if res.status == "unbounded":
                 witness = {"s": s, "support": list(support), "signs": list(signs),

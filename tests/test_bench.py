@@ -12,7 +12,7 @@ from expander_cs.bench import (CheckResult, ExperimentReport, TrialRecord,
                                compressible_target, dantzig_prediction_bound,
                                dantzig_selection_bound, lasso_prediction_bound,
                                lasso_selection_bound, sparse_target)
-from expander_cs.graphs import BipartiteGraph
+from expander_cs.graphs import BipartiteGraph, neighbor_set, random_left_regular
 from expander_cs.verify import check_expansion_exhaustive
 
 
@@ -136,6 +136,14 @@ def test_recovery_requires_certificate(certified):
     weak = check_expansion_exhaustive(graph, 2, 0.125)   # order too low for s=2
     with pytest.raises(ValueError):
         run_recovery_experiment(X, 2, 3, 0, weak)
+    # same (p, n, d), but seed 2 is refuted at (4, 1/8): the witness subset
+    # of the certified graph has another neighbour count there
+    other = random_left_regular(graph.p, graph.d, graph.n, 2)
+    assert not check_expansion_exhaustive(other, 4, 0.125).ok
+    subset = cert.witness["subset"]
+    assert len(neighbor_set(other, subset)) != cert.witness["neighbor_count"]
+    with pytest.raises(ValueError, match="does not match this design"):
+        run_recovery_experiment(DesignMatrix.from_graph(other), 2, 3, 0, cert)
 
 
 def test_recovery_zero_sparsity(certified):

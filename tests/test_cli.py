@@ -220,6 +220,29 @@ def test_bench_recovery_with_inline_certification(tmp_path):
                 "--out", tmp_path / "rec.csv"]) == 0
 
 
+def test_bench_recovery_refuses_a_certificate_of_another_graph(tmp_path, capsys):
+    # seeds 0 and 2 give p64/d8/n1536 graphs of the same shape; only seed 0
+    # is a (4, 1/8) expander
+    g0 = tmp_path / "g0.json"
+    run(["construct", "random", "--p", 64, "--d", 8, "--n", 1536, "--seed", 0,
+         "--out", g0])
+    cert = tmp_path / "cert.json"
+    assert run(["verify", "--graph", g0, "--s", 4, "--eps", 0.125,
+                "--mode", "exhaustive", "--out", cert]) == 0
+    for seed, code in ((0, 0), (2, 2)):
+        cfg = tmp_path / f"cfg{seed}.json"
+        cfg.write_text(json.dumps({
+            "design": {"kind": "random", "p": 64, "d": 8, "n": 1536, "seed": seed},
+            "certificate": str(cert), "s": 2, "trials": 2, "seed": 1,
+        }))
+        capsys.readouterr()
+        assert run(["bench", "recovery", "--config", cfg,
+                    "--out", tmp_path / f"rec{seed}.csv"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: expansion certificate does not match this design")
+    assert "Traceback" not in err
+
+
 def test_bench_ols(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

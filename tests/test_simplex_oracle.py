@@ -3,9 +3,11 @@
 ``reference_lp_solve`` is the loop-based two-phase simplex that the numpy
 scans in ``solve.lp_solve`` replaced: Bland pricing over every column, a
 ratio test over every row and a crash basis found with one ``np.nonzero``
-per column. Both share ``_pivot``, so on every LP here the two must take
-the same pivots: same status, iteration count, basis after each phase and
-bit-identical solution.
+per column. It also keeps the basis mask ``in_basis`` and the phase-2
+``allowed`` mask that ``lp_solve`` does without, and runs phase 2 at
+phase 1's full width. Both pivot through ``_pivot``, so on every LP here
+the two must take the same pivots: same status, iteration count, basis
+after each phase and bit-identical solution.
 """
 
 import math
@@ -23,6 +25,13 @@ from expander_cs.rng import gaussians
 from expander_cs.solve import PIV_TOL, RC_TOL, _crash_basis, _pivot
 
 EVENTS = Counter()   # what the reference saw: ties, competing unit columns
+
+
+def reference_pivot(T, zrow, basis, in_basis, prow, pcol):
+    """``_pivot`` plus the reference's own basis mask."""
+    in_basis[basis[prow]] = False
+    in_basis[pcol] = True
+    _pivot(T, zrow, basis, prow, pcol)
 
 
 def reference_simplex(T, zrow, basis, in_basis, allowed, max_iter):
@@ -51,7 +60,7 @@ def reference_simplex(T, zrow, basis, in_basis, allowed, max_iter):
                     prow = i
         if prow < 0:
             return "unbounded", it
-        _pivot(T, zrow, basis, in_basis, prow, pcol)
+        reference_pivot(T, zrow, basis, in_basis, prow, pcol)
         it += 1
         if it > max_iter:
             raise SolverStatusError(f"simplex exceeded {max_iter} pivots")
@@ -128,7 +137,7 @@ def reference_lp_solve(lp, bases, max_iter=200000):
                         pcol = j
                         break
                 if pcol >= 0:
-                    _pivot(T, zrow, basis, in_basis, i, pcol)
+                    reference_pivot(T, zrow, basis, in_basis, i, pcol)
                     iterations += 1
                 else:
                     drop.append(i)
@@ -168,8 +177,8 @@ def fast_bases(monkeypatch):
     bases = []
     fast = solve._simplex
 
-    def recording(T, zrow, basis, in_basis, allowed, max_iter):
-        out = fast(T, zrow, basis, in_basis, allowed, max_iter)
+    def recording(T, zrow, basis, max_iter):
+        out = fast(T, zrow, basis, max_iter)
         bases.append(basis.copy())
         return out
 
@@ -352,7 +361,7 @@ def test_ratio_test_chains_near_ties_in_row_order():
     # the pick depends on the visit order (ascending rows pick row 2; a
     # descending scan would pick row 0)
     runs = []
-    for simplex in (solve._simplex, reference_simplex):
+    for fast in (True, False):
         T = np.zeros((3, 7))
         T[:, 0] = 1.0
         T[[0, 1, 2], [3, 4, 5]] = 1.0
@@ -360,8 +369,11 @@ def test_ratio_test_chains_near_ties_in_row_order():
         zrow = np.zeros(7)
         zrow[0] = -1.0
         basis = np.array([3, 4, 5])
-        in_basis = np.isin(np.arange(6), basis)
-        status = simplex(T, zrow, basis, in_basis, np.ones(6, dtype=bool), 100)
+        if fast:
+            status = solve._simplex(T, zrow, basis, 100)
+        else:
+            in_basis = np.isin(np.arange(6), basis)
+            status = reference_simplex(T, zrow, basis, in_basis, np.ones(6, dtype=bool), 100)
         runs.append((status, basis, T))
     (status, basis, T), (ref_status, ref_basis, ref_T) = runs
     assert status == ref_status == ("optimal", 1)

@@ -21,6 +21,7 @@ enough to round-trip doubles exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -457,8 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first command of the process and reused by
+    the later ones; parsing leaves it unchanged, and argparse looks up
+    ``sys.stderr`` when it reports a usage error."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, params, code = args.func(args)
         _emit(text, args.out)

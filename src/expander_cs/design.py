@@ -11,7 +11,7 @@ and divide by d once, which keeps results independent of thread count and
 of how the matrix was built.
 
 ``rows`` is read-only, so state derived from the design alone (the
-solvers' LP matrices) can be computed once and kept on the instance
+Dantzig selector's LP matrix) can be computed once and kept on the instance
 through ``_cached``; it lives and dies with the design.
 """
 

@@ -1,29 +1,42 @@
-"""Estimators and the dense LP core.
+"""Estimators: one l1 path for the lasso and basis pursuit, and a dense LP core.
 
-The three l1 estimators share one scaling convention: the lasso objective
-is ||y - X b||_2^2 + lam ||b||_1 with no 1/2 and no 1/n factor. Under that
-scaling the coordinate-descent soft threshold sits at lam/2 and the
-all-zero solution appears exactly at lam >= 2 ||X^T y||_inf; most library
-lassos scale differently, which is why the solver lives here.
+The l1 estimators share one scaling convention: the lasso objective is
+||y - X b||_2^2 + lam ||b||_1 with no 1/2 and no 1/n factor. Under that
+scaling the solution is identically zero exactly when
+lam >= 2 ||X^T y||_inf; most library lassos scale differently, which is
+why the solvers live here.
 
-Linear programs are solved by a dense two-phase simplex with Bland's
-smallest-index anti-cycling rule. Instances are desk scale (a few hundred
-variables), where the dense tableau is fast enough and every pivot is
-auditable. Optimality means all reduced costs >= -1e-10. The simplex
-state is (T, zrow, basis): the tableau, its reduced costs and each row's
-basic column. No basis mask is kept, because every basic column of T is an
-exact unit vector with reduced cost exactly 0. Phase 2 runs on the real LP,
-without phase 1's artificial columns or redundant rows. Pricing and the
-crash basis are numpy scans; the ratio test loops over the eligible rows
-only, because its tie rule is sequential. A failed solve (phase 1 reported
-unbounded, the pivot limit) raises SolverStatusError.
+The lasso and basis pursuit are one path solver, ``_l1_path``: the
+piecewise-linear lasso path of Osborne, Presnell and Turlach (IMA J.
+Numer. Anal. 2000), followed in t = lam/2 from ||X^T y||_inf down to
+lam/2 for the lasso and to 0 for basis pursuit. Each segment solves the
+active Gram system, with entries |N(i) ∩ N(j)| / d^2 counted from
+``X.rows``, and moves t to the next event: an inactive column's
+correlation reaching the boundary (a join) or an active coefficient
+reaching zero (a drop). Under the conditions of Donoho and Tsaig (IEEE
+Trans. Inf. Theory 2008) an s-sparse target is reached in s + 1 segments,
+and the end point is exact, not iterated to a tolerance. Basis pursuit is certified on the way out: its residual
+must vanish, and z = X_A G_AA^{-1} s_A of the last segment must be a dual
+certificate, ||X^T z||_inf <= 1 and y^T z = ||b||_1. Both checks cost
+O(nnz). No n x p array is built.
 
-What the Dantzig selector and basis pursuit need of X alone is built once
-per DesignMatrix and kept on it (``DesignMatrix._cached``): the Dantzig
-constraint matrix from the Gram matrix, and for basis pursuit X's nonzero
-rows, the dense submatrix on them, an independent row subset and the LP
-matrix. A Monte Carlo experiment then pays per trial only for what depends
-on y. No n x p array or factor of X is kept, so the state stays small.
+The Dantzig selector and the nullspace-property oracle solve linear
+programs by a dense two-phase simplex with Bland's smallest-index
+anti-cycling rule. Instances are desk scale (a few hundred variables),
+where the dense tableau is fast enough and every pivot is auditable.
+Optimality means all reduced costs >= -1e-10. The simplex state is
+(T, zrow, basis): the tableau, its reduced costs and each row's basic
+column. No basis mask is kept, because every basic column of T is an
+exact unit vector with reduced cost exactly 0. Phase 2 runs on the real
+LP, without phase 1's artificial columns or redundant rows. Pricing and
+the crash basis are numpy scans; the ratio test loops over the eligible
+rows only, because its tie rule is sequential. The Dantzig constraint
+matrix depends on X alone, so it is built once per DesignMatrix and kept
+on it (``DesignMatrix._cached``).
+
+Every solver failure (phase 1 reported unbounded, a pivot or step limit,
+a singular active Gram matrix, a failed certificate) raises
+SolverStatusError.
 """
 
 from __future__ import annotations
@@ -217,17 +230,8 @@ def lp_solve(lp: LinearProgram, max_iter: int = 200000) -> LpResult:
 
 
 # ---------------------------------------------------------------------------
-# lasso by cyclic coordinate descent
+# Dantzig selector as an LP
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LassoSolution:
-    beta: np.ndarray
-    kkt_residual: float
-    iterations: int
-    objective: float
-    converged: bool
-
 
 def _observations(X: DesignMatrix, y) -> np.ndarray:
     """y as a float vector of length n; NaN and infinite entries are
@@ -239,63 +243,6 @@ def _observations(X: DesignMatrix, y) -> np.ndarray:
         raise ValueError("y must be finite (no NaN or infinite entries)")
     return y
 
-
-def _soft(a: float, t: float) -> float:
-    return math.copysign(max(abs(a) - t, 0.0), a)
-
-
-def lasso(X: DesignMatrix, y, lam: float, tol: float = 1e-8,
-          max_iter: int = 100000) -> LassoSolution:
-    """Minimize ||y - X b||_2^2 + lam ||b||_1 by cyclic coordinate descent.
-
-    Coordinate update: b_j <- soft(X_j^T (y - X b + X_j b_j), lam/2) / ||X_j||^2.
-    Convergence is declared when the KKT residual
-    max_j |2 X_j^T (y - X b) - lam sign(b_j)| (nonzero b_j) resp.
-    max(0, |2 X_j^T (y - X b)| - lam) (zero b_j) drops to ``tol``.
-    Coordinates cycle in index order; no randomization, so runs repeat.
-    """
-    if not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    y = _observations(X, y)
-    p, d = X.p, X.d
-    colsq = 1.0 / d  # every column has squared l2 norm 1/d
-    thresh = lam / 2.0
-    cols = list(X.rows)  # a list of row views indexes faster in the inner loop
-    beta = np.zeros(p)
-    resid = y.copy()
-
-    converged = False
-    it = 0
-    while it < max_iter:
-        it += 1
-        for j in range(p):
-            rows = cols[j]
-            bj = beta[j]
-            rho = float(resid[rows].sum()) / d + bj * colsq
-            bnew = _soft(rho, thresh) / colsq
-            if bnew != bj:
-                resid[rows] += (bj - bnew) / d
-                beta[j] = bnew
-        corr = X.transpose_matvec(resid)
-        kkt = 0.0
-        for j in range(p):
-            if beta[j] != 0.0:
-                r_j = abs(2.0 * corr[j] - lam * math.copysign(1.0, beta[j]))
-            else:
-                r_j = max(0.0, abs(2.0 * corr[j]) - lam)
-            if r_j > kkt:
-                kkt = r_j
-        if kkt <= tol:
-            converged = True
-            break
-
-    objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
-    return LassoSolution(beta, kkt, it, objective, converged)
-
-
-# ---------------------------------------------------------------------------
-# Dantzig selector and basis pursuit as LPs
-# ---------------------------------------------------------------------------
 
 @dataclass
 class DantzigSolution:
@@ -352,82 +299,163 @@ def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
     return DantzigSolution(beta, slack, float(np.abs(beta).sum()), res.status)
 
 
-def _independent_rows(M: np.ndarray, tol: float = 1e-10) -> list[int]:
-    """Indices of a maximal linearly independent row subset.
+# ---------------------------------------------------------------------------
+# lasso and basis pursuit by one l1 path
+# ---------------------------------------------------------------------------
 
-    Greedy Gram-Schmidt scan (orthogonalized twice for stability); stops as
-    soon as the row space is exhausted, so heavily redundant systems cost
-    about rank-many passes.
+PATH_TOL = 1e-10        # event tolerance, relative to the path's start t
+GRAM_TOL = 1e-10        # smallest squared Cholesky pivot of the overlap counts, per unit of d
+BP_MAX_STEPS = 100000   # basis pursuit's path step limit
+
+
+@dataclass
+class LassoSolution:
+    beta: np.ndarray
+    kkt_residual: float
+    iterations: int
+    objective: float
+    converged: bool
+
+
+def _direction(X: DesignMatrix, active: list[int], signs: np.ndarray) -> np.ndarray:
+    """G_AA^{-1} s_A, the active coefficients' change per unit decrease of t.
+
+    G_AA = C / d^2, where C counts the rows two active columns share (an
+    exact integer in floating point). A singular C shows as a vanishing
+    Cholesky pivot and raises SolverStatusError."""
+    incidence = np.zeros((len(active), X.n))
+    incidence[np.arange(len(active))[:, None], X.rows[active]] = 1.0
+    counts = incidence @ incidence.T
+    try:
+        smallest = float(np.diag(np.linalg.cholesky(counts)).min())
+    except np.linalg.LinAlgError:
+        smallest = 0.0
+    if smallest**2 <= GRAM_TOL * X.d:
+        raise SolverStatusError(
+            f"the Gram matrix of the {len(active)} active columns is singular")
+    return np.linalg.solve(counts, signs) * float(X.d) ** 2
+
+
+def _l1_path(X: DesignMatrix, y: np.ndarray, t_stop: float,
+             max_steps: int) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """Follow the minimisers of ||y - X b||^2 + 2t ||b||_1 from
+    t = ||X^T y||_inf down to ``t_stop``.
+
+    Returns (beta, steps, z): the coefficients at the last t reached, the
+    number of segments taken, and z = X_A G_AA^{-1} s_A of the last
+    segment (zeros when the path has none), or None for z when
+    ``max_steps`` segments did not reach ``t_stop``.
+
+    On a segment the active correlations stay at t s_A and the inactive
+    ones c move by -gamma X^T z as t drops by gamma. Events within
+    PATH_TOL t0 of each other go to the smallest column index, so runs
+    repeat bit for bit. A column on the boundary that is moving out joins
+    at once, with a zero-length step; a column moving along the boundary
+    (a duplicate of an active column, say) never joins. An event within
+    the tolerance of the remaining distance ends the path: on 1/d designs
+    every inactive correlation reaches 0 together with t when y is fit
+    exactly, and joining there moves nothing but can make the Gram matrix
+    singular.
     """
-    M = np.asarray(M, dtype=np.float64)
-    m, n = M.shape
-    limit = min(m, n)
-    basis = np.empty((0, n))
-    kept: list[int] = []
-    for i in range(m):
-        if len(kept) == limit:
-            break
-        r = M[i].copy()
-        norm0 = float(np.linalg.norm(r))
-        if norm0 <= tol:
-            continue
-        if kept:
-            r -= basis.T @ (basis @ r)
-            r -= basis.T @ (basis @ r)
-        norm = float(np.linalg.norm(r))
-        if norm > tol * max(1.0, norm0):
-            kept.append(i)
-            basis = np.vstack([basis, r / norm])
-    return kept
+    p = X.p
+    c = X.transpose_matvec(y)
+    t = float(np.max(np.abs(c)))
+    beta = np.zeros(p)
+    z = np.zeros(X.n)
+    if t <= t_stop:
+        return beta, 0, z
+    tol = PATH_TOL * t
+    first = int(np.argmax(np.abs(c) >= t - tol))
+    active = [first]
+    signs = [math.copysign(1.0, c[first])]
+    for step in range(1, max_steps + 1):
+        d_active = _direction(X, active, np.array(signs))
+        direction = np.zeros(p)
+        direction[active] = d_active
+        z = X.matvec(direction)
+        rate = X.transpose_matvec(z)
+
+        inactive = np.ones(p, dtype=bool)
+        inactive[active] = False
+        joins = []
+        for sign in (1.0, -1.0):
+            closing = 1.0 - sign * rate
+            moving = inactive & (closing > PATH_TOL)
+            slack = t - sign * c[moving]
+            slack[slack <= tol] = 0.0
+            gap = np.full(p, math.inf)
+            gap[moving] = slack / closing[moving]
+            joins.append(gap)
+        gap = np.minimum(*joins)
+        idx = np.array(active)
+        shrinking = beta[idx] * d_active < 0.0
+        gap[idx[shrinking]] = -beta[idx[shrinking]] / d_active[shrinking]
+
+        remaining = t - t_stop
+        nearest = float(gap.min())
+        if nearest >= remaining - tol:
+            beta[active] += remaining * d_active
+            return beta, step, z
+        j = int(np.argmax(gap <= nearest + tol))
+        beta[active] += gap[j] * d_active
+        c -= gap[j] * rate
+        t -= float(gap[j])
+        if inactive[j]:
+            active.append(j)
+            signs.append(1.0 if joins[0][j] <= joins[1][j] else -1.0)
+        else:
+            k = active.index(j)
+            del active[k], signs[k]
+            beta[j] = 0.0
+    return beta, max_steps, None
 
 
-@dataclass(frozen=True)
-class _BasisPursuitState:
-    """What basis pursuit needs of X alone, built once per design."""
+def lasso(X: DesignMatrix, y, lam: float, tol: float = 1e-8,
+          max_iter: int = 100000) -> LassoSolution:
+    """Minimize ||y - X b||_2^2 + lam ||b||_1 along the l1 path.
 
-    support: np.ndarray    # indices of X's nonzero rows, ascending
-    dense: np.ndarray      # X restricted to those rows
-    rows: np.ndarray       # a maximal independent row subset, full indices
-    A: np.ndarray          # the LP matrix [X_rows, -X_rows]
-
-
-def _basis_pursuit_state(X: DesignMatrix) -> _BasisPursuitState:
-    support = np.flatnonzero(np.bincount(X.rows.reshape(-1), minlength=X.n))
-    dense = X.to_dense()[support]
-    # _independent_rows skips zero rows itself, so scanning only the
-    # nonzero ones keeps the same rows and computes the same floats
-    kept = _independent_rows(dense)
-    A = np.concatenate([dense[kept], -dense[kept]], axis=1)
-    state = _BasisPursuitState(support, dense, support[kept], A)
-    for a in (state.support, state.dense, state.rows, state.A):
-        a.flags.writeable = False
-    return state
+    The path stops at t = lam/2; ``iterations`` counts its segments, at
+    most ``max_iter``. Convergence is declared when the KKT residual
+    max_j |2 X_j^T (y - X b) - lam sign(b_j)| (nonzero b_j) resp.
+    max(0, |2 X_j^T (y - X b)| - lam) (zero b_j), recomputed from the
+    returned b, is at most ``tol``.
+    """
+    if not lam >= 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    y = _observations(X, y)
+    beta, steps, _ = _l1_path(X, y, lam / 2.0, max_iter)
+    resid = y - X.matvec(beta)
+    corr = 2.0 * X.transpose_matvec(resid)
+    kkt = np.where(beta != 0.0, np.abs(corr - lam * np.sign(beta)),
+                   np.maximum(np.abs(corr) - lam, 0.0))
+    kkt_residual = float(kkt.max())
+    objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
+    return LassoSolution(beta, kkt_residual, steps, objective, kkt_residual <= tol)
 
 
 def basis_pursuit(X: DesignMatrix, y) -> np.ndarray:
-    """min ||b||_1 subject to X b = y; raises when y is not in the range.
+    """min ||b||_1 subject to X b = y: the l1 path followed down to t = 0.
 
-    X's nonzero rows, an independent subset of them and the LP matrix are
-    computed once per design. Each call checks that y is in the range by
-    least squares on the nonzero rows only: zero rows change neither the
-    minimiser nor the singular values, and the cutoff is the one numpy
-    uses for the full n x p matrix. The residual is then taken over all n
-    rows, so y with mass on a zero row is still refused.
+    Raises SolverStatusError when y is not in the range of X (the residual
+    at t = 0 exceeds 1e-8 (1 + ||y||_inf)), when the active Gram matrix is
+    singular, when the path takes more than BP_MAX_STEPS segments, and
+    when the last segment's z = X_A G_AA^{-1} s_A is no dual certificate:
+    ||X^T z||_inf <= 1 + 1e-9 and y^T z = ||b||_1 to 1e-9 relative prove
+    b optimal, since ||b'||_1 >= z^T X b' = y^T z for every feasible b'.
     """
     y = _observations(X, y)
-    st = X._cached(_basis_pursuit_state)
-    scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
-    rcond = np.finfo(np.float64).eps * max(X.n, X.p)
-    fit = np.linalg.lstsq(st.dense, y[st.support], rcond=rcond)[0]
-    if float(np.max(np.abs(X.matvec(fit) - y))) > 1e-8 * scale:
+    beta, _, z = _l1_path(X, y, 0.0, BP_MAX_STEPS)
+    if z is None:
+        raise SolverStatusError(f"basis pursuit path exceeded {BP_MAX_STEPS} steps")
+    scale = 1.0 + float(np.abs(y).max(initial=0.0))
+    if float(np.max(np.abs(X.matvec(beta) - y))) > 1e-8 * scale:
         raise SolverStatusError("basis pursuit is infeasible: y is not in the range of X")
-
-    res = lp_solve(LinearProgram(np.ones(2 * X.p), st.A, y[st.rows]))
-    if res.status != "optimal":
-        raise SolverStatusError(f"basis pursuit LP is {res.status}")
-    beta = res.x[:X.p] - res.x[X.p:]
-    if float(np.max(np.abs(X.matvec(beta) - y))) > 1e-7 * scale:
-        raise SolverStatusError("basis pursuit solution fails the full equality system")
+    l1 = float(np.abs(beta).sum())
+    dual_norm = float(np.max(np.abs(X.transpose_matvec(z))))
+    if dual_norm > 1.0 + 1e-9 or abs(float(y @ z) - l1) > 1e-9 * l1:
+        raise SolverStatusError(
+            f"basis pursuit's dual certificate fails: ||X^T z||_inf = {dual_norm}, "
+            f"y^T z = {float(y @ z)}, ||b||_1 = {l1}")
     return beta
 
 

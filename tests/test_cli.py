@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import time
 
 import numpy as np
 import pytest
 
-from expander_cs.cli import dumps_17g, main
+from expander_cs.cli import _parser, dumps_17g, main
 from expander_cs.graphs import matching_graph
 
 
@@ -105,22 +107,20 @@ def test_solve_bp_and_dantzig(tmp_path):
 
 
 def test_solve_bp_solver_failure_exits_1_without_traceback(tmp_path, capsys):
-    from expander_cs import DesignMatrix, random_left_regular
-    from expander_cs.bench import sparse_target
+    # n > p: a generic y is not in the range of X, so basis pursuit must fail
+    from expander_cs.rng import gaussians
 
-    X = DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0))
-    y = X.matvec(sparse_target(96, 2, 7)[0])
     problem = tmp_path / "bp.json"
     problem.write_text(json.dumps({
         "estimator": "bp",
-        "graph": {"kind": "random", "p": 96, "d": 8, "n": 64, "seed": 0},
-        "y": y.tolist(),
+        "graph": {"kind": "random", "p": 12, "d": 4, "n": 80, "seed": 2},
+        "y": gaussians(3, 80).tolist(),
     }))
     out = tmp_path / "sol.json"
     capsys.readouterr()
     assert run(["solve", "--problem", problem, "--out", out]) == 1
     sol = json.loads(out.read_text())
-    assert sol["estimator"] == "bp" and "phase 1" in sol["error"]
+    assert sol["estimator"] == "bp" and "not in the range" in sol["error"]
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -265,6 +265,15 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--graph", "x.json", "--s", "2", "--badflag"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_reports_to_the_current_stderr():
+    assert _parser() is _parser()
+    for argv in (["frobnicate"], ["verify", "--s", "2"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and "error:" in err.getvalue()
 
 
 def test_dumps_17g_roundtrips_floats():

@@ -19,19 +19,18 @@ from expander_cs import (DesignMatrix, LinearProgram, lp_solve,
                          random_left_regular)
 from expander_cs.bench import sparse_target
 from expander_cs.rng import gaussians
-from test_simplex_oracle import FAMILIES
+from test_simplex_oracle import FAMILIES, basis_pursuit_lp
 
 
 def certified_lps(X):
     """Three basis-pursuit and three Dantzig LPs on the certified design,
-    built as ``basis_pursuit`` and ``dantzig`` build them."""
-    bp = X._cached(solve._basis_pursuit_state)
+    the Dantzig ones built as ``dantzig`` builds them."""
     A = X._cached(solve._dantzig_matrix)
     lam = 0.02
     lps = []
     for seed in range(3):
         y = X.matvec(sparse_target(X.p, 2, seed)[0])
-        lps.append(LinearProgram(np.ones(2 * X.p), bp.A, y[bp.rows]))
+        lps.append(basis_pursuit_lp(X, y))
         y = y + 0.05 * gaussians(100 + seed, X.n)
         corr = X.transpose_matvec(y)
         lps.append(LinearProgram(np.r_[np.ones(2 * X.p), np.zeros(2 * X.p)], A,

@@ -1,6 +1,6 @@
 """Property tests (hypothesis): design products, the graph interchange
-format, the connected-subset expansion certificate and the lasso's
-optimality conditions."""
+format, the connected-subset expansion certificate, the lasso's
+optimality conditions and basis pursuit's dual certificate."""
 
 import itertools
 import json
@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
-                         check_expansion_exhaustive, lasso)
+                         basis_pursuit, check_expansion_exhaustive, lasso)
 from expander_cs.graphs import graph_from_json_dict, graph_to_json_dict  # noqa: E402
 from expander_cs.verify import _expansion_scan  # noqa: E402
 
@@ -85,15 +85,36 @@ def test_connected_certificate_equals_full_scan(g, s, eps):
 @SETTINGS
 @hypothesis.given(design_and_vectors(), st.floats(0.0, 50.0))
 def test_lasso_kkt_holds_at_convergence(case, lam):
-    # recomputed from the returned beta with a dense X^T (y - X beta), not
-    # from the solver's running residual
+    # every solve converges; the KKT residual is recomputed from the
+    # returned beta with a dense X^T (y - X beta)
     X, _, y = case
     tol = 1e-8
     sol = lasso(X, y, lam, tol=tol, max_iter=2000)
-    if not sol.converged:
-        return
+    assert sol.converged
     dense = X.to_dense()
     corr = 2.0 * dense.T @ (y - dense @ sol.beta)
     kkt = np.where(sol.beta != 0.0, np.abs(corr - lam * np.sign(sol.beta)),
                    np.maximum(0.0, np.abs(corr) - lam))
     assert kkt.max() <= tol
+
+
+@SETTINGS
+@hypothesis.given(design_and_vectors())
+def test_bp_dual_certificate_holds(case):
+    # y = X gamma is in the range; z = X_A (X_A^T X_A)^{-1} sign(beta_A) on
+    # the returned support is recomputed from the dense matrix and proves
+    # beta optimal: ||X^T z||_inf <= 1 and y^T z = ||beta||_1
+    X, gamma, _ = case
+    y = X.matvec(gamma)
+    beta = basis_pursuit(X, y)
+    scale = 1.0 + float(np.abs(y).max())
+    assert np.abs(X.matvec(beta) - y).max() <= 1e-8 * scale
+    l1 = float(np.abs(beta).sum())
+    assert l1 <= float(np.abs(gamma).sum()) * (1 + 1e-9) + 1e-12
+    dense = X.to_dense()
+    A = np.flatnonzero(beta)
+    if A.size:
+        XA = dense[:, A]
+        z = XA @ np.linalg.solve(XA.T @ XA, np.sign(beta[A]))
+        assert np.abs(dense.T @ z).max() <= 1.0 + 1e-9
+        assert abs(float(y @ z) - l1) <= 1e-9 * l1

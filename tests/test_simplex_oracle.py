@@ -297,6 +297,46 @@ FAMILIES = {
 }
 
 
+def independent_rows(M, tol=1e-10):
+    """Indices of a maximal linearly independent row subset.
+
+    Greedy Gram-Schmidt scan (orthogonalized twice for stability); stops as
+    soon as the row space is exhausted, so heavily redundant systems cost
+    about rank-many passes.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    m, n = M.shape
+    limit = min(m, n)
+    basis = np.empty((0, n))
+    kept = []
+    for i in range(m):
+        if len(kept) == limit:
+            break
+        r = M[i].copy()
+        norm0 = float(np.linalg.norm(r))
+        if norm0 <= tol:
+            continue
+        if kept:
+            r -= basis.T @ (basis @ r)
+            r -= basis.T @ (basis @ r)
+        norm = float(np.linalg.norm(r))
+        if norm > tol * max(1.0, norm0):
+            kept.append(i)
+            basis = np.vstack([basis, r / norm])
+    return kept
+
+
+def basis_pursuit_lp(X, y):
+    """Basis pursuit as an LP: min 1^T (u + v) subject to
+    X_R (u - v) = y_R and u, v >= 0, on a maximal independent row subset
+    R of X. These are the LPs ``basis_pursuit`` solved before the l1 path
+    replaced the simplex there; they stay as simplex test cases."""
+    dense = X.to_dense()
+    rows = independent_rows(dense)
+    return LinearProgram(np.ones(2 * X.p), np.concatenate([dense[rows], -dense[rows]], axis=1),
+                         np.asarray(y)[rows])
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_numpy_scans_take_the_reference_pivots(family, fast_bases):
     make, count = FAMILIES[family]
@@ -328,10 +368,8 @@ def test_pivot_limit_is_a_solver_error(fast_bases):
 
 def test_certified_instance_lps_take_the_reference_pivots(certified, fast_bases):
     _, X, _ = certified
-    bp = X._cached(solve._basis_pursuit_state)
     for seed in range(3):
-        y = X.matvec(sparse_target(X.p, 2, seed)[0])
-        lp = LinearProgram(np.ones(2 * X.p), bp.A, y[bp.rows])
+        lp = basis_pursuit_lp(X, X.matvec(sparse_target(X.p, 2, seed)[0]))
         assert assert_same_pivots(lp, fast_bases) == "optimal"
     A = X._cached(solve._dantzig_matrix)
     lam = 0.02
@@ -347,11 +385,10 @@ def test_certified_instance_lps_take_the_reference_pivots(certified, fast_bases)
 
 
 def test_compressive_basis_pursuit_lp_fails_the_same_way(fast_bases):
-    # p > n: the phase-1 tableau loses accuracy on both paths at the same pivot
+    # p > n: the phase-1 tableau loses accuracy on both paths at the same
+    # pivot (basis_pursuit itself solves this instance on the l1 path)
     X = DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0))
-    y = X.matvec(sparse_target(96, 2, 7)[0])
-    st = X._cached(solve._basis_pursuit_state)
-    lp = LinearProgram(np.ones(2 * X.p), st.A, y[st.rows])
+    lp = basis_pursuit_lp(X, X.matvec(sparse_target(96, 2, 7)[0]))
     assert assert_same_pivots(lp, fast_bases) == "error"
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import expander_cs.solve as solve
 from expander_cs import (DesignMatrix, LinearProgram, basis_pursuit, dantzig,
                          lasso, lp_solve, matching_graph, ols_on_support,
                          random_left_regular)
@@ -11,11 +12,34 @@ from expander_cs.bench import sparse_target
 from expander_cs.errors import SolverStatusError
 from expander_cs.graphs import BipartiteGraph
 from expander_cs.rng import Stream, gaussians
-from expander_cs.solve import _basis_pursuit_state, _independent_rows
 
 
 def soft(a, t):
     return math.copysign(max(abs(a) - t, 0.0), a)
+
+
+def reference_lasso(X, y, lam, tol=1e-11, max_sweeps=100000):
+    """Slow reference for ``lasso``: cyclic coordinate descent in index
+    order, b_j <- soft(X_j^T (y - X b + X_j b_j), lam/2) / ||X_j||^2, until
+    the KKT residual is at most ``tol``."""
+    p, d = X.p, X.d
+    colsq = 1.0 / d                       # every column has squared l2 norm 1/d
+    beta = np.zeros(p)
+    resid = np.array(y, dtype=np.float64)
+    for _ in range(max_sweeps):
+        for j in range(p):
+            rows = X.rows[j]
+            rho = float(resid[rows].sum()) / d + beta[j] * colsq
+            bnew = soft(rho, lam / 2.0) / colsq
+            if bnew != beta[j]:
+                resid[rows] += (beta[j] - bnew) / d
+                beta[j] = bnew
+        corr = 2.0 * X.transpose_matvec(resid)
+        kkt = np.where(beta != 0.0, np.abs(corr - lam * np.sign(beta)),
+                       np.maximum(np.abs(corr) - lam, 0.0))
+        if kkt.max() <= tol:
+            return beta
+    raise AssertionError("coordinate descent did not converge")
 
 
 def enumerate_lp_optimum(c, A, b, tol=1e-9):
@@ -143,6 +167,25 @@ def test_lasso_nonconvergence_flagged():
     y = gaussians(77, 6)
     sol = lasso(X, y, 0.0, tol=1e-12, max_iter=1)
     assert not sol.converged and sol.iterations == 1
+
+
+@pytest.mark.parametrize("compressive", [False, True])
+def test_lasso_matches_coordinate_descent(certified, compressive):
+    # the certified p64/n1536 instance, and a p256/n128 design
+    if compressive:
+        X, s = DesignMatrix.from_graph(random_left_regular(256, 8, 128, 3)), 4
+    else:
+        X, s = certified[1], 2
+    sigma = 0.01
+    lam_noise = 2.0 * sigma * math.sqrt(math.log(X.n))
+    for seed in range(3):
+        y = X.matvec(sparse_target(X.p, s, seed)[0]) + sigma * gaussians(700 + seed, X.n)
+        for lam in (lam_noise, 6.0 * lam_noise):
+            sol = lasso(X, y, lam)
+            ref = reference_lasso(X, y, lam)
+            assert sol.converged and sol.kkt_residual <= 1e-12
+            assert np.abs(sol.beta).sum() > 0
+            np.testing.assert_allclose(sol.beta, ref, rtol=0, atol=1e-6)
 
 
 def test_lasso_rejects_negative_lambda():
@@ -282,7 +325,8 @@ def test_bp_redundant_rows_reduced():
 
 @pytest.mark.parametrize("p,d,n,seed", [(12, 4, 80, 2), (16, 3, 10, 5)])  # golden TALL, WIDE
 def test_bp_range_check_on_nonzero_rows_agrees_with_full_matrix(p, d, n, seed):
-    # the full-matrix least squares the check ran before decides the same
+    # the residual at the end of the path decides range membership as
+    # least squares on the full matrix does
     X = DesignMatrix.from_graph(random_left_regular(p, d, n, seed))
     dense = X.to_dense()
     for t in range(6):
@@ -296,36 +340,52 @@ def test_bp_range_check_on_nonzero_rows_agrees_with_full_matrix(p, d, n, seed):
                 basis_pursuit(X, y)
 
 
-def test_bp_compressive_failure_is_a_solver_error():
-    # p > n: the phase-1 tableau loses accuracy and reports unbounded, which
-    # phase 1 cannot be; callers see a SolverStatusError, not an assertion
+def test_bp_recovers_a_sparse_target_on_a_compressive_design():
+    # p > n, where the dense simplex lost accuracy in phase 1 and failed
     X = DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0))
-    y = X.matvec(sparse_target(96, 2, 7)[0])
-    with pytest.raises(SolverStatusError, match="phase 1"):
+    beta = sparse_target(96, 2, 7)[0]
+    np.testing.assert_allclose(basis_pursuit(X, X.matvec(beta)), beta, atol=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(128, 96), (256, 128), (512, 192)])
+def test_bp_l1_value_matches_highs_on_compressive_designs(p, n):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for seed, s in ((0, 2), (1, 4), (2, 8)):
+        X = DesignMatrix.from_graph(random_left_regular(p, 8, n, seed))
+        y = X.matvec(sparse_target(p, s, 50 + seed)[0])
+        dense = X.to_dense()
+        ref = linprog(np.ones(2 * p), A_eq=np.concatenate([dense, -dense], axis=1),
+                      b_eq=y, bounds=(0, None), method="highs")
+        assert ref.status == 0, ref.message
+        est = basis_pursuit(X, y)
+        assert abs(np.abs(est).sum() - ref.fun) <= 1e-9 * ref.fun
+        assert np.abs(X.matvec(est) - y).max() <= 1e-12
+
+
+def test_singular_active_gram_is_a_solver_error():
+    # two identical columns: their overlap counts form a singular matrix
+    X = DesignMatrix.from_graph(BipartiteGraph(3, 4, 2, ((0, 1), (0, 1), (2, 3)), "dup"))
+    with pytest.raises(SolverStatusError, match="singular"):
+        solve._direction(X, [0, 1], np.ones(2))
+    # the path never lets the twin of an active column join: it stays on
+    # the boundary, so basis pursuit still solves
+    y = X.matvec([1.0, 0.0, -2.0])
+    est = basis_pursuit(X, y)
+    assert np.abs(est).sum() == pytest.approx(3.0, abs=1e-12)
+    np.testing.assert_allclose(X.matvec(est), y, atol=1e-12)
+
+
+def test_bp_step_limit_is_a_solver_error(monkeypatch):
+    # the lasso's counterpart, converged=False, is test_lasso_nonconvergence_flagged
+    X = DesignMatrix.from_graph(random_left_regular(12, 4, 6, seed=4))
+    y = X.matvec(sparse_target(12, 3, 1)[0])
+    basis_pursuit(X, y)
+    monkeypatch.setattr(solve, "BP_MAX_STEPS", 1)
+    with pytest.raises(SolverStatusError, match="exceeded 1 steps"):
         basis_pursuit(X, y)
 
 
 # -- state kept per design ---------------------------------------------------------
-
-@pytest.mark.parametrize("p,d,n,seed", [(12, 4, 80, 2), (16, 3, 10, 5)])  # golden TALL, WIDE
-def test_bp_state_rows_equal_full_scan(p, d, n, seed):
-    X = DesignMatrix.from_graph(random_left_regular(p, d, n, seed))
-    check_bp_state(X)
-
-
-def test_bp_state_rows_equal_full_scan_on_certified(certified):
-    check_bp_state(certified[1])
-
-
-def check_bp_state(X):
-    dense = X.to_dense()
-    rows = _independent_rows(dense)
-    st = _basis_pursuit_state(X)
-    np.testing.assert_array_equal(st.support, np.flatnonzero(np.abs(dense).sum(axis=1)))
-    np.testing.assert_array_equal(st.dense, dense[st.support])
-    assert st.rows.tolist() == rows
-    assert st.A.tobytes() == np.concatenate([dense[rows], -dense[rows]], axis=1).tobytes()
-
 
 def test_repeated_solves_on_one_design_match_fresh_designs(certified):
     graph, _, _ = certified

@@ -7,7 +7,10 @@ correlated. Three correlation structures are supported:
   * ``ar1(rho)`` - stationary first-order autoregression with correlation
     rho^|i-j|, generated by the recursive filter z_i = rho z_{i-1} +
     sigma sqrt(1-rho^2) g_i with the variance-correcting start z_0 =
-    sigma g_0, so the marginal variance is sigma^2 at every index,
+    sigma g_0, so the marginal variance is sigma^2 at every index. The
+    recurrence is evaluated in index order on Python floats, which performs
+    the definition's IEEE-double operations in the definition's order and
+    so gives the same bytes (see ``sample_noise``),
   * ``explicit`` - any unit-diagonal PSD correlation matrix C; samples are
     sigma L g with L the symmetric PSD square root of C (eigenvalues
     clipped at zero, tolerance 1e-12).
@@ -43,8 +46,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind == "iid":
             pass
         elif self.kind == "ar1":
@@ -87,14 +90,16 @@ def thresholds(sigma: float, n: int, t: float = 1.0) -> Thresholds:
     """All four threshold quantities, natural logarithm throughout."""
     if n < 2:
         raise ValueError("n must be >= 2 (log n would degenerate)")
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if not t >= 1:
         raise ValueError(f"t must be >= 1, got {t}")
     logn = math.log(n)
     root = math.sqrt(logn)
     lam = 2.0 * sigma * root
     lam_t = (1.0 + t) * sigma * root
+    if not math.isfinite(lam_t):
+        raise ValueError(f"Lambda_t overflows at sigma={sigma}, t={t}")
     eta = 1.0 / (math.sqrt(2.0 * math.pi) * n * root)
     bound = 1.0 - math.sqrt(2.0) / ((1.0 + t) * math.sqrt(math.pi * logn)
                                     * n ** ((1.0 + t) ** 2 / 2.0 - 1.0))
@@ -102,20 +107,29 @@ def thresholds(sigma: float, n: int, t: float = 1.0) -> Thresholds:
 
 
 def sample_noise(model: NoiseModel, seed: int) -> np.ndarray:
-    """One noise vector; identical (model, seed) give identical samples."""
-    g = gaussians(seed, model.n)
+    """One noise vector; identical (model, seed) give identical samples.
+
+    sigma = 0 returns zeros without drawing. The AR(1) filter evaluates
+    z_i = rho z_{i-1} + (scale g_i) in index order on Python floats: the
+    vectorised ``scale * g`` rounds each product as the scalar product
+    does, and the addition commutes exactly, so the result is the
+    definition's, bit for bit. Indexing numpy arrays in the loop would box
+    three numpy scalars per step, which cost most of a draw; a prefix scan
+    or closed form would change the rounding.
+    """
     if model.sigma == 0.0:
         return np.zeros(model.n)
+    g = gaussians(seed, model.n)
     if model.kind == "iid":
         return model.sigma * g
     if model.kind == "ar1":
         rho = model.rho
         scale = model.sigma * math.sqrt(1.0 - rho * rho)
-        z = np.empty(model.n)
-        z[0] = model.sigma * g[0]
+        w = (scale * g).tolist()
+        prev = w[0] = model.sigma * float(g[0])
         for i in range(1, model.n):
-            z[i] = rho * z[i - 1] + scale * g[i]
-        return z
+            prev = w[i] = rho * prev + w[i]
+        return np.array(w)
     return model.sigma * (model._sqrt @ g)
 
 

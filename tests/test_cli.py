@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,24 @@ def test_bench_config_field_types_exit_2(tmp_path, capsys, kind, config):
     assert run(["bench", kind, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sigma", ["inf", "1e308"])
+def test_non_finite_sigma_is_an_input_error(tmp_path, capsys, sigma):
+    # an infinite sigma (``Infinity`` in a config), or one whose Lambda_t
+    # overflows, is invalid input (exit 2), not a refuted bound (exit 1),
+    # and is refused before numpy can warn
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_bench_lasso_config(
+        noise={"sigma": float(sigma), "model": "ar1:0.5"})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["noise-check", "--n", 10, "--sigma", sigma,
+                    "--model", "ar1:0.5"]) == 2
+        assert run(["bench", "lasso", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err
+    assert "Warning" not in err and "y must be finite" not in err
 
 
 @pytest.mark.parametrize("problem", [

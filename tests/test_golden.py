@@ -12,7 +12,9 @@ manifest is hashed with its temporary paths replaced by placeholders. The
 recorded when the l1 path replaced coordinate descent and the basis-pursuit
 simplex: they hold lasso or basis-pursuit estimates, which the exact path
 moves (and, on the duplicate columns of the solve design, takes to another
-optimum of equal value).
+optimum of equal value). The ``solve_*_unique`` digests were recorded
+later, on a design whose columns are pairwise distinct and whose optima the
+tests prove unique, so a change of tie rule cannot move them.
 
 The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11).
 The kernel and LP cases go through LAPACK and the float formatting of
@@ -23,9 +25,10 @@ change them; re-record them from a commit known to be good on that build.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from expander_cs import DesignMatrix, load_graph
+from expander_cs import DesignMatrix, load_graph, random_left_regular
 from expander_cs.cli import main
 from expander_cs.verify import (check_kernel_concentration, check_rip1_sampled,
                                 check_up2_sampled, nullspace_property_oracle,
@@ -92,6 +95,19 @@ SOLVE = {
     "solve_bp": {"estimator": "bp"},
 }
 
+# A compressive design (p = 24 > n = 12) with pairwise distinct columns, on
+# which each case's optimum is unique: the tests below check a strict dual
+# certificate and a full-rank active submatrix, so these digests pin the
+# solution itself rather than one optimum among many.
+UNIQUE_GRAPH = {"kind": "random", "p": 24, "d": 3, "n": 12, "seed": 3}
+UNIQUE = {
+    # y = X b* with b*_2 = 1.5, b*_19 = -2
+    "solve_bp_unique": {"estimator": "bp", "y": [
+        0.5, 0.5, 0.0, -2 / 3, 0.5, 0.0, -2 / 3, 0.0, -2 / 3, 0.0, 0.0, 0.0]},
+    "solve_lasso_unique": {"estimator": "lasso", "lambda": 0.2, "y": [
+        0.55, 0.45, 0.05, -0.6, 0.45, 0.0, -0.7, 0.05, -0.65, -0.1, 0.0, 0.05]},
+}
+
 GOLDEN = {
     "bench_dantzig_csv":
         "5da46e57c1e09bf34ba005c6bb1c9ef9489df55704822bbbe0d6545183bc7704",
@@ -143,10 +159,14 @@ GOLDEN = {
         "d1c3e55e80c7f457cd6b9ea9e82d555eef1712abb0aa03c96d37321fe1945d3e",
     "solve_bp":
         "b4cbf522e41c5b823aa0d0dadf85eddf948f2b6f1dca5cfbdd4a4ac7f099726c",
+    "solve_bp_unique":
+        "5094dd96f94a3368a5242a67fc57835453b46735f9f04ab4c951cec9172954bc",
     "solve_dantzig":
         "dcac516cbe4d6912667b32f6b19b4e5d36027ae595fd1dc4bf08032d43bec645",
     "solve_lasso":
         "a48a42f89b144589196f21bce13d893861411376e20d6c0a1293da151fd1b3e3",
+    "solve_lasso_unique":
+        "df7b43c593b690aa2fb41f1f20a668415181fa7d7a55958094df9fffcb3c7aa3",
     "verify_expansion_exhaustive":
         "f581fc2cf7c26a208f01a490dbbe23c170e97a9683d12b828572188d7aa88f5d",
     "verify_expansion_sampled":
@@ -246,6 +266,46 @@ def test_solve_outputs(tmp_path, case):
     out = tmp_path / "sol.json"
     run(["solve", "--problem", problem, "--out", out])
     _check(case, out.read_bytes())
+
+
+def _unique_dense():
+    spec = UNIQUE_GRAPH
+    graph = random_left_regular(spec["p"], spec["d"], spec["n"], seed=spec["seed"])
+    return DesignMatrix.from_graph(graph).to_dense()
+
+
+def test_unique_solve_design_has_distinct_columns():
+    dense = _unique_dense()
+    assert len({col.tobytes() for col in dense.T}) == dense.shape[1]
+
+
+@pytest.mark.parametrize("case", sorted(UNIQUE))
+def test_solve_unique_outputs(tmp_path, case):
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({**UNIQUE[case], "graph": UNIQUE_GRAPH}))
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--problem", problem, "--out", out]) == 0
+    _check(case, out.read_bytes())
+
+    dense = _unique_dense()
+    y = np.array(UNIQUE[case]["y"])
+    beta = np.array(json.loads(out.read_text())["beta"])
+    active = np.flatnonzero(beta)
+    inactive = np.setdiff1d(np.arange(dense.shape[1]), active)
+    X_A = dense[:, active]
+    assert active.size and np.linalg.matrix_rank(X_A) == active.size
+    if UNIQUE[case]["estimator"] == "bp":
+        # strict dual certificate: z = X_A (X_A^T X_A)^{-1} sign(b_A)
+        z = X_A @ np.linalg.solve(X_A.T @ X_A, np.sign(beta[active]))
+        assert np.max(np.abs(dense[:, inactive].T @ z)) < 1.0 - 1e-6
+        np.testing.assert_allclose(dense @ beta, y, atol=1e-12)
+    else:
+        # strict inactive KKT: |2 X_j^T (y - X b)| < lam off the support
+        lam = UNIQUE[case]["lambda"]
+        corr = 2.0 * dense.T @ (y - dense @ beta)
+        assert np.max(np.abs(corr[inactive])) < lam * (1.0 - 1e-6)
+        np.testing.assert_allclose(corr[active], lam * np.sign(beta[active]),
+                                   atol=1e-12)
 
 
 def test_noise_check_with_graph(graphs, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from expander_cs import (DesignMatrix, NoiseModel, empirical_noise_bound,
                          matching_graph, random_left_regular, sample_noise,
                          thresholds)
-from expander_cs.rng import derive_seed
+from expander_cs.rng import derive_seed, gaussians
 
 
 def test_threshold_values_n100():
@@ -35,13 +35,17 @@ def test_threshold_domain_errors():
 def test_threshold_rejects_nan_parameters():
     with pytest.raises(ValueError, match="t must be"):
         thresholds(1.0, 100, t=math.nan)
-    with pytest.raises(ValueError, match="sigma must be"):
-        thresholds(math.nan, 100)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be"):
+            thresholds(sigma, 100)
+    with pytest.raises(ValueError, match="Lambda_t"):
+        thresholds(1e308, 100)
 
 
 def test_noise_model_rejects_nan_sigma():
-    with pytest.raises(ValueError, match="sigma must be"):
-        NoiseModel(10, math.nan)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be"):
+            NoiseModel(10, sigma)
 
 
 def test_eta_decreasing_bound_increasing():
@@ -63,6 +67,30 @@ def test_noise_deterministic_per_seed():
     b = sample_noise(model, 99)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, sample_noise(model, 100))
+
+
+def reference_ar1(model: NoiseModel, seed: int) -> np.ndarray:
+    """The AR(1) filter as first written, a loop over numpy scalars: the
+    slow reference for ``sample_noise``'s Python-float recurrence."""
+    g = gaussians(seed, model.n)
+    rho = model.rho
+    scale = model.sigma * math.sqrt(1.0 - rho * rho)
+    z = np.empty(model.n)
+    z[0] = model.sigma * g[0]
+    for i in range(1, model.n):
+        z[i] = rho * z[i - 1] + scale * g[i]
+    return z
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.9, 0.999, 1e-300])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1536])
+def test_ar1_matches_reference_bytes(n, rho):
+    for sigma in (0.01, 1.0, 3.7):
+        model = NoiseModel(n, sigma, "ar1", rho=rho)
+        for seed in range(5):
+            fast = sample_noise(model, seed)
+            assert fast.dtype == np.float64 and fast.shape == (n,)
+            assert fast.tobytes() == reference_ar1(model, seed).tobytes()
 
 
 def test_ar1_rho_zero_matches_iid_stream():

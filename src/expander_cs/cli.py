@@ -264,7 +264,10 @@ def _cmd_solve(args) -> tuple[str, dict, int]:
     estimator = problem["estimator"]
     X = DesignMatrix.from_graph(
         _graph_from_spec(problem.get("graph") or problem["graph_path"], args.seed))
-    y = np.asarray(problem["y"], dtype=np.float64)
+    y = _read(problem, "y", list)
+    if not all(_is(v, float) for v in y):
+        raise ValueError("'y' must be a list of numbers")
+    y = np.asarray(y, dtype=np.float64)
     code = 0
     try:
         if estimator == "lasso":
@@ -429,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--eps", type=float, default=0.125)
     v.add_argument("--trials", type=int, default=1000)
     v.add_argument("--budget", type=int, default=None,
-                   help=f"subset cap (default {EXPANSION_BUDGET} for expansion, "
-                        f"{NSP_BUDGET} subset/sign pairs for nsp)")
+                   help=f"cap on the connected subsets enumerated (default {EXPANSION_BUDGET}"
+                        f" for expansion), or subset/sign pairs ({NSP_BUDGET} for nsp)")
     v.add_argument("--format", choices=["json", "csv"], default="json")
     v.set_defaults(func=_cmd_verify)
 

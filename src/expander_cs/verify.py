@@ -145,9 +145,10 @@ def _collision_graph(g: BipartiteGraph) -> list[int]:
     return adj
 
 
-def _connected_sets(adj: list[int], root: int, k: int) -> list[tuple[int, ...]]:
+def _connected_sets(adj: list[int], root: int, k: int, cap: int) -> list[tuple[int, ...]]:
     """The k-sets (k >= 2) that are connected in the collision graph and
     whose smallest vertex is ``root``, as ascending tuples in lex order.
+    Raises CapacityError as soon as more than ``cap`` are found.
 
     ESU enumeration (Wernicke 2006): a set grows only by vertices above the
     root that neighbor it, and a vertex joins the candidate list only
@@ -166,20 +167,28 @@ def _connected_sets(adj: list[int], root: int, k: int) -> list[tuple[int, ...]]:
             grown = (*members, w) if w > members[-1] else tuple(sorted((*members, w)))
             if len(grown) == k:
                 found.append(grown)
+                if len(found) > cap:
+                    raise CapacityError(f"connected {k}-sets exceed the budget ({cap} left)")
             else:
                 stack.append((grown, closed | adj[w], ext | (adj[w] & ~closed & above)))
     found.sort()
     return found
 
 
-def _connected_subsets(g: BipartiteGraph, s: int):
-    """Connected subsets of size 1..s in (size, lex) order, built lazily one
-    (size, smallest vertex) block at a time."""
+def _connected_subsets(g: BipartiteGraph, s: int, budget: int = EXPANSION_BUDGET):
+    """Connected subsets of size 1..s in (size, lex) order, one (size,
+    smallest vertex) block at a time; past ``budget`` raises CapacityError."""
+    left = budget - g.p
+    if left < 0:
+        raise CapacityError(f"{g.p} singletons exceed budget {budget}")
     yield from ((i,) for i in range(g.p))
     adj = _collision_graph(g)
     for k in range(2, s + 1):
         for root in range(g.p):
-            yield from _connected_sets(adj, root, k)
+            block = _connected_sets(adj, root, k, left)
+            left -= len(block)
+            yield from block
+            del block  # freed before the next block is built
 
 
 def _lex_rank(subset: tuple[int, ...], p: int) -> int:
@@ -194,6 +203,13 @@ def _lex_rank(subset: tuple[int, ...], p: int) -> int:
     return rank
 
 
+def _check_eps(eps: float) -> None:
+    """Reject an eps outside (0, 1), NaN included: the bound
+    (1 - eps) d |I| would then hold for every graph or for none."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"need 0 < eps < 1, got eps={eps!r}")
+
+
 def _check_s_range(p: int, s: int, trials: int = 1) -> None:
     """Reject an order s outside [1, p] and, for a sampled check, fewer
     than one trial: either would make the report vacuous."""
@@ -206,8 +222,9 @@ def _check_s_range(p: int, s: int, trials: int = 1) -> None:
 def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
                                budget: int = EXPANSION_BUDGET) -> VerificationReport:
     """Exact decision: every left subset of size 1..s must have at least
-    (1 - eps) d |I| distinct neighbors. Raises CapacityError when the
-    sum of C(p, k) over k = 1..s exceeds ``budget``.
+    (1 - eps) d |I| distinct neighbors. ``budget`` caps the connected
+    subsets enumerated, never more than the sum of C(p, k) over k = 1..s;
+    past it CapacityError is raised, unless a violator came first.
 
     The report is the one a scan of every subset in (size, lex) order would
     give, stopping at the first violator, but only subsets that are
@@ -226,18 +243,15 @@ def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
     to a violation; such an eps raises ValueError.
     """
     _check_s_range(g.p, s)
-    total = _subset_budget(g.p, s)
-    if total > budget:
-        raise CapacityError(
-            f"{total} subsets exceed budget {budget}; use check_expansion_sampled")
+    _check_eps(eps)
     least = _least_counts(g.d, s, eps)
     if any(least[a] + least[k - a] < least[k]
            for k in range(2, s + 1) for a in range(1, k // 2 + 1)):
         raise ValueError(f"eps={eps!r} is within slack of an integer threshold "
                          f"at d={g.d}; the connected-subset certificate is not exact there")
-    violator, worst, witness, _ = _expansion_scan(g, _connected_subsets(g, s), s, eps)
+    violator, worst, witness, _ = _expansion_scan(g, _connected_subsets(g, s, budget), s, eps)
     if violator is None:
-        trials = total
+        trials = _subset_budget(g.p, s)
     else:
         trials = _subset_budget(g.p, len(violator) - 1) + _lex_rank(violator, g.p) + 1
     return VerificationReport("expansion_exhaustive", violator is None, worst,
@@ -249,6 +263,7 @@ def check_expansion_sampled(g: BipartiteGraph, s: int, eps: float,
     """One-sided randomized relaxation of the exhaustive check: samples
     uniformly random subsets of sizes 1..s and can only refute."""
     _check_s_range(g.p, s, trials)
+    _check_eps(eps)
     rng = Stream(seed)
     subsets = (rng.sample_without_replacement(g.p, 1 + rng.below(s))
                for _ in range(trials))
@@ -281,6 +296,7 @@ def check_rip1_sampled(X: DesignMatrix, s: int, eps: float,
     """Sampled check of (1-2 eps) |gamma_S|_1 <= |X gamma_S|_1 <= |gamma_S|_1
     for s-sparse gamma. Records the worst lower ratio."""
     _check_s_range(X.p, s, trials)
+    _check_eps(eps)
     lower = 1.0 - 2.0 * eps
     worst = math.inf
     worst_witness = {}

@@ -210,6 +210,29 @@ def test_mvse_sweep_rows():
     assert rows[-1]["proxy"] <= rows[0]["proxy"]
 
 
+def test_mvse_sweep_certifies_p32_exactly():
+    # order 8 at p = 32 has 15,033,172 subsets but only a few hundred
+    # connected ones, so the exact check certifies under the default budget
+    rows = mvse_sweep([32], lambda p: max(1, round(p**0.4)), 1.0, trials=2, seed=0)
+    assert rows[0]["s"] == 4
+    assert not rows[0]["skipped"] and rows[0]["certified"] == "exhaustive"
+
+
+def test_mvse_sweep_skips_a_row_past_the_budget_after_one_seed(monkeypatch):
+    import expander_cs.bench as bench
+    calls = []
+
+    def small_budget(g, s, eps):
+        calls.append(g)
+        return check_expansion_exhaustive(g, s, eps, budget=40)
+
+    monkeypatch.setattr(bench, "check_expansion_exhaustive", small_budget)
+    rows = mvse_sweep([32], lambda p: 4, 1.0, trials=2, seed=0)
+    assert len(calls) == 1
+    assert rows[0]["skipped"] and rows[0]["certified"] is None
+    assert rows[0]["graph_seed"] is None
+
+
 def test_mvse_sweep_marks_impossible_rows():
     rows = mvse_sweep([4], lambda p: p, 1.0, trials=2, seed=10, n=64)
     assert rows[0]["skipped"]

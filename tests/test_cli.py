@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import time
 import warnings
 
@@ -387,6 +388,13 @@ def tall_graph(tmp_path):
     *(["--check", check, "--s", 0] for check in ("rip1", "up2", "kernel")),
     *(["--check", check, "--s", 2, "--trials", 0] for check in ("rip1", "up2", "kernel")),
     ["--check", "expansion", "--mode", "sampled", "--s", 13],
+    # an eps outside (0, 1) is invalid input too, not a certificate (exit
+    # 0) or a refuted bound (exit 1)
+    ["--s", 2, "--eps", "nan"],
+    ["--s", 2, "--eps", 1.5],
+    ["--s", 2, "--eps", -1],
+    ["--mode", "sampled", "--s", 2, "--eps", "nan"],
+    ["--check", "rip1", "--s", 2, "--eps", "nan"],
 ])
 def test_verify_rejects_order_and_trials_out_of_range(tall_graph, capsys, extra):
     assert run(["verify", "--graph", tall_graph, *extra]) == 2
@@ -415,6 +423,8 @@ def _bench_lasso_config(**overrides):
     ("ols", _bench_lasso_config(include_estimators=1)),
     ("mvse", {"ps": [12], "s_values": [1], "trials": "2", "n": 64}),
     ("mvse", {"ps": ["12"], "s_values": [1], "trials": 2, "n": 64}),
+    ("recovery", {"design": {"kind": "matching", "n": 4}, "s": 1, "trials": 2,
+                  "certify": {"s": 2, "eps": math.nan}}),
 ])
 def test_bench_config_field_types_exit_2(tmp_path, capsys, kind, config):
     cfg = tmp_path / "cfg.json"
@@ -422,6 +432,41 @@ def test_bench_config_field_types_exit_2(tmp_path, capsys, kind, config):
     assert run(["bench", kind, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eps", None), ("eps", math.nan), ("s", "4"), ("d", True),
+])
+def test_bench_recovery_certificate_witness_types_exit_2(tmp_path, capsys, field, value):
+    design = {"kind": "random", "p": 12, "d": 4, "n": 80, "seed": 2}
+    graph, cert = tmp_path / "g.json", tmp_path / "cert.json"
+    run(["construct", "random", "--p", 12, "--d", 4, "--n", 80, "--seed", 2,
+         "--out", graph])
+    assert run(["verify", "--graph", graph, "--s", 2, "--out", cert]) == 0
+    report = json.loads(cert.read_text())
+    report["witness"][field] = value
+    cert.write_text(json.dumps(report))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": design, "s": 1, "trials": 2,
+                               "certificate": str(cert)}))
+    capsys.readouterr()
+    assert run(["bench", "recovery", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bench_recovery_certifies_the_gf17_pv_design(tmp_path):
+    # GF(17) l2 m2 h2 has eps = 2/17 < 1/8 at order 4; its 372,521
+    # connected subsets fit the default budget, its 288,683,545 subsets
+    # of a full scan do not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": {"kind": "pv", "q": 17, "l": 2, "m": 2, "h": 2},
+                               "s": 2, "certify": {"s": 4}, "trials": 20, "seed": 0}))
+    out = tmp_path / "rec.csv"
+    assert run(["bench", "recovery", "--config", cfg, "--out", out]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 20
+    assert all(row[6] == "1" and float(row[4]) <= 1e-6 for row in rows)
 
 
 @pytest.mark.parametrize("sigma", ["inf", "1e308"])
@@ -446,10 +491,12 @@ def test_non_finite_sigma_is_an_input_error(tmp_path, capsys, sigma):
     {"estimator": "lasso", "lambda": "0.3"},
     {"estimator": "dantzig", "lambda": "0.3"},
     {"estimator": "lasso", "lambda": 0.3, "max_iter": 10.5},
+    {"estimator": "bp", "y": {"a": 1}},
+    {"estimator": "bp", "y": [1.0, "0"]},
 ])
 def test_solve_problem_field_types_exit_2(tmp_path, capsys, problem):
     path = tmp_path / "prob.json"
-    path.write_text(json.dumps({**problem, "y": [1.0, 0.0],
+    path.write_text(json.dumps({"y": [1.0, 0.0], **problem,
                                 "graph": {"kind": "matching", "n": 2}}))
     assert run(["solve", "--problem", path]) == 2
     err = capsys.readouterr().err

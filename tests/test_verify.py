@@ -10,7 +10,8 @@ from expander_cs import (BipartiteGraph, DesignMatrix, check_expansion_exhaustiv
                          recheck_violation)
 from expander_cs.errors import CapacityError
 from expander_cs.rng import Stream, derive_seed, gaussians
-from expander_cs.verify import up2_lhs_rhs
+from expander_cs.verify import (_collision_graph, _connected_sets, _connected_subsets,
+                                _subset_budget, up2_lhs_rhs)
 
 
 def duplicate_column_graph():
@@ -58,9 +59,53 @@ def test_expansion_monotone_in_s_and_eps():
 
 
 def test_expansion_budget():
+    # the budget caps the connected subsets enumerated: this certified graph
+    # has 251 at s = 8, far below the 15,033,172 subsets of a full scan
+    g = random_left_regular(32, 8, 1536, derive_seed(0, 0))
+    assert sum(1 for _ in _connected_subsets(g, 8)) == 251
+    assert check_expansion_exhaustive(g, 8, 0.125, budget=251).ok
+    with pytest.raises(CapacityError, match=r"8-sets exceed the budget \(\d+ left\)"):
+        check_expansion_exhaustive(g, 8, 0.125, budget=250)
+    with pytest.raises(CapacityError, match="32 singletons exceed budget 31"):
+        check_expansion_exhaustive(g, 1, 0.125, budget=31)
+
+
+def test_expansion_budget_returns_a_refutation_met_within_it():
+    # refuted at (0, 1) after 31 connected subsets, well before the budget
+    # of 1000 runs out, though the full scan at s = 5 has 174,436 subsets
     g = random_left_regular(30, 3, 30, seed=0)
-    with pytest.raises(CapacityError):
-        check_expansion_exhaustive(g, 5, 0.125, budget=1000)
+    rep = check_expansion_exhaustive(g, 5, 0.125, budget=1000)
+    assert not rep.ok and rep.witness["subset"] == [0, 1] and rep.trials == 31
+
+
+def test_a_block_past_the_allowance_raises_while_it_is_built():
+    g = random_left_regular(64, 8, 1536, seed=3)
+    adj = _collision_graph(g)
+    size = len(_connected_sets(adj, 0, 4, 10**9))
+    assert size > 1
+    assert len(_connected_sets(adj, 0, 4, size)) == size
+    message = rf"connected 4-sets exceed the budget \({size - 1} left\)"
+    with pytest.raises(CapacityError, match=message):
+        _connected_sets(adj, 0, 4, size - 1)
+
+
+def test_exact_certificate_reaches_past_the_full_scan_count():
+    # order 8 at p = 32: the sum of C(32, k) is 15,033,172, over the default
+    # budget of 10**7, yet only 251 subsets are connected
+    g = random_left_regular(32, 8, 1536, derive_seed(0, 0))
+    rep = check_expansion_exhaustive(g, 8, 0.125)
+    assert rep.ok and rep.trials == _subset_budget(32, 8) == 15_033_172
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 1.5, 1.0, 0.0, -1.0])
+def test_checks_reject_eps_outside_the_unit_interval(eps):
+    g = random_left_regular(12, 3, 8, seed=0)
+    X = DesignMatrix.from_graph(g)
+    for check in (lambda: check_expansion_exhaustive(g, 2, eps),
+                  lambda: check_expansion_sampled(g, 2, eps, trials=10, seed=0),
+                  lambda: check_rip1_sampled(X, 2, eps, trials=10, seed=0)):
+        with pytest.raises(ValueError, match="need 0 < eps < 1"):
+            check()
 
 
 def test_sampled_rejects_s_outside_range():

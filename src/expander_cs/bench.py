@@ -491,15 +491,16 @@ def mvse_sweep(ps, s_rule, alpha: float, trials: int, seed: int, *,
     For each p: certify a random design at order 2 s(p) exactly, trying up
     to MVSE_SEEDS seeds, run the lasso at lam = 7 Lambda, and report the
     worst event-trial off-support mass per off-support coordinate. Rows
-    that fail construction or certification, or whose first check past the
-    default budget stops the seed search, are marked skipped.
+    with 2 s > p, rows that fail construction or certification, and rows
+    whose first check past the default budget stops the seed search are
+    marked skipped.
     """
     rows = []
     for idx, p in enumerate(ps):
         s = int(s_rule(p))
         row = {"p": p, "s": s, "d": d, "n": n, "alpha": alpha, "skipped": True,
                "certified": None, "graph_seed": None, "proxy": None, "bound": None}
-        if not 1 <= s < p or d > n:
+        if not 1 <= s <= p // 2 or d > n:      # certified at order 2 s <= p
             rows.append(row)
             continue
         for j in range(MVSE_SEEDS):

@@ -36,7 +36,7 @@ from .bench import (ExperimentReport, RecoveryInstance, mvse_sweep,
 from .design import DesignMatrix
 from .errors import CapacityError, SolverStatusError
 from .fields import GF, MAX_FIELD_ORDER, is_prime
-from .graphs import (graph_from_json_dict, graph_to_json_dict, load_graph,
+from .graphs import (graph_from_json_dict, graph_to_json_text, load_graph,
                      matching_graph, pv_expander, random_left_regular)
 from .noise import NoiseModel, empirical_noise_bound, thresholds
 from .solve import basis_pursuit, dantzig, lasso
@@ -224,7 +224,7 @@ def _cmd_construct(args) -> tuple[str, dict, int]:
     if args.kind == "random":
         spec["seed"] = args.seed
     g = _graph_from_spec(spec, args.seed)
-    return json.dumps(graph_to_json_dict(g), indent=2), spec, 0
+    return graph_to_json_text(g), spec, 0
 
 
 def _cmd_verify(args) -> tuple[str, dict, int]:

@@ -9,12 +9,15 @@ d ascending integers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import check_power
-from .fields import GF, find_irreducible, poly_eval, poly_mod_pow
+from .fields import GF, find_irreducible
 from .rng import Stream
 
 MAX_SIDE = 1 << 20
@@ -35,13 +38,21 @@ class BipartiteGraph:
             raise ValueError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
         if len(self.neighbors) != self.p:
             raise ValueError("neighbor table length differs from p")
-        for i, nb in enumerate(self.neighbors):
-            if len(nb) != self.d:
-                raise ValueError(f"left vertex {i} has degree {len(nb)}, expected {self.d}")
-            if any(not 0 <= j < self.n for j in nb):
+        for i, degree in enumerate(map(len, self.neighbors)):
+            if degree != self.d:
+                raise ValueError(f"left vertex {i} has degree {degree}, expected {self.d}")
+        try:
+            table = np.array(self.neighbors, dtype=np.int64)
+        except OverflowError:                   # an entry past int64 is out of range
+            table = np.array(self.neighbors, dtype=object)
+        outside = ((table < 0) | (table >= self.n)).any(axis=1)
+        unsorted = (table[:, 1:] <= table[:, :-1]).any(axis=1)
+        bad = outside | unsorted
+        if bad.any():
+            i = int(bad.argmax())               # the first offending left vertex
+            if outside[i]:
                 raise ValueError(f"left vertex {i} has a neighbor outside [0, {self.n})")
-            if any(a >= b for a, b in zip(nb, nb[1:])):
-                raise ValueError(f"neighbor list of left vertex {i} is not strictly increasing")
+            raise ValueError(f"neighbor list of left vertex {i} is not strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -119,8 +130,14 @@ def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
     The neighbor of f for a field element y is the tuple
     (y, f_0(y), ..., f_{m-1}(y)) encoded in base q with y most significant,
     so d = q and n = q**(m+1). The first tuple coordinate is y, hence the d
-    neighbors of a vertex are automatically distinct. Both sides are capped
-    at MAX_SIDE vertices.
+    neighbors of a vertex are distinct and already ascending. Both sides
+    are capped at MAX_SIDE vertices.
+
+    The table is built for all left vertices at once: their coefficients
+    are a (p, l) array of codes, f_i = f_{i-1}**h mod E is taken by
+    square-and-multiply on that array through numpy copies of ``gf.add``
+    and ``gf.mul``, and Horner's rule evaluates every f_i at every y as one
+    (p, q) array, which is then encoded digit by digit.
     """
     if l < 1 or m < 1:
         raise ValueError("need l >= 1 and m >= 1")
@@ -131,23 +148,42 @@ def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
     n = check_power("right side q**(m+1)", q, m + 1, MAX_SIDE)
 
     modulus = find_irreducible(gf, l, limit=MAX_SIDE)
-    exponents = [h**i for i in range(m)]
+    add, mul = np.array(gf.add), np.array(gf.mul)
+    # x**l = -(E_0 + ... + E_{l-1} x**(l-1)) mod E, so a leading code c at
+    # degree k >= l adds reduce[c] to the l codes from degree k - l up
+    reduce = mul[:, np.array(gf.neg)[modulus[:l]]]
 
-    neighbors = []
-    for code in range(p):
-        f = []
-        for _ in range(l):
-            f.append(code % q)
-            code //= q
-        row = list(range(q))
-        for e in exponents:
-            values = poly_eval(gf, poly_mod_pow(gf, f, e, modulus))
-            row = [enc * q + v for enc, v in zip(row, values)]
-        row.sort()
-        if len(set(row)) != q:
-            raise AssertionError("neighbor tuples collided despite distinct y coordinates")
-        neighbors.append(tuple(row))
-    return BipartiteGraph(p, n, q, tuple(neighbors),
+    def mul_mod(a, b):
+        prod = np.zeros((p, 2 * l - 1), dtype=np.intp)
+        for i in range(l):
+            prod[:, i:i + l] = add[prod[:, i:i + l], mul[a[:, i:i + 1], b]]
+        for k in range(2 * l - 2, l - 1, -1):
+            prod[:, k - l:k] = add[prod[:, k - l:k], reduce[prod[:, k]]]
+        return prod[:, :l]
+
+    def pow_mod(a, e):
+        out = None
+        while e:
+            if e & 1:
+                out = a if out is None else mul_mod(out, a)
+            e >>= 1
+            if e:
+                a = mul_mod(a, a)
+        return out
+
+    ys = np.arange(q)
+    f = np.arange(p)[:, None] // q ** np.arange(l) % q    # codes, lowest degree first
+    row = np.broadcast_to(ys, (p, q))
+    for i in range(m):
+        if i:
+            f = pow_mod(f, h)
+        values = f[:, -1:]
+        for c in range(l - 2, -1, -1):
+            values = add[mul[values, ys], f[:, c:c + 1]]
+        row = row * q + values
+    if not (row[:, 1:] > row[:, :-1]).all():
+        raise AssertionError("neighbor tuples collided despite distinct y coordinates")
+    return BipartiteGraph(p, n, q, tuple(map(tuple, row.tolist())),
                           f"pv(q={q},l={l},m={m},h={h})")
 
 
@@ -175,6 +211,16 @@ def graph_to_json_dict(g: BipartiteGraph) -> dict:
     }
 
 
+def graph_to_json_text(g: BipartiteGraph) -> str:
+    """The graph file's text: ``json.dumps(graph_to_json_dict(g), indent=2)``,
+    with the neighbor rows joined directly rather than by json's encoder."""
+    rows = "\n    ],\n    [\n      ".join(",\n      ".join(map(str, nb))
+                                         for nb in g.neighbors)
+    return (f'{{\n  "p": {g.p},\n  "n": {g.n},\n  "d": {g.d},\n'
+            f'  "provenance": {json.dumps(g.provenance)},\n'
+            f'  "neighbors": [\n    [\n      {rows}\n    ]\n  ]\n}}')
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -194,16 +240,16 @@ def graph_from_json_dict(obj: dict) -> BipartiteGraph:
             raise ValueError(f"graph field {key!r} must be an integer, got {value!r}")
     if not isinstance(provenance, str):
         raise ValueError(f"graph field 'provenance' must be a string, got {provenance!r}")
-    if not (isinstance(neighbors, list)
-            and all(isinstance(nb, list) and all(map(_is_int, nb)) for nb in neighbors)):
+    # a decoded JSON integer has type int exactly; a bool has type bool
+    if not (isinstance(neighbors, list) and all(isinstance(nb, list) for nb in neighbors)
+            and {*map(type, itertools.chain.from_iterable(neighbors))} <= {int}):
         raise ValueError("graph field 'neighbors' must be an array of integer arrays")
     return BipartiteGraph(p, n, d, tuple(map(tuple, neighbors)), provenance)
 
 
 def save_graph(g: BipartiteGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json_dict(g), fh, indent=2)
-        fh.write("\n")
+        fh.write(graph_to_json_text(g) + "\n")
 
 
 def load_graph(path) -> BipartiteGraph:

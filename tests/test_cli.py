@@ -333,6 +333,18 @@ def test_bench_mvse_needs_no_design(tmp_path):
     assert lines[1].startswith("12,1,8,64,1,False,exhaustive,")
 
 
+def test_bench_mvse_skips_a_row_whose_order_2s_exceeds_p(tmp_path, capsys):
+    # p/2 < s < p passes s < p, but the row is certified at order 2 s = 14 > 12
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ps": [12], "s_values": [7], "trials": 2, "n": 64}))
+    out = tmp_path / "mvse.json"
+    assert run(["bench", "mvse", "--config", cfg, "--format", "json",
+                "--out", out]) == 1
+    [row] = json.loads(out.read_text())
+    assert (row["p"], row["s"], row["skipped"]) == (12, 7, True)
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_verify_csv_writes_null_as_empty_cell(tmp_path, capsys):
     g = tmp_path / "g.json"
     run(["construct", "random", "--p", 12, "--d", 4, "--n", 80, "--seed", 2,

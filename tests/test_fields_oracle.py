@@ -235,6 +235,11 @@ def test_poly_routines_match_reference(r, k):
     (7, 1, 2, 2, 2), (2, 3, 2, 2, 2), (3, 2, 2, 2, 2), (11, 1, 2, 2, 2),
     (13, 1, 2, 2, 2), (2, 4, 2, 2, 2), (7, 1, 3, 2, 2),
     (2, 2, 3, 2, 3), (5, 1, 2, 3, 2),
+    # the GF(17) design certified at order 4, and odd or large h, where the
+    # square-and-multiply and the reduction mod E take more steps; l = 1 has
+    # constant polynomials
+    (17, 1, 2, 2, 2), (3, 1, 3, 3, 3), (2, 1, 5, 3, 2), (5, 1, 2, 2, 3),
+    (3, 1, 2, 2, 4), (7, 1, 1, 2, 3),
 ])
 def test_pv_expander_matches_reference(r, k, l, m, h):
     g = pv_expander(GF(r, k), l, m, h)

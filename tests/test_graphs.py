@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -133,6 +134,33 @@ def test_graph_validation():
         BipartiteGraph(1, 4, 2, ((1, 0),), "bad")          # not sorted
     with pytest.raises(ValueError):
         BipartiteGraph(1, 4, 2, ((0, 4),), "bad")          # out of range
+
+
+@pytest.mark.parametrize("neighbors,message", [
+    (((0, 1), (1, 2), (3, 2)), "neighbor list of left vertex 2 is not strictly increasing"),
+    (((0, 1), (1, 2), (2, 4)), "left vertex 2 has a neighbor outside [0, 4)"),
+    (((0, 1), (-1, 2), (2, 3)), "left vertex 1 has a neighbor outside [0, 4)"),
+    (((0, 1), (1, 2), (3, 2**64)), "left vertex 2 has a neighbor outside [0, 4)"),
+    (((0, 1), (1, 2, 3), (2, 3)), "left vertex 1 has degree 3, expected 2"),
+    (((0, 1), (1,), (2, 3, 3)), "left vertex 1 has degree 1, expected 2"),
+    # the first offending vertex is named, whichever check it fails
+    (((0, 1), (2, 2), (0, 9)), "neighbor list of left vertex 1 is not strictly increasing"),
+    (((0, 1), (0, 9), (2, 2)), "left vertex 1 has a neighbor outside [0, 4)"),
+    (((1, 1), (0, 9), (2, 3)), "neighbor list of left vertex 0 is not strictly increasing"),
+])
+def test_graph_validation_messages(neighbors, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BipartiteGraph(3, 4, 2, neighbors, "bad")
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, [1]])
+def test_graph_from_json_dict_refuses_non_integer_neighbors(bad):
+    obj = {"p": 2, "n": 4, "d": 2, "provenance": "x", "neighbors": [[0, 1], [2, bad]]}
+    with pytest.raises(ValueError, match=r"^graph field 'neighbors' must be an array "
+                                         r"of integer arrays$"):
+        graph_from_json_dict(obj)
+    obj["neighbors"] = [[0, 1], [2, 3]]
+    assert graph_from_json_dict(obj).neighbors == ((0, 1), (2, 3))
 
 
 def test_graph_json_roundtrip(tmp_path):

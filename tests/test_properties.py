@@ -1,6 +1,6 @@
 """Property tests (hypothesis): design products, the graph interchange
-format, the connected-subset expansion certificate, the lasso's
-optimality conditions and basis pursuit's dual certificate."""
+format and its file writer, the connected-subset expansion certificate,
+the lasso's optimality conditions and basis pursuit's dual certificate."""
 
 import itertools
 import json
@@ -12,8 +12,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
-                         basis_pursuit, check_expansion_exhaustive, lasso)
-from expander_cs.graphs import graph_from_json_dict, graph_to_json_dict  # noqa: E402
+                         basis_pursuit, check_expansion_exhaustive, lasso,
+                         load_graph, save_graph)
+from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,  # noqa: E402
+                                graph_to_json_text)
 from expander_cs.verify import _expansion_scan  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
@@ -67,6 +69,18 @@ def test_products_never_amplify_their_norms(case):
 def test_graph_json_round_trip(g):
     text = json.dumps(graph_to_json_dict(g))
     assert graph_from_json_dict(json.loads(text)) == g
+
+
+@SETTINGS
+@hypothesis.given(graphs(max_p=30, max_n=60, max_d=10))
+def test_graph_file_text_is_json_indent_2(tmp_path_factory, g):
+    # the graph file writer joins the rows itself; json's encoder is the reference
+    text = graph_to_json_text(g)
+    assert text == json.dumps(graph_to_json_dict(g), indent=2)
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    save_graph(g, path)
+    assert path.read_text(encoding="utf-8") == text + "\n"
+    assert load_graph(path) == g
 
 
 @SETTINGS

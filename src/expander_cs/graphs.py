@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_power
-from .fields import GF, find_irreducible
+from .fields import GF, find_irreducible, poly_eval, poly_mod_pow
 from .rng import Stream
 
 MAX_SIDE = 1 << 20
@@ -134,10 +134,9 @@ def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
     are capped at MAX_SIDE vertices.
 
     The table is built for all left vertices at once: their coefficients
-    are a (p, l) array of codes, f_i = f_{i-1}**h mod E is taken by
-    square-and-multiply on that array through numpy copies of ``gf.add``
-    and ``gf.mul``, and Horner's rule evaluates every f_i at every y as one
-    (p, q) array, which is then encoded digit by digit.
+    are a (p, l) code array, each f_i is one ``poly_mod_pow`` call on the
+    whole array, and one ``poly_eval`` call gives every f_i(y) as a (p, q)
+    array, which is then encoded digit by digit.
     """
     if l < 1 or m < 1:
         raise ValueError("need l >= 1 and m >= 1")
@@ -148,39 +147,12 @@ def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
     n = check_power("right side q**(m+1)", q, m + 1, MAX_SIDE)
 
     modulus = find_irreducible(gf, l, limit=MAX_SIDE)
-    add, mul = np.array(gf.add), np.array(gf.mul)
-    # x**l = -(E_0 + ... + E_{l-1} x**(l-1)) mod E, so a leading code c at
-    # degree k >= l adds reduce[c] to the l codes from degree k - l up
-    reduce = mul[:, np.array(gf.neg)[modulus[:l]]]
-
-    def mul_mod(a, b):
-        prod = np.zeros((p, 2 * l - 1), dtype=np.intp)
-        for i in range(l):
-            prod[:, i:i + l] = add[prod[:, i:i + l], mul[a[:, i:i + 1], b]]
-        for k in range(2 * l - 2, l - 1, -1):
-            prod[:, k - l:k] = add[prod[:, k - l:k], reduce[prod[:, k]]]
-        return prod[:, :l]
-
-    def pow_mod(a, e):
-        out = None
-        while e:
-            if e & 1:
-                out = a if out is None else mul_mod(out, a)
-            e >>= 1
-            if e:
-                a = mul_mod(a, a)
-        return out
-
-    ys = np.arange(q)
     f = np.arange(p)[:, None] // q ** np.arange(l) % q    # codes, lowest degree first
-    row = np.broadcast_to(ys, (p, q))
+    row = np.broadcast_to(np.arange(q), (p, q))
     for i in range(m):
         if i:
-            f = pow_mod(f, h)
-        values = f[:, -1:]
-        for c in range(l - 2, -1, -1):
-            values = add[mul[values, ys], f[:, c:c + 1]]
-        row = row * q + values
+            f = poly_mod_pow(gf, f, h, modulus)
+        row = row * q + poly_eval(gf, f)
     if not (row[:, 1:] > row[:, :-1]).all():
         raise AssertionError("neighbor tuples collided despite distinct y coordinates")
     return BipartiteGraph(p, n, q, tuple(map(tuple, row.tolist())),

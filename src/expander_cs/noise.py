@@ -55,6 +55,8 @@ class NoiseModel:
                 raise ValueError("ar1 needs rho in (-1, 1)")
         elif self.kind == "explicit":
             c = np.asarray(self.corr, dtype=np.float64)
+            if not np.isfinite(c).all():        # NaN would pass every check below
+                raise ValueError("correlation matrix must be finite")
             if c.shape != (self.n, self.n):
                 raise ValueError(f"correlation matrix must be {self.n}x{self.n}")
             if float(np.max(np.abs(c - c.T))) > 1e-12:

@@ -465,7 +465,7 @@ def ols_on_support(X: DesignMatrix, y, support) -> np.ndarray:
     Uses an SVD-based solve, so a rank-deficient column subset yields the
     minimum-norm coefficient vector (duplicate columns split evenly).
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _observations(X, y)
     support = sorted(int(i) for i in support)
     for i in support:
         if not 0 <= i < X.p:

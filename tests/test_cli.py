@@ -437,6 +437,10 @@ def _bench_lasso_config(**overrides):
     ("mvse", {"ps": ["12"], "s_values": [1], "trials": 2, "n": 64}),
     ("recovery", {"design": {"kind": "matching", "n": 4}, "s": 1, "trials": 2,
                   "certify": {"s": 2, "eps": math.nan}}),
+    # NaN passes every comparison of the correlation checks
+    ("ols", {"design": {"kind": "random", "p": 6, "d": 2, "n": 4}, "trials": 5,
+             "noise": {"sigma": 1.0, "model": {"kind": "explicit", "corr": [
+                 [1, 0.5, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, math.nan], [0, 0, math.nan, 1]]}}}),
 ])
 def test_bench_config_field_types_exit_2(tmp_path, capsys, kind, config):
     cfg = tmp_path / "cfg.json"

@@ -7,11 +7,12 @@ obviously correct; the fast code, which works on integer codes, must agree
 with it exactly once each code i is read as the tuple ``RefField.element(i)``.
 """
 
+import numpy as np
 import pytest
 
 from expander_cs import GF, find_irreducible, poly_eval, poly_mod_pow, pv_expander
 from expander_cs.errors import CapacityError
-from expander_cs.fields import is_prime
+from expander_cs.fields import _poly_rem, is_prime
 from expander_cs.rng import Stream
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,9 @@ def test_field_tables_match_reference(r, k):
 @pytest.mark.parametrize("r,k", PRIME_POWERS)
 def test_find_irreducible_matches_reference(r, k):
     gf, ref = GF(r, k), RefField(r, k)
-    for degree in (2, 3):
+    # degree 4 tries divisors of two degrees; over GF(2) the field tables
+    # check that already
+    for degree in (2, 3, 4) if gf.q in (3, 4, 5) else (2, 3):
         f = find_irreducible(gf, degree)
         assert tuple(ref.element(c) for c in f) == ref_find_irreducible(ref, degree)
 
@@ -226,9 +229,46 @@ def test_poly_routines_match_reference(r, k):
         modulus = [rng.below(gf.q) for _ in range(1 + rng.below(3))] + [1]
         e = rng.below(25)
         got = poly_mod_pow(gf, f, e, modulus)
-        assert as_ref(got) == ref_poly_mod_pow(ref, as_ref(f), e, as_ref(modulus))
+        assert got.shape == (len(modulus) - 1,)
+        assert ref_trim(ref, as_ref(got)) == ref_poly_mod_pow(ref, as_ref(f), e, as_ref(modulus))
         assert [ref.element(v) for v in poly_eval(gf, f)] == [
             ref_poly_eval(ref, as_ref(f), y) for y in map(ref.element, range(gf.q))]
+
+
+@pytest.mark.parametrize("r,k", PRIME_POWERS)
+def test_poly_routines_on_stacks_match_reference(r, k):
+    # an (N, L) stack of seeded random polynomials goes through each routine
+    # in one call and must agree with the reference row by row
+    gf, ref = GF(r, k), RefField(r, k)
+    rng = Stream(7000 * r + k)
+    for width in (1, 3, 5):
+        stack = np.array([[rng.below(gf.q) for _ in range(width)] for _ in range(6)])
+        modulus = [rng.below(gf.q) for _ in range(1 + rng.below(3))] + [1]
+        e = rng.below(25)
+        powers, values = poly_mod_pow(gf, stack, e, modulus), poly_eval(gf, stack)
+        assert powers.shape == (6, len(modulus) - 1) and values.shape == (6, gf.q)
+        m = tuple(map(ref.element, modulus))
+        for f, got_pow, got_val in zip(stack.tolist(), powers.tolist(), values.tolist()):
+            f = tuple(map(ref.element, f))
+            assert ref_trim(ref, map(ref.element, got_pow)) == ref_poly_mod_pow(ref, f, e, m)
+            assert [ref.element(v) for v in got_val] == [
+                ref_poly_eval(ref, f, y) for y in map(ref.element, range(gf.q))]
+
+
+@pytest.mark.parametrize("r,k", PRIME_POWERS)
+def test_remainder_by_divisor_stack_matches_reference(r, k):
+    # one polynomial against a stack of monic divisors of one degree, the
+    # irreducible search's use of the remainder routine
+    gf, ref = GF(r, k), RefField(r, k)
+    rng = Stream(9000 * r + k)
+    for t in (1, 2, 3):
+        f = [rng.below(gf.q) for _ in range(rng.below(7))]
+        divisors = np.array([[rng.below(gf.q) for _ in range(t)] + [1] for _ in range(8)])
+        rem = _poly_rem(gf, np.array(f, dtype=np.intp), gf.neg[divisors[:, :-1]])
+        assert rem.shape == (8, t)
+        for div, got in zip(divisors.tolist(), rem.tolist()):
+            assert ref_trim(ref, map(ref.element, got)) == ref_poly_mod(
+                ref, tuple(map(ref.element, f)), tuple(map(ref.element, div)))
 
 
 @pytest.mark.parametrize("r,k,l,m,h", [

@@ -118,6 +118,8 @@ def test_explicit_model_validation():
         NoiseModel(2, 1.0, "explicit", corr=np.array([[2.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         NoiseModel(2, 1.0, "explicit", corr=np.array([[1.0, 1.5], [1.5, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):      # NaN passes every comparison
+        NoiseModel(2, 1.0, "explicit", corr=np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(ValueError):
         NoiseModel(3, 1.0, "ar1", rho=1.0)
 

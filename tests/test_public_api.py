@@ -32,3 +32,20 @@ def test_reference_generator_call_shapes():
 
     g, rep, attempts = ec.search_certified_graph(8, 2, [32], 1, 0.125, max_seeds=5)
     assert g is not None and rep.ok and attempts == 1
+
+
+def test_pv_expander_calls_the_traced_poly_routines(monkeypatch):
+    # perfbench's tracer times fields.poly_mod_pow and fields.poly_eval by
+    # wrapping the names graphs imports; pv_expander must call them there,
+    # once per power map after the first and once per map, or the per-layer
+    # fields.poly_* metrics read 0
+    import expander_cs.graphs as graphs
+
+    calls = {"poly_mod_pow": 0, "poly_eval": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(graphs, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(graphs, name, counted)
+    ec.pv_expander(ec.GF(7), 2, 3, 2)
+    assert calls == {"poly_mod_pow": 2, "poly_eval": 3}

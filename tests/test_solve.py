@@ -431,3 +431,12 @@ def test_ols_empty_and_bad_support():
     np.testing.assert_array_equal(ols_on_support(X, [1.0, 2.0], []), np.zeros(2))
     with pytest.raises(ValueError):
         ols_on_support(X, [1.0, 2.0], [5])
+
+
+@pytest.mark.parametrize("y", [[1.0, math.nan], [math.inf, 2.0], [1.0, 2.0, 3.0]])
+def test_ols_rejects_bad_observations(y):
+    # y is read as the other solvers read it: a NaN or infinite entry, or
+    # the wrong length, is an input error, not a NaN coefficient vector
+    X = DesignMatrix.from_graph(matching_graph(2))
+    with pytest.raises(ValueError):
+        ols_on_support(X, y, [0])

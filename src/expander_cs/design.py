@@ -3,14 +3,14 @@
 Column i of the n x p matrix holds 1/d at the rows listed by left vertex
 i's neighbors and 0 elsewhere, so every column has l1 norm exactly 1 and
 l2 norm 1/sqrt(d). The value 1/d is never stored. The whole index
-structure is one C-contiguous (p, d) int64 array ``rows``: row i lists
-column i's nonzero rows in ascending order, and its flat view is the
-column-major gather/scatter layout. Products accumulate over that view in
-ascending-index order (per output row for X gamma, per column for X^T z)
-and divide by d once, which keeps results independent of thread count and
-of how the matrix was built.
+structure is ``rows``, the graph's own read-only (p, d) int64 table,
+shared and not copied: row i lists column i's nonzero rows in ascending
+order, and its flat view is the column-major gather/scatter layout.
+Products accumulate over that view in ascending-index order (per output
+row for X gamma, per column for X^T z) and divide by d once, which keeps
+results independent of thread count and of how the matrix was built.
 
-``rows`` is read-only, so state derived from the design alone (the
+Since ``rows`` is read-only, state derived from the design alone (the
 Dantzig selector's LP matrix) can be computed once and kept on the instance
 through ``_cached``; it lives and dies with the design.
 """
@@ -25,18 +25,14 @@ from .graphs import BipartiteGraph
 class DesignMatrix:
     """Sparse column-structured design with implicit entry value 1/d."""
 
-    def __init__(self, p: int, n: int, d: int, rows):
-        self.p = p
-        self.n = n
-        self.d = d
-        self.rows = np.array(rows, dtype=np.int64, order="C").reshape(p, d)
-        self.rows.flags.writeable = False
-        self._starts = np.arange(0, p * d, d, dtype=np.int64)
+    def __init__(self, g: BipartiteGraph):
+        self.p, self.n, self.d, self.rows = g.p, g.n, g.d, g.neighbors
+        self._starts = np.arange(0, g.p * g.d, g.d, dtype=np.int64)
         self._state: dict = {}
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph) -> "DesignMatrix":
-        return cls(g.p, g.n, g.d, g.neighbors)
+        return cls(g)
 
     def _cached(self, build):
         """``build(self)``, computed on the first call and kept on this

@@ -1,10 +1,11 @@
 """d-left-regular bipartite graphs: random and code-based constructions.
 
 A graph has p left vertices, n right vertices, and every left vertex has
-exactly d distinct neighbors, stored as a strictly increasing index list.
-The JSON interchange form is an object with integer fields ``p``, ``n``,
-``d``, text field ``provenance`` and ``neighbors``, an array of p arrays of
-d ascending integers.
+exactly d distinct neighbors: row i of one read-only (p, d) int64 table,
+strictly increasing, shared by the design matrix and capped at MAX_TABLE
+entries. The JSON interchange form is an object with integer fields ``p``,
+``n``, ``d``, text field ``provenance`` and ``neighbors``, an array of p
+arrays of d ascending integers.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_power
+from .errors import CapacityError, check_power
 from .fields import GF, find_irreducible, poly_eval, poly_mod_pow
 from .rng import Stream
 
 MAX_SIDE = 1 << 20
+MAX_TABLE = 1 << 24  # entries of a (p, d) neighbor table: 128 MB of int64
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,7 @@ class BipartiteGraph:
     p: int
     n: int
     d: int
-    neighbors: tuple[tuple[int, ...], ...]
+    neighbors: np.ndarray  # or nested sequences, converted once
     provenance: str
 
     def __post_init__(self):
@@ -36,23 +38,34 @@ class BipartiteGraph:
             raise ValueError(f"need p >= 1, got p={self.p}")
         if not 1 <= self.d <= self.n:
             raise ValueError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
-        if len(self.neighbors) != self.p:
-            raise ValueError("neighbor table length differs from p")
-        for i, degree in enumerate(map(len, self.neighbors)):
-            if degree != self.d:
-                raise ValueError(f"left vertex {i} has degree {degree}, expected {self.d}")
-        try:
-            table = np.array(self.neighbors, dtype=np.int64)
-        except OverflowError:                   # an entry past int64 is out of range
-            table = np.array(self.neighbors, dtype=object)
-        outside = ((table < 0) | (table >= self.n)).any(axis=1)
+        if not isinstance(table := self.neighbors, np.ndarray):
+            if len(table) != self.p:
+                raise ValueError("neighbor table length differs from p")
+            for i, degree in enumerate(map(len, table)):
+                if degree != self.d:
+                    raise ValueError(f"left vertex {i} has degree {degree}, expected {self.d}")
+            try:
+                table = np.array(table, dtype=np.int64)
+            except OverflowError:               # an entry past int64 is out of range
+                table = np.array(table, dtype=object)
+        elif table.shape != (self.p, self.d) or table.dtype.kind not in "iu":
+            raise ValueError(f"neighbor table must be a ({self.p}, {self.d}) integer array")
+        hi = min(self.n, 1 << 63)               # an index must fit int64, whatever n is
+        outside = ((table < 0) | (table >= hi)).any(axis=1)
         unsorted = (table[:, 1:] <= table[:, :-1]).any(axis=1)
         bad = outside | unsorted
         if bad.any():
             i = int(bad.argmax())               # the first offending left vertex
             if outside[i]:
-                raise ValueError(f"left vertex {i} has a neighbor outside [0, {self.n})")
+                raise ValueError(f"left vertex {i} has a neighbor outside [0, {hi})")
             raise ValueError(f"neighbor list of left vertex {i} is not strictly increasing")
+        table = np.require(table, np.int64, "CO")  # kept as it is when owned int64
+        table.flags.writeable = False
+        object.__setattr__(self, "neighbors", table)
+
+    def __eq__(self, other):
+        return (isinstance(other, BipartiteGraph) and self.provenance == other.provenance
+                and self.n == other.n and np.array_equal(self.neighbors, other.neighbors))
 
 
 @dataclass(frozen=True)
@@ -74,9 +87,15 @@ class ExpanderParams:
             raise ValueError("alpha and theta0 must be positive")
 
 
+def _check_table(p: int, d: int) -> None:
+    if p * d > MAX_TABLE:
+        raise CapacityError(f"neighbor table p*d = {p}*{d} exceeds limit {MAX_TABLE}")
+
+
 def matching_graph(n: int) -> BipartiteGraph:
     """Perfect matching i <-> i (d = 1, p = n); its design matrix is the identity."""
-    return BipartiteGraph(n, n, 1, tuple((i,) for i in range(n)), f"matching(n={n})")
+    _check_table(n, 1)
+    return BipartiteGraph(n, n, 1, np.arange(n)[:, None], f"matching(n={n})")
 
 
 def random_left_regular(p: int, d: int, n: int, seed: int) -> BipartiteGraph:
@@ -89,8 +108,8 @@ def random_left_regular(p: int, d: int, n: int, seed: int) -> BipartiteGraph:
         raise ValueError("p must be >= 1")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    neighbors = tuple(map(tuple, Stream(seed).samples_without_replacement(n, d, p)))
-    return BipartiteGraph(p, n, d, neighbors,
+    _check_table(p, d)
+    return BipartiteGraph(p, n, d, Stream(seed).samples_without_replacement(n, d, p),
                           f"random(p={p},d={d},n={n},seed={seed})")
 
 
@@ -131,7 +150,7 @@ def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
     (y, f_0(y), ..., f_{m-1}(y)) encoded in base q with y most significant,
     so d = q and n = q**(m+1). The first tuple coordinate is y, hence the d
     neighbors of a vertex are distinct and already ascending. Both sides
-    are capped at MAX_SIDE vertices.
+    are capped at MAX_SIDE vertices and the table at MAX_TABLE entries.
 
     The table is built for all left vertices at once: their coefficients
     are a (p, l) code array, each f_i is one ``poly_mod_pow`` call on the
@@ -145,6 +164,7 @@ def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
     q = gf.q
     p = check_power("left side q**l", q, l, MAX_SIDE)
     n = check_power("right side q**(m+1)", q, m + 1, MAX_SIDE)
+    _check_table(p, q)
 
     modulus = find_irreducible(gf, l, limit=MAX_SIDE)
     f = np.arange(p)[:, None] // q ** np.arange(l) % q    # codes, lowest degree first
@@ -153,10 +173,7 @@ def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
         if i:
             f = poly_mod_pow(gf, f, h, modulus)
         row = row * q + poly_eval(gf, f)
-    if not (row[:, 1:] > row[:, :-1]).all():
-        raise AssertionError("neighbor tuples collided despite distinct y coordinates")
-    return BipartiteGraph(p, n, q, tuple(map(tuple, row.tolist())),
-                          f"pv(q={q},l={l},m={m},h={h})")
+    return BipartiteGraph(p, n, q, row, f"pv(q={q},l={l},m={m},h={h})")
 
 
 def neighbor_set(g: BipartiteGraph, left: set[int] | list[int] | tuple[int, ...]) -> set[int]:
@@ -165,7 +182,7 @@ def neighbor_set(g: BipartiteGraph, left: set[int] | list[int] | tuple[int, ...]
     for i in left:
         if not 0 <= i < g.p:
             raise ValueError(f"left index {i} outside [0, {g.p})")
-        out.update(g.neighbors[i])
+        out.update(g.neighbors[i].tolist())
     return out
 
 
@@ -179,7 +196,7 @@ def graph_to_json_dict(g: BipartiteGraph) -> dict:
         "n": g.n,
         "d": g.d,
         "provenance": g.provenance,
-        "neighbors": [list(nb) for nb in g.neighbors],
+        "neighbors": g.neighbors.tolist(),
     }
 
 
@@ -187,14 +204,10 @@ def graph_to_json_text(g: BipartiteGraph) -> str:
     """The graph file's text: ``json.dumps(graph_to_json_dict(g), indent=2)``,
     with the neighbor rows joined directly rather than by json's encoder."""
     rows = "\n    ],\n    [\n      ".join(",\n      ".join(map(str, nb))
-                                         for nb in g.neighbors)
+                                         for nb in g.neighbors.tolist())
     return (f'{{\n  "p": {g.p},\n  "n": {g.n},\n  "d": {g.d},\n'
             f'  "provenance": {json.dumps(g.provenance)},\n'
             f'  "neighbors": [\n    [\n      {rows}\n    ]\n  ]\n}}')
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def graph_from_json_dict(obj: dict) -> BipartiteGraph:
@@ -208,7 +221,7 @@ def graph_from_json_dict(obj: dict) -> BipartiteGraph:
     except KeyError as exc:
         raise ValueError(f"graph object is missing field {exc}") from exc
     for key, value in (("p", p), ("n", n), ("d", d)):
-        if not _is_int(value):
+        if type(value) is not int:              # a bool is not an integer
             raise ValueError(f"graph field {key!r} must be an integer, got {value!r}")
     if not isinstance(provenance, str):
         raise ValueError(f"graph field 'provenance' must be a string, got {provenance!r}")
@@ -216,7 +229,7 @@ def graph_from_json_dict(obj: dict) -> BipartiteGraph:
     if not (isinstance(neighbors, list) and all(isinstance(nb, list) for nb in neighbors)
             and {*map(type, itertools.chain.from_iterable(neighbors))} <= {int}):
         raise ValueError("graph field 'neighbors' must be an array of integer arrays")
-    return BipartiteGraph(p, n, d, tuple(map(tuple, neighbors)), provenance)
+    return BipartiteGraph(p, n, d, neighbors, provenance)
 
 
 def save_graph(g: BipartiteGraph, path) -> None:

@@ -100,7 +100,7 @@ def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
     |N(I)| / (d |I|) and stop at the first violator.
     Returns (first violator or None, worst ratio, witness, subsets examined)."""
     masks = [0] * g.p
-    for i, nb in enumerate(g.neighbors):
+    for i, nb in enumerate(g.neighbors.tolist()):
         m = 0
         for j in nb:
             m |= 1 << j
@@ -131,13 +131,14 @@ def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
 def _collision_graph(g: BipartiteGraph) -> list[int]:
     """Left-vertex collision graph: entry i is a bitmask with bit j set when
     left vertices i != j share a right vertex."""
+    table = g.neighbors.tolist()
     rows = [0] * g.n
-    for i, nb in enumerate(g.neighbors):
+    for i, nb in enumerate(table):
         bit = 1 << i
         for j in nb:
             rows[j] |= bit
     adj = []
-    for i, nb in enumerate(g.neighbors):
+    for i, nb in enumerate(table):
         m = 0
         for j in nb:
             m |= rows[j]

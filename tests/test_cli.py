@@ -2,12 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expander_cs
 from expander_cs.cli import _parser, dumps_17g, main
 from expander_cs.graphs import matching_graph
 
@@ -448,6 +454,40 @@ def test_bench_config_field_types_exit_2(tmp_path, capsys, kind, config):
     assert run(["bench", kind, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+AS_LIMIT = 768 << 20   # address space of the child: an oversized table cannot fit
+
+
+def _run_capped(args, tmp_path):
+    """Run the CLI in a child process whose address space is capped, so a
+    table that escapes its size check fails the test instead of exhausting
+    the machine's memory. Returns (exit code, stderr)."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(expander_cs.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "expander_cs.cli", *map(str, args)], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT)))
+    return proc.returncode, proc.stderr
+
+
+def test_oversized_tables_exit_2_under_a_memory_cap(tmp_path):
+    code, err = _run_capped(["construct", "pv", "--q", 3, "--l", 2, "--m", 1, "--h", 2,
+                             "--out", "ok.json"], tmp_path)
+    assert (code, err) == (0, "")                   # the cap leaves room for a real run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_bench_lasso_config(
+        design={"kind": "random", "p": 1 << 20, "d": 32, "n": 1 << 20})))
+    for args, product in (
+            (["construct", "pv", "--q", 512, "--l", 2, "--m", 1, "--h", 2], "262144*512"),
+            (["construct", "random", "--p", 1 << 20, "--d", 32, "--n", 1 << 20],
+             "1048576*32"),
+            (["bench", "lasso", "--config", cfg], "1048576*32")):
+        code, err = _run_capped([*args, "--out", "g.json"], tmp_path)
+        assert code == 2 and "Traceback" not in err
+        assert err == f"error: neighbor table p*d = {product} exceeds limit {1 << 24}\n"
+    assert not (tmp_path / "g.json").exists()
 
 
 @pytest.mark.parametrize("field,value", [

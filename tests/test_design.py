@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from expander_cs import DesignMatrix, matching_graph, random_left_regular
+from expander_cs import (GF, BipartiteGraph, DesignMatrix, load_graph, matching_graph,
+                         pv_expander, random_left_regular, save_graph)
 from expander_cs.rng import Stream, gaussians
 
 
@@ -73,12 +74,26 @@ def test_nonamplification_exact():
 
 def test_rows_are_read_only_and_copied():
     # state derived from the rows is kept on the design, so they cannot change
-    rows = np.array(random_left_regular(6, 2, 8, seed=3).neighbors)
-    X = DesignMatrix(6, 8, 2, rows)
+    base = np.array(random_left_regular(6, 2, 8, seed=3).neighbors)
+    owned = base.copy()
+    X = DesignMatrix.from_graph(BipartiteGraph(6, 8, 2, base[:, :], "view"))
     with pytest.raises(ValueError):
         X.rows[0, 0] = 7
-    rows[0, 0] = 7                                    # the caller's array stays writable
+    base[0, 0] = 7                                    # the caller's array stays writable
     assert X.rows[0, 0] != 7
+    X = DesignMatrix.from_graph(BipartiteGraph(6, 8, 2, owned, "owned"))
+    with pytest.raises(ValueError):                   # an owned table is kept, and frozen
+        owned[0, 0] = 7
+    assert X.rows is owned and X.rows[0, 0] != 7
+
+
+def test_rows_are_the_graph_table(tmp_path):
+    path = tmp_path / "g.json"
+    save_graph(random_left_regular(9, 3, 11, seed=4), path)
+    for g in (pv_expander(GF(3), 2, 2, 2), random_left_regular(6, 2, 8, seed=3),
+              load_graph(path), matching_graph(4)):
+        X = DesignMatrix.from_graph(g)
+        assert X.rows is g.neighbors and (X.p, X.n, X.d) == (g.p, g.n, g.d)
 
 
 def test_shape_mismatch_errors():

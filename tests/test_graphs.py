@@ -1,20 +1,23 @@
 import json
 import math
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from expander_cs import (GF, BipartiteGraph, ExpanderParams, load_graph,
+from expander_cs import (GF, BipartiteGraph, CapacityError, ExpanderParams, load_graph,
                          matching_graph, neighbor_set, pv_expander,
                          random_left_regular, save_graph, suggest_pv_bounds,
                          suggest_random_params)
+from expander_cs import graphs
 from expander_cs.graphs import graph_from_json_dict, graph_to_json_dict
 
 
 def test_random_full_degree_forces_all_neighbors():
     g = random_left_regular(4, 4, 4, seed=3)
     for nb in g.neighbors:
-        assert nb == (0, 1, 2, 3)
+        assert nb.tolist() == [0, 1, 2, 3]
 
 
 def test_random_single_edge():
@@ -54,9 +57,9 @@ def test_pv_small_field_hand_values():
     g = pv_expander(GF(3), 2, 1, 2)
     assert (g.p, g.n, g.d) == (9, 9, 3)
     # f = x + 1 is left index 1 + 1*3 = 4; tuples (0,1),(1,2),(2,0)
-    assert g.neighbors[4] == (1, 5, 6)
+    assert g.neighbors[4].tolist() == [1, 5, 6]
     # zero polynomial maps to (y, 0) for each y
-    assert g.neighbors[0] == (0, 3, 6)
+    assert g.neighbors[0].tolist() == [0, 3, 6]
 
 
 def test_pv_two_power_maps_hand_value():
@@ -160,7 +163,7 @@ def test_graph_from_json_dict_refuses_non_integer_neighbors(bad):
                                          r"of integer arrays$"):
         graph_from_json_dict(obj)
     obj["neighbors"] = [[0, 1], [2, 3]]
-    assert graph_from_json_dict(obj).neighbors == ((0, 1), (2, 3))
+    assert graph_from_json_dict(obj).neighbors.tolist() == [[0, 1], [2, 3]]
 
 
 def test_graph_json_roundtrip(tmp_path):
@@ -171,3 +174,115 @@ def test_graph_json_roundtrip(tmp_path):
     path = tmp_path / "g.json"
     save_graph(g, path)
     assert load_graph(path) == g
+
+
+# -- the neighbor table --------------------------------------------------------
+
+def _constructed_graphs(tmp_path):
+    path = tmp_path / "g.json"
+    save_graph(random_left_regular(9, 3, 11, seed=4), path)
+    return [pv_expander(GF(3), 2, 2, 2), random_left_regular(7, 3, 9, seed=8),
+            matching_graph(5), load_graph(path),
+            BipartiteGraph(2, 4, 2, [[0, 1], [2, 3]], "list")]
+
+
+def test_table_is_a_read_only_int64_array(tmp_path):
+    for g in _constructed_graphs(tmp_path):
+        table = g.neighbors
+        assert isinstance(table, np.ndarray) and table.dtype == np.int64
+        assert table.shape == (g.p, g.d) and table.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+def test_owned_table_is_kept_and_a_view_is_copied():
+    owned = np.array([[0, 1], [1, 3]], dtype=np.int64)
+    g = BipartiteGraph(2, 4, 2, owned, "owned")
+    assert g.neighbors is owned and not owned.flags.writeable
+    base = np.array([[0, 1], [1, 3]], dtype=np.int64)
+    g = BipartiteGraph(2, 4, 2, base[:, :], "view")
+    base[0, 0] = 2                                  # the caller's array stays writable
+    assert g.neighbors.tolist() == [[0, 1], [1, 3]] and not g.neighbors.flags.writeable
+    for table in (np.array([[0, 1], [1, 3]], dtype=np.int32),
+                  np.asfortranarray([[0, 1], [1, 3]])):
+        g = BipartiteGraph(2, 4, 2, table, "converted")
+        assert g.neighbors.dtype == np.int64 and g.neighbors.flags.c_contiguous
+        assert g.neighbors.tolist() == [[0, 1], [1, 3]]
+
+
+@pytest.mark.parametrize("table", [
+    np.arange(3), np.zeros((3, 3), dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
+    np.zeros((3, 2, 1), dtype=np.int64), np.zeros((2, 3), dtype=np.int64),
+    np.array([[0.0, 1.0]] * 3), np.array([[False, True]] * 3),
+])
+def test_array_table_of_wrong_shape_or_type_is_refused(table):
+    message = "neighbor table must be a (3, 2) integer array"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BipartiteGraph(3, 4, 2, table, "bad")
+
+
+def test_array_table_is_range_and_order_checked():
+    with pytest.raises(ValueError, match=r"^left vertex 1 has a neighbor outside \[0, 4\)$"):
+        BipartiteGraph(2, 4, 2, np.array([[0, 1], [2, 4]]), "bad")
+    with pytest.raises(ValueError, match=r"^left vertex 0 has a neighbor outside \[0, 4\)$"):
+        BipartiteGraph(2, 4, 2, np.array([[0, 2**64 - 1], [2, 3]], dtype=np.uint64), "bad")
+    with pytest.raises(ValueError, match="^neighbor list of left vertex 1 is not strictly"):
+        BipartiteGraph(2, 4, 2, np.array([[0, 1], [3, 3]]), "bad")
+
+
+def test_index_past_int64_is_refused():
+    # right vertices past 2**63 cannot be int64 indices, whatever n is
+    bound = re.escape(f"[0, {2**63})")
+    with pytest.raises(ValueError, match=f"^left vertex 1 has a neighbor outside {bound}$"):
+        BipartiteGraph(2, 2**64, 2, [[0, 1], [5, 2**63]], "big")
+    with pytest.raises(ValueError, match=f"outside {bound}$"):
+        random_left_regular(4, 2, 2**64, seed=1)
+    g = BipartiteGraph(2, 2**64, 2, [[0, 1], [5, 2**63 - 1]], "big")
+    assert g.neighbors.tolist() == [[0, 1], [5, 2**63 - 1]]
+
+
+def test_graph_equality_compares_every_field():
+    g = random_left_regular(5, 2, 6, seed=1)
+    table = g.neighbors.tolist()
+    assert g == BipartiteGraph(5, 6, 2, table, g.provenance)
+    assert g != BipartiteGraph(5, 7, 2, table, g.provenance)
+    assert g != BipartiteGraph(5, 6, 2, table, "other")
+    table[4] = [0, 1] if table[4] != [0, 1] else [0, 2]
+    assert g != BipartiteGraph(5, 6, 2, table, g.provenance)
+    assert g != BipartiteGraph(4, 6, 2, table[:4], g.provenance)
+    assert g != table and g != "g"
+
+
+def test_table_cap_is_checked_at_the_boundary(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_TABLE", 27)
+    assert pv_expander(GF(3), 2, 1, 2).neighbors.size == 27       # p = 9, d = 3
+    assert random_left_regular(9, 3, 5, seed=0).neighbors.size == 27
+    assert matching_graph(27).p == 27
+    monkeypatch.setattr(graphs, "MAX_TABLE", 26)
+    for build in (lambda: pv_expander(GF(3), 2, 1, 2), lambda: matching_graph(27),
+                  lambda: random_left_regular(9, 3, 5, seed=0)):
+        with pytest.raises(CapacityError, match=r"^neighbor table p\*d = (9\*3|27\*1) "
+                                                r"exceeds limit 26$"):
+            build()
+
+
+def test_oversized_tables_raise_before_allocating(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was built before the size check")
+
+    gf = GF(2, 9)                                   # q = 512: p = 2**18, d = 512
+    monkeypatch.setattr(np, "arange", no_arrays)    # every construction starts with one
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^neighbor table p\*d = 262144\*512 "):
+            pv_expander(gf, 2, 1, 2)
+        with pytest.raises(CapacityError, match=r"^neighbor table p\*d = 1048576\*32 "):
+            random_left_regular(1 << 20, 32, 1 << 20, seed=0)
+        with pytest.raises(CapacityError, match=r"^neighbor table p\*d = 16777217\*1 "):
+            matching_graph((1 << 24) + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

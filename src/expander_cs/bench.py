@@ -247,6 +247,19 @@ def _noise_lambda(sigma: float, n: int) -> float:
     return thresholds(sigma, n).lam if sigma > 0 else 0.0
 
 
+def _penalty(instance: RecoveryInstance, floor: float, need: str) -> tuple[float, float]:
+    """(lam, Lambda) with lam = lambda_multiple * Lambda. Raises ValueError
+    with ``need`` when the multiple is below ``floor`` (NaN included), and
+    when lam is not finite."""
+    lam_noise = _noise_lambda(instance.noise.sigma, instance.design.n)
+    lam = instance.lambda_multiple * lam_noise
+    if not instance.lambda_multiple >= floor:
+        raise ValueError(need)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda = {instance.lambda_multiple} * Lambda is not finite")
+    return lam, lam_noise
+
+
 def _pred_error(X: DesignMatrix, xb: np.ndarray, beta: np.ndarray) -> float:
     return float(np.linalg.norm(xb - X.matvec(beta)))
 
@@ -279,12 +292,9 @@ def run_lasso_experiment(instance: RecoveryInstance, trials: int) -> ExperimentR
     on event trials. Exactly sparse targets additionally get the
     lam = 6 Lambda prediction bound and lam = 7 Lambda selection bound,
     each solved at its own penalty."""
-    if instance.lambda_multiple < 6.0:
-        raise ValueError("lasso experiments need lambda >= 6 Lambda")
+    lam_main, lam_noise = _penalty(instance, 6.0, "lasso experiments need lambda >= 6 Lambda")
     X = instance.design
     sigma, n = instance.noise.sigma, X.n
-    lam_noise = _noise_lambda(sigma, n)
-    lam_main = instance.lambda_multiple * lam_noise
     tail = instance.offsupport(instance.beta_star)
 
     lambdas = {lam_main}
@@ -321,12 +331,9 @@ def run_dantzig_experiment(instance: RecoveryInstance, trials: int) -> Experimen
     """Per trial: solve the Dantzig selector, assert the oracle inequality,
     and for sparse targets the corollary and consistency bounds; also check
     that the target itself is feasible on every event trial."""
-    if instance.lambda_multiple < 1.0:
-        raise ValueError("Dantzig experiments need lambda >= Lambda")
+    lam, lam_noise = _penalty(instance, 1.0, "Dantzig experiments need lambda >= Lambda")
     X = instance.design
     sigma, n = instance.noise.sigma, X.n
-    lam_noise = _noise_lambda(sigma, n)
-    lam = instance.lambda_multiple * lam_noise
     tail = instance.offsupport(instance.beta_star)
     # feasibility of the target makes its l1 norm an upper bound
     target_l1 = float(np.abs(instance.beta_star).sum())

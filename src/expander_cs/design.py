@@ -10,16 +10,15 @@ Products accumulate over that view in ascending-index order (per output
 row for X gamma, per column for X^T z) and divide by d once, which keeps
 results independent of thread count and of how the matrix was built.
 
-Since ``rows`` is read-only, state derived from the design alone (the
-Dantzig selector's LP matrix) can be computed once and kept on the instance
-through ``_cached``; it lives and dies with the design.
+A design holds that table and nothing derived from it: no solver state is
+kept between calls. The dense n x p export is capped at MAX_TABLE entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, check_table
 
 
 class DesignMatrix:
@@ -28,18 +27,10 @@ class DesignMatrix:
     def __init__(self, g: BipartiteGraph):
         self.p, self.n, self.d, self.rows = g.p, g.n, g.d, g.neighbors
         self._starts = np.arange(0, g.p * g.d, g.d, dtype=np.int64)
-        self._state: dict = {}
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph) -> "DesignMatrix":
         return cls(g)
-
-    def _cached(self, build):
-        """``build(self)``, computed on the first call and kept on this
-        instance for later ones. ``build`` must depend on the design only."""
-        if build not in self._state:
-            self._state[build] = build(self)
-        return self._state[build]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -65,6 +56,7 @@ class DesignMatrix:
         return acc / self.d
 
     def to_dense(self) -> np.ndarray:
+        check_table("dense design n*p", self.n, self.p)
         out = np.zeros((self.n, self.p))
         out[self.rows, np.arange(self.p)[:, None]] = 1.0 / self.d
         return out

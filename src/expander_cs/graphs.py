@@ -1,11 +1,11 @@
 """d-left-regular bipartite graphs: random and code-based constructions.
 
-A graph has p left vertices, n right vertices, and every left vertex has
-exactly d distinct neighbors: row i of one read-only (p, d) int64 table,
-strictly increasing, shared by the design matrix and capped at MAX_TABLE
-entries. The JSON interchange form is an object with integer fields ``p``,
-``n``, ``d``, text field ``provenance`` and ``neighbors``, an array of p
-arrays of d ascending integers.
+A graph has p left vertices, n <= MAX_SIDE right vertices, and every left
+vertex has exactly d distinct neighbors: row i of one read-only (p, d)
+int64 table, strictly increasing, shared by the design matrix and capped
+at MAX_TABLE entries. The JSON interchange form is an object with integer
+fields ``p``, ``n``, ``d``, text field ``provenance`` and ``neighbors``, an
+array of p arrays of d ascending integers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ class BipartiteGraph:
             raise ValueError(f"need p >= 1, got p={self.p}")
         if not 1 <= self.d <= self.n:
             raise ValueError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
+        _check_sizes(self.p, self.d, self.n)
         if not isinstance(table := self.neighbors, np.ndarray):
             if len(table) != self.p:
                 raise ValueError("neighbor table length differs from p")
@@ -50,14 +51,13 @@ class BipartiteGraph:
                 table = np.array(table, dtype=object)
         elif table.shape != (self.p, self.d) or table.dtype.kind not in "iu":
             raise ValueError(f"neighbor table must be a ({self.p}, {self.d}) integer array")
-        hi = min(self.n, 1 << 63)               # an index must fit int64, whatever n is
-        outside = ((table < 0) | (table >= hi)).any(axis=1)
+        outside = ((table < 0) | (table >= self.n)).any(axis=1)
         unsorted = (table[:, 1:] <= table[:, :-1]).any(axis=1)
         bad = outside | unsorted
         if bad.any():
             i = int(bad.argmax())               # the first offending left vertex
             if outside[i]:
-                raise ValueError(f"left vertex {i} has a neighbor outside [0, {hi})")
+                raise ValueError(f"left vertex {i} has a neighbor outside [0, {self.n})")
             raise ValueError(f"neighbor list of left vertex {i} is not strictly increasing")
         table = np.require(table, np.int64, "CO")  # kept as it is when owned int64
         table.flags.writeable = False
@@ -87,14 +87,24 @@ class ExpanderParams:
             raise ValueError("alpha and theta0 must be positive")
 
 
-def _check_table(p: int, d: int) -> None:
-    if p * d > MAX_TABLE:
-        raise CapacityError(f"neighbor table p*d = {p}*{d} exceeds limit {MAX_TABLE}")
+def check_table(what: str, rows: int, cols: int) -> None:
+    """CapacityError naming ``what`` when a rows x cols table would pass
+    MAX_TABLE entries; called before the table is allocated."""
+    if rows * cols > MAX_TABLE:
+        raise CapacityError(f"{what} = {rows}*{cols} exceeds limit {MAX_TABLE}")
+
+
+def _check_sizes(p: int, d: int, n: int) -> None:
+    """Refuse a graph with more than MAX_TABLE table entries or MAX_SIDE
+    right vertices; constructions call it before they build the table."""
+    check_table("neighbor table p*d", p, d)
+    if n > MAX_SIDE:
+        raise CapacityError(f"right side n = {n} exceeds limit {MAX_SIDE}")
 
 
 def matching_graph(n: int) -> BipartiteGraph:
     """Perfect matching i <-> i (d = 1, p = n); its design matrix is the identity."""
-    _check_table(n, 1)
+    _check_sizes(n, 1, n)
     return BipartiteGraph(n, n, 1, np.arange(n)[:, None], f"matching(n={n})")
 
 
@@ -108,7 +118,7 @@ def random_left_regular(p: int, d: int, n: int, seed: int) -> BipartiteGraph:
         raise ValueError("p must be >= 1")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    _check_table(p, d)
+    _check_sizes(p, d, n)
     return BipartiteGraph(p, n, d, Stream(seed).samples_without_replacement(n, d, p),
                           f"random(p={p},d={d},n={n},seed={seed})")
 
@@ -164,7 +174,7 @@ def pv_expander(gf: GF, l: int, m: int, h: int) -> BipartiteGraph:
     q = gf.q
     p = check_power("left side q**l", q, l, MAX_SIDE)
     n = check_power("right side q**(m+1)", q, m + 1, MAX_SIDE)
-    _check_table(p, q)
+    _check_sizes(p, q, n)
 
     modulus = find_irreducible(gf, l, limit=MAX_SIDE)
     f = np.arange(p)[:, None] // q ** np.arange(l) % q    # codes, lowest degree first

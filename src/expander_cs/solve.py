@@ -30,9 +30,8 @@ column. No basis mask is kept, because every basic column of T is an
 exact unit vector with reduced cost exactly 0. Phase 2 runs on the real
 LP, without phase 1's artificial columns or redundant rows. Pricing and
 the crash basis are numpy scans; the ratio test loops over the eligible
-rows only, because its tie rule is sequential. The Dantzig constraint
-matrix depends on X alone, so it is built once per DesignMatrix and kept
-on it (``DesignMatrix._cached``).
+rows only, because its tie rule is sequential. The Dantzig selector
+builds its LP per call, and only when b = 0 is infeasible.
 
 Every solver failure (phase 1 reported unbounded, a pivot or step limit,
 a singular active Gram matrix, a failed certificate) raises
@@ -48,6 +47,7 @@ import numpy as np
 
 from .design import DesignMatrix
 from .errors import SolverStatusError
+from .graphs import check_table
 
 RC_TOL = 1e-10   # reduced-cost optimality tolerance
 PIV_TOL = 1e-9   # smallest acceptable pivot magnitude
@@ -233,6 +233,12 @@ def lp_solve(lp: LinearProgram, max_iter: int = 200000) -> LpResult:
 # Dantzig selector as an LP
 # ---------------------------------------------------------------------------
 
+def _check_penalty(lam: float) -> None:
+    """Reject a penalty outside [0, inf), NaN included."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+
 def _observations(X: DesignMatrix, y) -> np.ndarray:
     """y as a float vector of length n; NaN and infinite entries are
     rejected, since no solver can report on them meaningfully."""
@@ -256,6 +262,7 @@ def _dantzig_matrix(X: DesignMatrix) -> np.ndarray:
     """The Dantzig LP's 2p x 4p constraint matrix [[-G, G, I, 0], [G, -G, 0, I]]
     with G = X^T X; only the right side depends on y."""
     p = X.p
+    check_table("Dantzig LP matrix 2p*4p", 2 * p, 4 * p)
     dense = X.to_dense()
     gram = dense.T @ dense
     A = np.zeros((2 * p, 4 * p))
@@ -265,38 +272,37 @@ def _dantzig_matrix(X: DesignMatrix) -> np.ndarray:
     A[p:, :p] = gram
     A[p:, p:2 * p] = -gram
     A[p:, 3 * p:] = np.eye(p)
-    A.flags.writeable = False
     return A
 
 
 def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
     """min ||b||_1 subject to ||X^T (y - X b)||_inf <= lam.
 
-    Solved in standard form with b = u - v and one slack block per
-    inequality side. Any optimal vertex is acceptable; the deterministic
-    pivot rule fixes which one is returned. The constraint matrix depends
-    on X only and is built once per design; each call forms only the
-    right side from X^T y.
+    b = 0 is the unique optimum when ||X^T y||_inf <= lam, and is returned
+    without an LP (the simplex would stop there, at its slack crash basis).
+    Otherwise the LP is built for this call, in standard form with b = u - v
+    and one slack block per inequality side; the deterministic pivot rule
+    fixes which optimal vertex is returned.
     """
-    if not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_penalty(lam)
     y = _observations(X, y)
     p = X.p
     corr = X.transpose_matvec(y)
-    b = np.concatenate([lam - corr, lam + corr])
-    c = np.concatenate([np.ones(2 * p), np.zeros(2 * p)])
-
-    res = lp_solve(LinearProgram(c, X._cached(_dantzig_matrix), b))
-    if res.status == "unbounded":
-        raise SolverStatusError("Dantzig LP cannot be unbounded: objective >= 0")
-    if res.status != "optimal":
-        raise SolverStatusError(f"Dantzig LP is {res.status}")
-    beta = res.x[:p] - res.x[p:2 * p]
+    beta = np.zeros(p)
+    if np.max(np.abs(corr)) > lam:
+        b = np.concatenate([lam - corr, lam + corr])
+        c = np.concatenate([np.ones(2 * p), np.zeros(2 * p)])
+        res = lp_solve(LinearProgram(c, _dantzig_matrix(X), b))
+        if res.status == "unbounded":
+            raise SolverStatusError("Dantzig LP cannot be unbounded: objective >= 0")
+        if res.status != "optimal":
+            raise SolverStatusError(f"Dantzig LP is {res.status}")
+        beta = res.x[:p] - res.x[p:2 * p]
     slack = float(np.max(np.abs(X.transpose_matvec(y - X.matvec(beta)))))
     if slack > lam + 1e-8:
         raise SolverStatusError(
             f"Dantzig solution violates its constraint: {slack} > {lam} + 1e-8")
-    return DantzigSolution(beta, slack, float(np.abs(beta).sum()), res.status)
+    return DantzigSolution(beta, slack, float(np.abs(beta).sum()), "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +426,7 @@ def lasso(X: DesignMatrix, y, lam: float, tol: float = 1e-8,
     max(0, |2 X_j^T (y - X b)| - lam) (zero b_j), recomputed from the
     returned b, is at most ``tol``.
     """
-    if not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_penalty(lam)
     y = _observations(X, y)
     beta, steps, _ = _l1_path(X, y, lam / 2.0, max_iter)
     resid = y - X.matvec(beta)

@@ -43,6 +43,7 @@ from .solve import LinearProgram, lp_solve
 SLACK = 1e-9  # absolute slack for near-integer / floating comparisons
 EXPANSION_BUDGET = 10**7  # default cap on the subsets an exhaustive expansion check covers
 NSP_BUDGET = 10**4        # default cap on the subset/sign pairs of the NSP oracle
+MAX_MASK_BITS = 1 << 32   # cap on the bits of an expansion check's bitmasks: 512 MiB
 
 
 @dataclass
@@ -93,6 +94,13 @@ def _least_counts(d: int, s: int, eps: float) -> list[int]:
     return [bisect.bisect_left(range(d * k + 1), True,
                                key=lambda c: not c + SLACK < (1.0 - eps) * d * k)
             for k in range(s + 1)]
+
+
+def _check_mask_bits(bits: int) -> None:
+    """Refuse, before any bitmask is built, a check whose masks would hold
+    more than MAX_MASK_BITS bits."""
+    if bits > MAX_MASK_BITS:
+        raise CapacityError(f"expansion bitmasks of {bits} bits exceed limit {MAX_MASK_BITS}")
 
 
 def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
@@ -225,7 +233,9 @@ def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
     """Exact decision: every left subset of size 1..s must have at least
     (1 - eps) d |I| distinct neighbors. ``budget`` caps the connected
     subsets enumerated, never more than the sum of C(p, k) over k = 1..s;
-    past it CapacityError is raised, unless a violator came first.
+    past it CapacityError is raised, unless a violator came first. A graph
+    whose bitmasks would pass MAX_MASK_BITS bits is refused before any is
+    built, by CapacityError too.
 
     The report is the one a scan of every subset in (size, lex) order would
     give, stopping at the first violator, but only subsets that are
@@ -245,6 +255,7 @@ def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
     """
     _check_s_range(g.p, s)
     _check_eps(eps)
+    _check_mask_bits(2 * g.p * g.n + g.p**2)   # masks, right-to-left rows, collision graph
     least = _least_counts(g.d, s, eps)
     if any(least[a] + least[k - a] < least[k]
            for k in range(2, s + 1) for a in range(1, k // 2 + 1)):
@@ -265,6 +276,7 @@ def check_expansion_sampled(g: BipartiteGraph, s: int, eps: float,
     uniformly random subsets of sizes 1..s and can only refute."""
     _check_s_range(g.p, s, trials)
     _check_eps(eps)
+    _check_mask_bits(g.p * g.n)
     rng = Stream(seed)
     subsets = (rng.sample_without_replacement(g.p, 1 + rng.below(s))
                for _ in range(trials))

@@ -15,7 +15,7 @@ import pytest
 
 import expander_cs
 from expander_cs.cli import _parser, dumps_17g, main
-from expander_cs.graphs import matching_graph
+from expander_cs.graphs import matching_graph, save_graph
 
 
 def run(args):
@@ -488,6 +488,53 @@ def test_oversized_tables_exit_2_under_a_memory_cap(tmp_path):
         assert code == 2 and "Traceback" not in err
         assert err == f"error: neighbor table p*d = {product} exceeds limit {1 << 24}\n"
     assert not (tmp_path / "g.json").exists()
+
+
+def test_oversized_designs_exit_2_under_a_memory_cap(tmp_path):
+    # each case used to allocate gigabytes and end in a MemoryError traceback
+    save_graph(matching_graph(1 << 20), tmp_path / "wide.json")     # p = n = 2**20
+    (tmp_path / "far.json").write_text(json.dumps(
+        {"p": 2, "n": 1 << 40, "d": 2, "provenance": "far", "neighbors": [[0, 1], [2, 3]]}))
+    assert run(["construct", "random", "--p", 60000, "--d", 4, "--n", 30000,
+                "--out", tmp_path / "flat.json"]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"design": "flat.json", "noise": {"sigma": 0.001}, "lambda_multiple": 1.0,
+         "trials": 2}))
+    far = "right side n = 1099511627776 exceeds limit 1048576"
+    for args, message in (
+            (["construct", "random", "--p", 2, "--d", 2, "--n", 1 << 40], far),
+            (["verify", "--graph", "far.json", "--s", 1], far),
+            (["verify", "--graph", "wide.json", "--s", 1],
+             f"expansion bitmasks of {3 << 40} bits exceed limit {1 << 32}"),
+            (["verify", "--graph", "wide.json", "--s", 1, "--mode", "sampled"],
+             f"expansion bitmasks of {1 << 40} bits exceed limit {1 << 32}"),
+            (["verify", "--graph", "flat.json", "--s", 1, "--check", "kernel"],
+             "dense design n*p = 30000*60000 exceeds limit 16777216"),
+            (["bench", "dantzig", "--config", "cfg.json"],
+             "Dantzig LP matrix 2p*4p = 120000*240000 exceeds limit 16777216")):
+        assert _run_capped([*args, "--out", "r.json"], tmp_path) == (2, f"error: {message}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_nonfinite_penalty_exits_2(tmp_path, capsys):
+    # lambda = inf used to solve: a null lasso objective reported converged,
+    # a NaN oracle lhs that read as a refuted bound, an all-zero Dantzig run
+    path = tmp_path / "in.json"
+    for estimator in ("lasso", "dantzig"):
+        path.write_text(json.dumps({"estimator": estimator, "lambda": math.inf,
+                                    "y": [1.0, 0.0], "graph": {"kind": "matching", "n": 2}}))
+        assert run(["solve", "--problem", path, "--out", tmp_path / "r.json"]) == 2
+    for kind in ("lasso", "dantzig"):
+        for multiple in (math.inf, 1e308, math.nan):
+            path.write_text(json.dumps(_bench_lasso_config(lambda_multiple=multiple)))
+            assert run(["bench", kind, "--config", path, "--out", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in (
+        *["lam must be finite and >= 0, got inf"] * 2,
+        "lambda = inf * Lambda is not finite", "lambda = 1e+308 * Lambda is not finite",
+        "lasso experiments need lambda >= 6 Lambda",
+        "lambda = inf * Lambda is not finite", "lambda = 1e+308 * Lambda is not finite",
+        "Dantzig experiments need lambda >= Lambda")]
 
 
 @pytest.mark.parametrize("field,value", [

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from expander_cs import (GF, BipartiteGraph, DesignMatrix, load_graph, matching_graph,
-                         pv_expander, random_left_regular, save_graph)
+from expander_cs import (GF, BipartiteGraph, CapacityError, DesignMatrix, load_graph,
+                         matching_graph, pv_expander, random_left_regular, save_graph)
 from expander_cs.rng import Stream, gaussians
 
 
@@ -113,6 +113,18 @@ def test_dense_csv_roundtrip(tmp_path):
     parsed = np.array([[float(v) for v in row] for row in rows])
     np.testing.assert_array_equal(parsed, X.to_dense())
     assert parsed.shape == (5, 4)
+
+
+def test_dense_export_is_capped_at_the_boundary(tmp_path, monkeypatch):
+    X = DesignMatrix.from_graph(random_left_regular(4, 3, 5, seed=6))
+    monkeypatch.setattr("expander_cs.graphs.MAX_TABLE", 20)
+    assert X.to_dense().shape == (5, 4)
+    monkeypatch.setattr("expander_cs.graphs.MAX_TABLE", 19)
+    path = tmp_path / "X.csv"
+    for build in (X.to_dense, lambda: X.write_dense_csv(path)):
+        with pytest.raises(CapacityError, match=r"^dense design n\*p = 5\*4 exceeds limit 19$"):
+            build()
+    assert not path.exists()
 
 
 # -- reference oracle ----------------------------------------------------------

@@ -233,14 +233,28 @@ def test_array_table_is_range_and_order_checked():
 
 
 def test_index_past_int64_is_refused():
-    # right vertices past 2**63 cannot be int64 indices, whatever n is
-    bound = re.escape(f"[0, {2**63})")
-    with pytest.raises(ValueError, match=f"^left vertex 1 has a neighbor outside {bound}$"):
-        BipartiteGraph(2, 2**64, 2, [[0, 1], [5, 2**63]], "big")
-    with pytest.raises(ValueError, match=f"outside {bound}$"):
-        random_left_regular(4, 2, 2**64, seed=1)
-    g = BipartiteGraph(2, 2**64, 2, [[0, 1], [5, 2**63 - 1]], "big")
-    assert g.neighbors.tolist() == [[0, 1], [5, 2**63 - 1]]
+    # n is capped at MAX_SIDE for every graph, so no right vertex index can
+    # pass int64; an entry past it is out of range (see the bad-table cases)
+    side = graphs.MAX_SIDE
+    g = BipartiteGraph(2, side, 2, [[0, 1], [5, side - 1]], "big")
+    assert g.neighbors.tolist() == [[0, 1], [5, side - 1]]
+    for n, build in ((side + 1, lambda n: BipartiteGraph(2, n, 2, [[0, 1], [5, 6]], "big")),
+                     (2**64, lambda n: BipartiteGraph(2, n, 2, [[0, 1], [5, 2**63]], "big")),
+                     (2**64, lambda n: random_left_regular(4, 2, n, seed=1)),
+                     (side + 1, matching_graph)):
+        with pytest.raises(CapacityError, match=f"^right side n = {n} exceeds limit {side}$"):
+            build(n)
+
+
+def test_every_graph_is_capped_like_a_construction(tmp_path, monkeypatch):
+    save_graph(random_left_regular(3, 2, 5, seed=1), tmp_path / "g.json")
+    monkeypatch.setattr(graphs, "MAX_TABLE", 5)
+    with pytest.raises(CapacityError, match=r"^neighbor table p\*d = 3\*2 exceeds limit 5$"):
+        load_graph(tmp_path / "g.json")
+    monkeypatch.setattr(graphs, "MAX_SIDE", 4)
+    monkeypatch.setattr(graphs, "MAX_TABLE", 6)
+    with pytest.raises(CapacityError, match=r"^right side n = 5 exceeds limit 4$"):
+        load_graph(tmp_path / "g.json")
 
 
 def test_graph_equality_compares_every_field():

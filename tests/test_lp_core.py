@@ -25,7 +25,7 @@ from test_simplex_oracle import FAMILIES, basis_pursuit_lp
 def certified_lps(X):
     """Three basis-pursuit and three Dantzig LPs on the certified design,
     the Dantzig ones built as ``dantzig`` builds them."""
-    A = X._cached(solve._dantzig_matrix)
+    A = solve._dantzig_matrix(X)
     lam = 0.02
     lps = []
     for seed in range(3):

@@ -371,7 +371,7 @@ def test_certified_instance_lps_take_the_reference_pivots(certified, fast_bases)
     for seed in range(3):
         lp = basis_pursuit_lp(X, X.matvec(sparse_target(X.p, 2, seed)[0]))
         assert assert_same_pivots(lp, fast_bases) == "optimal"
-    A = X._cached(solve._dantzig_matrix)
+    A = solve._dantzig_matrix(X)
     lam = 0.02
     pivots = 0
     for seed in range(3):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from expander_cs import (DesignMatrix, LinearProgram, basis_pursuit, dantzig,
                          lasso, lp_solve, matching_graph, ols_on_support,
                          random_left_regular)
 from expander_cs.bench import sparse_target
-from expander_cs.errors import SolverStatusError
+from expander_cs.errors import CapacityError, SolverStatusError
 from expander_cs.graphs import BipartiteGraph
 from expander_cs.rng import Stream, gaussians
 
@@ -206,16 +207,18 @@ def test_lasso_rejects_nan_observations():
 
 def test_lasso_rejects_nan_lambda():
     X = DesignMatrix.from_graph(random_left_regular(8, 3, 10, seed=2))
-    with pytest.raises(ValueError, match="lam"):
-        lasso(X, gaussians(5, 10), math.nan)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            lasso(X, gaussians(5, 10), lam)
 
 
 def test_dantzig_and_bp_reject_nonfinite_observations():
     X = DesignMatrix.from_graph(matching_graph(3))
     with pytest.raises(ValueError, match="finite"):
         dantzig(X, [1.0, math.inf, 0.0], 0.5)
-    with pytest.raises(ValueError, match="lam"):
-        dantzig(X, [1.0, 2.0, 0.0], math.nan)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            dantzig(X, [1.0, 2.0, 0.0], lam)
     with pytest.raises(ValueError, match="finite"):
         basis_pursuit(X, [1.0, math.nan, 0.0])
 
@@ -234,6 +237,72 @@ def test_dantzig_zero_above_correlation():
     sol = dantzig(X, [3.0, 0.1], 3.0)     # lam >= ||X^T y||_inf
     np.testing.assert_allclose(sol.beta, [0.0, 0.0], atol=1e-12)
     assert sol.l1_norm == 0.0
+
+
+def lp_dantzig(X, y, lam):
+    """What ``dantzig`` returned before its zero exit: lp_solve on
+    ``_dantzig_matrix(X)`` with the right side from X^T y. Returns
+    (beta, slack, l1 norm, status, pivots)."""
+    p = X.p
+    corr = X.transpose_matvec(y)
+    res = lp_solve(LinearProgram(np.r_[np.ones(2 * p), np.zeros(2 * p)],
+                                 solve._dantzig_matrix(X), np.r_[lam - corr, lam + corr]))
+    beta = res.x[:p] - res.x[p:2 * p]
+    slack = float(np.max(np.abs(X.transpose_matvec(y - X.matvec(beta)))))
+    return beta, slack, float(np.abs(beta).sum()), res.status, res.iterations
+
+
+def zero_feasible_problems(certified):
+    X = DesignMatrix.from_graph(random_left_regular(8, 3, 6, seed=7))
+    y = gaussians(55, 6)
+    yield X, y, float(np.max(np.abs(X.transpose_matvec(y))))   # on the boundary
+    yield X, np.zeros(6), 0.0
+    _, X, _ = certified                      # sigma = 1 at lambda = Lambda
+    for seed in range(3):
+        y = X.matvec(sparse_target(X.p, 2, seed)[0]) + gaussians(900 + seed, X.n)
+        yield X, y, 2.0 * math.sqrt(math.log(X.n))
+
+
+def test_dantzig_zero_exit_returns_the_simplex_bytes(certified, monkeypatch):
+    builds = []
+    build = solve._dantzig_matrix
+    monkeypatch.setattr(solve, "_dantzig_matrix", lambda X: builds.append(X) or build(X))
+    problems = list(zero_feasible_problems(certified))
+    for X, y, lam in problems:
+        assert np.max(np.abs(X.transpose_matvec(y))) <= lam
+        sol = dantzig(X, y, lam)
+        beta, slack, l1, status, pivots = lp_dantzig(X, y, lam)
+        assert pivots == 0                   # the simplex stops at its crash basis
+        assert sol.beta.tobytes() == beta.tobytes() == np.zeros(X.p).tobytes()
+        assert (sol.constraint_slack, sol.l1_norm, sol.status) == (slack, l1, status)
+    assert len(builds) == len(problems)      # by lp_dantzig only
+
+
+def test_dantzig_builds_its_lp_per_call_and_keeps_nothing(monkeypatch):
+    X = DesignMatrix.from_graph(random_left_regular(8, 3, 6, seed=7))
+    y = gaussians(55, 6)
+    builds = []
+    build = solve._dantzig_matrix
+    monkeypatch.setattr(solve, "_dantzig_matrix", lambda X: builds.append(X) or build(X))
+    first, second = dantzig(X, y, 0.05), dantzig(X, y, 0.05)
+    assert builds == [X, X] and np.abs(first.beta).sum() > 0
+    assert first.beta.tobytes() == second.beta.tobytes()
+    assert vars(X).keys() == {"p", "n", "d", "rows", "_starts"}
+
+
+def test_dantzig_matrix_is_capped_before_it_is_built():
+    # 8 p^2 > MAX_TABLE at p = 1449; the design itself is tiny
+    X = DesignMatrix.from_graph(matching_graph(1449))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError,
+                           match=r"^Dantzig LP matrix 2p\*4p = 2898\*5796 exceeds limit 16777216$"):
+            dantzig(X, np.ones(1449), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert dantzig(X, np.ones(1449), 1.0).l1_norm == 0.0     # zero exit: no LP
 
 
 def test_dantzig_identity_soft_threshold_random():

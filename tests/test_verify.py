@@ -8,6 +8,7 @@ from expander_cs import (BipartiteGraph, DesignMatrix, check_expansion_exhaustiv
                          check_rip1_sampled, check_up2_sampled, matching_graph,
                          nullspace_property_oracle, random_left_regular,
                          recheck_violation)
+from expander_cs import verify
 from expander_cs.errors import CapacityError
 from expander_cs.rng import Stream, derive_seed, gaussians
 from expander_cs.verify import (_collision_graph, _connected_sets, _connected_subsets,
@@ -95,6 +96,29 @@ def test_exact_certificate_reaches_past_the_full_scan_count():
     g = random_left_regular(32, 8, 1536, derive_seed(0, 0))
     rep = check_expansion_exhaustive(g, 8, 0.125)
     assert rep.ok and rep.trials == _subset_budget(32, 8) == 15_033_172
+
+
+def test_expansion_bitmasks_are_capped_at_the_boundary(monkeypatch):
+    # p = 4, n = 8: the exact check holds 2pn + p^2 = 80 bits, the sampled pn = 32
+    g = random_left_regular(4, 2, 8, seed=1)
+    for check, bits in ((lambda: check_expansion_exhaustive(g, 2, 0.125), 80),
+                        (lambda: check_expansion_sampled(g, 2, 0.125, 5, 0), 32)):
+        monkeypatch.setattr(verify, "MAX_MASK_BITS", bits)
+        check()
+        monkeypatch.setattr(verify, "MAX_MASK_BITS", bits - 1)
+        with pytest.raises(CapacityError,
+                           match=f"^expansion bitmasks of {bits} bits exceed limit {bits - 1}$"):
+            check()
+
+
+def test_oversized_bitmasks_are_refused_before_they_are_built(monkeypatch):
+    # p = n = 2**20 would need 2**40 bits of masks per side
+    g = matching_graph(1 << 20)
+    monkeypatch.setattr(verify, "_expansion_scan", None)
+    for check in (lambda: check_expansion_exhaustive(g, 1, 0.125),
+                  lambda: check_expansion_sampled(g, 1, 0.125, 5, 0)):
+        with pytest.raises(CapacityError, match=r"^expansion bitmasks of \d+ bits exceed"):
+            check()
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 1.5, 1.0, 0.0, -1.0])

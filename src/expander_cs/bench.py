@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import CapacityError, SolverStatusError
+from .errors import CapacityError, SolverStatusError, read
 from .graphs import random_left_regular
 from .noise import NoiseModel, sample_noise, thresholds
 from .rng import Stream, derive_seed
@@ -379,24 +379,21 @@ def require_expander_certificate(X: DesignMatrix, s: int,
     another graph of the same shape still passes when its witness subset
     has the same count here; binding it fully needs a graph digest in the
     report, which would change report bytes."""
-    w = certificate.witness if isinstance(certificate.witness, dict) else {}
-    order, p, n, d, eps = (w.get(key) for key in ("s", "p", "n", "d", "eps"))
+    w = certificate.witness or {}
     if (certificate.condition != "expansion_exhaustive" or not certificate.ok
-            or not all(type(v) is int for v in (order, p, n, d))
-            or type(eps) not in (int, float) or (p, n, d) != (X.p, X.n, X.d)
-            or order < 2 * s or not 0.0 < eps <= 0.125 + 1e-12):
+            or tuple(read(w, key, int) for key in "pnd") != (X.p, X.n, X.d)
+            or read(w, "s", int) < 2 * s or not 0.0 < read(w, "eps", float) <= 0.125 + 1e-12):
         raise ValueError(
             "recovery experiment needs an exhaustive expansion certificate of "
             f"order >= {2 * s} at eps <= 1/8 for this exact design")
-    subset = w.get("subset")
-    if (not isinstance(subset, list) or not subset
-            or not all(type(i) is int and 0 <= i < X.p for i in subset)):
+    subset = read(w, "subset", list[int])
+    if not subset or not all(0 <= i < X.p for i in subset):
         raise ValueError("expansion certificate has no valid witness subset")
     count = len(set(X.rows[subset].ravel().tolist()))
-    if count != w.get("neighbor_count"):
+    if count != read(w, "neighbor_count", int):
         raise ValueError(
             f"expansion certificate does not match this design: its witness "
-            f"subset {subset} has {w.get('neighbor_count')} neighbours in the "
+            f"subset {subset} has {w['neighbor_count']} neighbours in the "
             f"certified graph and {count} here")
 
 

@@ -34,7 +34,7 @@ from .bench import (ExperimentReport, RecoveryInstance, mvse_sweep,
                     ols_oracle_comparison, run_dantzig_experiment,
                     run_lasso_experiment, run_recovery_experiment)
 from .design import DesignMatrix
-from .errors import CapacityError, SolverStatusError
+from .errors import CapacityError, SolverStatusError, load_object, read
 from .fields import GF, MAX_FIELD_ORDER, is_prime
 from .graphs import (graph_from_json_dict, graph_to_json_text, load_graph,
                      matching_graph, pv_expander, random_left_regular)
@@ -109,51 +109,19 @@ def _write_manifest(out: Path | None, command: str, params: dict) -> None:
         dumps_17g(manifest) + "\n", encoding="utf-8")
 
 
-_REQUIRED = object()
-
-
-def _is(value, kind: type) -> bool:
-    """Whether a JSON value has the type ``kind``; a float may be written
-    as an int, and a bool counts only as a bool."""
-    return (isinstance(value, bool) == (kind is bool)
-            and isinstance(value, (int, float) if kind is float else kind))
-
-
-def _read(obj: dict, key: str, kind: type, default=_REQUIRED):
-    """``obj[key]`` checked to have the type ``kind``, or ``default`` when
-    the key is absent. A missing required key raises KeyError, a value of
-    the wrong type ValueError; both name the key."""
-    if key not in obj and default is not _REQUIRED:
-        return default
-    value = obj[key]
-    if not _is(value, kind):
-        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _load_object(path) -> dict:
-    """A JSON file whose top level is an object."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
-    return obj
-
-
 def _graph_from_spec(spec, seed: int):
     """Graph from a file path or an inline construction object."""
     if isinstance(spec, str):
         return load_graph(spec)
-    if not isinstance(spec, dict):
-        raise ValueError("design must be a path or a construction object")
-    kind = spec.get("kind")
+    kind = read(spec, "kind", str)
     if kind == "random":
-        return random_left_regular(*(_read(spec, key, int) for key in "pdn"),
-                                   _read(spec, "seed", int, seed))
+        return random_left_regular(*(read(spec, key, int) for key in "pdn"),
+                                   read(spec, "seed", int, seed))
     if kind == "pv":
-        r, k = _prime_power(_read(spec, "q", int))
-        return pv_expander(GF(r, k), *(_read(spec, key, int) for key in "lmh"))
+        r, k = _prime_power(read(spec, "q", int))
+        return pv_expander(GF(r, k), *(read(spec, key, int) for key in "lmh"))
     if kind == "matching":
-        return matching_graph(_read(spec, "n", int))
+        return matching_graph(read(spec, "n", int))
     if kind == "graph":
         return graph_from_json_dict(spec)
     raise ValueError(f"unknown design kind {kind!r}")
@@ -185,22 +153,18 @@ def _parse_noise_model(n: int, sigma: float, model) -> NoiseModel:
         if model.startswith("ar1:"):
             return NoiseModel(n, sigma, "ar1", rho=float(model[4:]))
         raise ValueError(f"unknown noise model {model!r}")
-    if isinstance(model, dict):
-        kind = model.get("kind", "iid")
-        if kind == "iid":
-            return NoiseModel(n, sigma)
-        if kind == "ar1":
-            return NoiseModel(n, sigma, "ar1", rho=_read(model, "rho", float))
-        if kind == "explicit":
-            return NoiseModel(n, sigma, "explicit",
-                              corr=np.asarray(model["corr"], dtype=np.float64))
-    raise ValueError(f"cannot parse noise model {model!r}")
+    kind = read(model, "kind", str, "iid")
+    if kind == "ar1":
+        return NoiseModel(n, sigma, "ar1", rho=read(model, "rho", float))
+    if kind == "explicit":
+        return NoiseModel(n, sigma, "explicit", corr=read(model, "corr", list[list[float]]))
+    return NoiseModel(n, sigma, kind)
 
 
 def _noise_from_config(config: dict, n: int) -> NoiseModel:
-    noise_cfg = _read(config, "noise", dict, {})
-    return _parse_noise_model(n, _read(noise_cfg, "sigma", float, 1.0),
-                              noise_cfg.get("model", "iid"))
+    noise_cfg = read(config, "noise", dict, {})
+    return _parse_noise_model(n, read(noise_cfg, "sigma", float, 1.0),
+                              read(noise_cfg, "model", str | dict, "iid"))
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +224,24 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
 
 
 def _cmd_solve(args) -> tuple[str, dict, int]:
-    problem = _load_object(args.problem)
-    estimator = problem["estimator"]
-    X = DesignMatrix.from_graph(
-        _graph_from_spec(problem.get("graph") or problem["graph_path"], args.seed))
-    y = _read(problem, "y", list)
-    if not all(_is(v, float) for v in y):
-        raise ValueError("'y' must be a list of numbers")
-    y = np.asarray(y, dtype=np.float64)
+    problem = load_object(args.problem)
+    estimator = read(problem, "estimator", str)
+    X = DesignMatrix.from_graph(_graph_from_spec(
+        read(problem, "graph", str | dict | None, None) or read(problem, "graph_path", str),
+        args.seed))
+    y = np.asarray(read(problem, "y", list[float]), dtype=np.float64)
     code = 0
     try:
         if estimator == "lasso":
-            sol = lasso(X, y, _read(problem, "lambda", float),
-                        _read(problem, "tol", float, 1e-8),
-                        _read(problem, "max_iter", int, 100000))
+            sol = lasso(X, y, read(problem, "lambda", float),
+                        read(problem, "tol", float, 1e-8),
+                        read(problem, "max_iter", int, 100000))
             result = {"estimator": "lasso", "beta": sol.beta,
                       "objective": sol.objective, "kkt_residual": sol.kkt_residual,
                       "iterations": sol.iterations, "converged": sol.converged}
             code = 0 if sol.converged else 1
         elif estimator == "dantzig":
-            sol = dantzig(X, y, _read(problem, "lambda", float))
+            sol = dantzig(X, y, read(problem, "lambda", float))
             result = {"estimator": "dantzig", "beta": sol.beta,
                       "l1_norm": sol.l1_norm,
                       "constraint_slack": sol.constraint_slack,
@@ -317,26 +279,32 @@ _MVSE_COLUMNS = ("p", "s", "d", "n", "alpha", "skipped", "certified",
 def _cmd_bench(args) -> tuple[str, dict, int]:
     if args.kind == "ols" and args.format == "csv":
         _usage("bench ols writes JSON only")
-    config = _load_object(args.config)
-    seed = _read(config, "seed", int, args.seed)
-    trials = _read(config, "trials", int, _DEFAULT_TRIALS[args.kind])
+    config = load_object(args.config)
+    seed = read(config, "seed", int, args.seed)
+    trials = read(config, "trials", int, _DEFAULT_TRIALS[args.kind])
     if trials < 1:
         raise ValueError(f"'trials' must be >= 1, got {trials}")
     params = {"config": config, "seed": seed}
 
     if args.kind == "mvse":
-        ps = _read(config, "ps", list)
-        s_values = _read(config, "s_values", list, [])
-        if not all(_is(v, int) for v in ps + s_values):
-            raise ValueError("'ps' and 's_values' must be lists of integers")
+        ps = read(config, "ps", list[int])
+        if min(ps, default=1) < 1:
+            raise ValueError(f"'ps' must hold integers >= 1, got {min(ps)}")
         if "s_values" in config:
-            s_rule = dict(zip(ps, s_values)).__getitem__
+            s_values = read(config, "s_values", list[int])
+            if len(s_values) != len(ps):
+                raise ValueError(f"'s_values' has {len(s_values)} entries for {len(ps)} 'ps'")
         else:
-            expo = _read(config, "s_exponent", float, 0.4)
-            s_rule = lambda p: max(1, round(p**expo))
-        rows = mvse_sweep(ps, s_rule, _read(config, "alpha", float, 1.0), trials, seed,
-                          sigma=_read(config, "sigma", float, 1.0),
-                          d=_read(config, "d", int, 8), n=_read(config, "n", int, 1536))
+            expo = read(config, "s_exponent", float, 0.4)
+            try:
+                s_values = [max(1, round(p**expo)) for p in ps]
+            except (OverflowError, ValueError):     # p**expo past a double, or NaN
+                raise ValueError(
+                    f"'s_exponent' = {expo} makes p**s_exponent non-finite") from None
+        s_rule = dict(zip(ps, s_values)).__getitem__
+        rows = mvse_sweep(ps, s_rule, read(config, "alpha", float, 1.0), trials, seed,
+                          sigma=read(config, "sigma", float, 1.0),
+                          d=read(config, "d", int, 8), n=read(config, "n", int, 1536))
         if args.format == "json":
             text = dumps_17g(rows)
         else:
@@ -344,32 +312,32 @@ def _cmd_bench(args) -> tuple[str, dict, int]:
                          *([row.get(c) for c in _MVSE_COLUMNS] for row in rows)])
         return text, params, 0 if all(not r["skipped"] for r in rows) else 1
 
-    graph = _graph_from_spec(config["design"], seed)
+    graph = _graph_from_spec(read(config, "design", str | dict), seed)
     X = DesignMatrix.from_graph(graph)
 
     if args.kind == "ols":
-        inst = RecoveryInstance.build(X, "exact-sparse", _read(config, "s", int, 2),
+        inst = RecoveryInstance.build(X, "exact-sparse", read(config, "s", int, 2),
                                       _noise_from_config(config, X.n), 6.0, seed)
         out = ols_oracle_comparison(inst, trials,
-                                    _read(config, "include_estimators", bool, False))
+                                    read(config, "include_estimators", bool, False))
         return dumps_17g(out), params, 0 if out["within_10pct"] else 1
 
     if args.kind == "recovery":
-        s = _read(config, "s", int)
+        s = read(config, "s", int)
         if "certificate" in config:
-            cert = report_from_json_dict(_load_object(_read(config, "certificate", str)))
+            cert = report_from_json_dict(load_object(read(config, "certificate", str)))
         else:
-            certify = _read(config, "certify", dict, {})
+            certify = read(config, "certify", dict, {})
             cert = check_expansion_exhaustive(
-                graph, _read(certify, "s", int, 2 * s), _read(certify, "eps", float, 0.125),
-                _read(certify, "budget", int, EXPANSION_BUDGET))
+                graph, read(certify, "s", int, 2 * s), read(certify, "eps", float, 0.125),
+                read(certify, "budget", int, EXPANSION_BUDGET))
         report = run_recovery_experiment(X, s, trials, seed, cert)
         ok = report.all_event_checks_hold() and report.flagged == 0
     else:
-        target = _read(config, "target", dict, {})
+        target = read(config, "target", dict, {})
         inst = RecoveryInstance.build(
-            X, target.get("kind", "exact-sparse"), _read(target, "s", int, 2),
-            _noise_from_config(config, X.n), _read(config, "lambda_multiple", float), seed)
+            X, read(target, "kind", str, "exact-sparse"), read(target, "s", int, 2),
+            _noise_from_config(config, X.n), read(config, "lambda_multiple", float), seed)
         run = run_lasso_experiment if args.kind == "lasso" else run_dantzig_experiment
         report = run(inst, trials)
         eta = thresholds(1.0, X.n).eta_n

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, check_power
+from .errors import CapacityError, check_power, load_object, read
 from .fields import GF, find_irreducible, poly_eval, poly_mod_pow
 from .rng import Stream
 
@@ -221,22 +221,16 @@ def graph_to_json_text(g: BipartiteGraph) -> str:
 
 
 def graph_from_json_dict(obj: dict) -> BipartiteGraph:
-    """The graph of an interchange object. Every field must have its exact
-    JSON type (a bool is not an integer); anything else is a ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError("graph object must be a JSON object")
-    try:
-        p, n, d, provenance, neighbors = (obj[key] for key in
-                                          ("p", "n", "d", "provenance", "neighbors"))
-    except KeyError as exc:
-        raise ValueError(f"graph object is missing field {exc}") from exc
-    for key, value in (("p", p), ("n", n), ("d", d)):
-        if type(value) is not int:              # a bool is not an integer
-            raise ValueError(f"graph field {key!r} must be an integer, got {value!r}")
-    if not isinstance(provenance, str):
-        raise ValueError(f"graph field 'provenance' must be a string, got {provenance!r}")
+    """The graph of an interchange object. ``p``, ``n``, ``d`` and
+    ``provenance`` are read by ``errors.read`` as ints and a string; the
+    neighbor table is type-tested here, whole, in one pass over its
+    entries rather than one call per entry. Any other input is a
+    ValueError naming the field."""
+    p, n, d = (read(obj, key, int) for key in "pnd")
+    provenance = read(obj, "provenance", str)
+    neighbors = read(obj, "neighbors", list)
     # a decoded JSON integer has type int exactly; a bool has type bool
-    if not (isinstance(neighbors, list) and all(isinstance(nb, list) for nb in neighbors)
+    if not (all(isinstance(nb, list) for nb in neighbors)
             and {*map(type, itertools.chain.from_iterable(neighbors))} <= {int}):
         raise ValueError("graph field 'neighbors' must be an array of integer arrays")
     return BipartiteGraph(p, n, d, neighbors, provenance)
@@ -248,5 +242,4 @@ def save_graph(g: BipartiteGraph, path) -> None:
 
 
 def load_graph(path) -> BipartiteGraph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))
+    return graph_from_json_dict(load_object(path))

@@ -103,8 +103,11 @@ def thresholds(sigma: float, n: int, t: float = 1.0) -> Thresholds:
     if not math.isfinite(lam_t):
         raise ValueError(f"Lambda_t overflows at sigma={sigma}, t={t}")
     eta = 1.0 / (math.sqrt(2.0 * math.pi) * n * root)
-    bound = 1.0 - math.sqrt(2.0) / ((1.0 + t) * math.sqrt(math.pi * logn)
-                                    * n ** ((1.0 + t) ** 2 / 2.0 - 1.0))
+    try:
+        bound = 1.0 - math.sqrt(2.0) / ((1.0 + t) * math.sqrt(math.pi * logn)
+                                        * n ** ((1.0 + t) ** 2 / 2.0 - 1.0))
+    except OverflowError:   # the power passes a double: the tail is below 2**-1024
+        bound = 1.0
     return Thresholds(sigma, n, t, lam, lam_t, eta, bound)
 
 
@@ -156,25 +159,25 @@ def empirical_noise_bound(X: DesignMatrix, model: NoiseModel, t: float,
     Passing means the frequency is no more than three binomial standard
     errors (computed at the bound) below the theoretical lower bound. The
     sup-norm non-amplification ||X^T z||_inf <= ||z||_inf is recorded as a
-    side check; it must hold exactly on every draw.
+    side check; it must hold exactly on every draw. At sigma = 0 every draw
+    is zero and the bound is 1; n and t are validated at every sigma.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if model.n != X.n:
         raise ValueError(f"noise length {model.n} differs from design rows {X.n}")
-    th = thresholds(model.sigma, model.n, t) if model.sigma > 0 else None
-    lam_t = th.lam_t if th else 0.0
-    bound = th.high_prob_bound if th else 1.0
+    th = thresholds(model.sigma, model.n, t)
+    bound = th.high_prob_bound if model.sigma > 0 else 1.0
     hits = 0
     nonamp_ok = True
     for k in range(trials):
         z = sample_noise(model, derive_seed(seed, k))
         xtz = float(np.max(np.abs(X.transpose_matvec(z))))
-        if xtz <= lam_t:
+        if xtz <= th.lam_t:
             hits += 1
         if z.size and xtz > float(np.max(np.abs(z))):
             nonamp_ok = False
     freq = hits / trials
     se = math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)
     return NoiseBoundCheck(freq, bound, freq >= bound - 3.0 * se, trials, t,
-                           lam_t, nonamp_ok)
+                           th.lam_t, nonamp_ok)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import CapacityError, SolverStatusError
+from .errors import CapacityError, SolverStatusError, read
 from .graphs import BipartiteGraph, neighbor_set
 from .rng import Stream, derive_seed, gaussians
 from .solve import LinearProgram, lp_solve
@@ -70,13 +70,13 @@ class VerificationReport:
 
 
 def report_from_json_dict(obj: dict) -> VerificationReport:
-    try:
-        return VerificationReport(
-            str(obj["condition"]), bool(obj["ok"]),
-            None if obj["worst_ratio"] is None else float(obj["worst_ratio"]),
-            obj["witness"], obj["trials"], obj["seed"])
-    except KeyError as exc:
-        raise ValueError(f"verification report is missing field {exc}") from exc
+    """The report of a decoded JSON object, each field read as decoded:
+    ``condition`` a string, ``ok`` a bool, ``worst_ratio`` a number or null,
+    ``witness`` an object or null, ``trials`` and ``seed`` an int or null."""
+    return VerificationReport(
+        read(obj, "condition", str), read(obj, "ok", bool),
+        read(obj, "worst_ratio", float | None), read(obj, "witness", dict | None),
+        read(obj, "trials", int | None), read(obj, "seed", int | None))
 
 
 def _subset_budget(p: int, s: int) -> int:
@@ -385,9 +385,10 @@ def check_up2_sampled(X: DesignMatrix, s: int, trials: int, seed: int) -> Verifi
 
 def kernel_basis(X: DesignMatrix, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal kernel basis columns from the SVD, singular values
-    below ``tol`` treated as zero."""
+    below ``tol`` treated as zero. The full p x p V is needed only when
+    n < p; a tall design skips the n x n U, which is never read."""
     dense = X.to_dense()
-    _, svals, vt = np.linalg.svd(dense, full_matrices=True)
+    _, svals, vt = np.linalg.svd(dense, full_matrices=X.n < X.p)
     rank = int(np.sum(svals > tol))
     return vt[rank:].T.copy()
 

@@ -537,25 +537,59 @@ def test_nonfinite_penalty_exits_2(tmp_path, capsys):
         "Dantzig experiments need lambda >= Lambda")]
 
 
+def _recovery_with_edited_certificate(tmp_path, capsys, edit, graph=(12, 4, 80, 2),
+                                      verify_code=0):
+    """Exit code and stderr of ``bench recovery`` at s = 1 on the graph
+    ``random(p, d, n, seed)``, with its order-2 verify report (which exits
+    ``verify_code``), changed by ``edit``, as the certificate."""
+    p, d, n, seed = graph
+    path, cert = tmp_path / "g.json", tmp_path / "cert.json"
+    run(["construct", "random", "--p", p, "--d", d, "--n", n, "--seed", seed,
+         "--out", path])
+    assert run(["verify", "--graph", path, "--s", 2, "--out", cert]) == verify_code
+    report = json.loads(cert.read_text())
+    edit(report)
+    cert.write_text(json.dumps(report))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": str(path), "s": 1, "trials": 3,
+                               "certificate": str(cert)}))
+    capsys.readouterr()
+    return run(["bench", "recovery", "--config", cfg]), capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,value", [
     ("eps", None), ("eps", math.nan), ("s", "4"), ("d", True),
 ])
 def test_bench_recovery_certificate_witness_types_exit_2(tmp_path, capsys, field, value):
-    design = {"kind": "random", "p": 12, "d": 4, "n": 80, "seed": 2}
-    graph, cert = tmp_path / "g.json", tmp_path / "cert.json"
-    run(["construct", "random", "--p", 12, "--d", 4, "--n", 80, "--seed", 2,
-         "--out", graph])
-    assert run(["verify", "--graph", graph, "--s", 2, "--out", cert]) == 0
-    report = json.loads(cert.read_text())
-    report["witness"][field] = value
-    cert.write_text(json.dumps(report))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"design": design, "s": 1, "trials": 2,
-                               "certificate": str(cert)}))
-    capsys.readouterr()
-    assert run(["bench", "recovery", "--config", cfg]) == 2
-    err = capsys.readouterr().err
+    code, err = _recovery_with_edited_certificate(
+        tmp_path, capsys, lambda report: report["witness"].update({field: value}))
+    assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("ok", "false"), ("ok", 1), ("trials", "3"), ("condition", 5),
+    ("worst_ratio", "1"), ("witness", [1]), ("seed", 1.5),
+])
+def test_bench_recovery_certificate_field_types_exit_2(tmp_path, capsys, field, value):
+    # the report's own fields are read with their JSON types, not coerced:
+    # bool("false") used to certify the design
+    code, err = _recovery_with_edited_certificate(
+        tmp_path, capsys, lambda report: report.update({field: value}))
+    assert code == 2
+    assert err.startswith(f"error: {field!r} must be of type ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ok", [False, "false", 1, 0, None, "true", [True]])
+def test_a_refuted_certificate_never_certifies(tmp_path, capsys, ok):
+    # random(30, 3, 30, 0) is refuted at order 2 (witness [0, 1] has 4
+    # neighbours); no value of "ok" but true lets a recovery run
+    def edit(report):
+        assert report["witness"]["subset"] == [0, 1]
+        report["ok"] = ok
+    code, err = _recovery_with_edited_certificate(tmp_path, capsys, edit, (30, 3, 30, 0), 1)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bench_recovery_certifies_the_gf17_pv_design(tmp_path):
@@ -590,12 +624,21 @@ def test_non_finite_sigma_is_an_input_error(tmp_path, capsys, sigma):
     assert "Warning" not in err and "y must be finite" not in err
 
 
+BIG = 10**400   # a JSON integer that float() cannot convert
+
+
 @pytest.mark.parametrize("problem", [
     {"estimator": "lasso", "lambda": "0.3"},
     {"estimator": "dantzig", "lambda": "0.3"},
     {"estimator": "lasso", "lambda": 0.3, "max_iter": 10.5},
     {"estimator": "bp", "y": {"a": 1}},
     {"estimator": "bp", "y": [1.0, "0"]},
+    # numbers float() cannot convert, and a bool, used to end in a traceback
+    # or be read as 1.0
+    {"estimator": "lasso", "lambda": BIG},
+    {"estimator": "dantzig", "lambda": BIG},
+    {"estimator": "bp", "y": [BIG, 0.0]},
+    {"estimator": "bp", "y": [True, 0.0]},
 ])
 def test_solve_problem_field_types_exit_2(tmp_path, capsys, problem):
     path = tmp_path / "prob.json"
@@ -603,9 +646,56 @@ def test_solve_problem_field_types_exit_2(tmp_path, capsys, problem):
                                 "graph": {"kind": "matching", "n": 2}}))
     assert run(["solve", "--problem", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {list(problem)[-1]!r} must be of type ")
+    assert err.count("\n") == 1
     path.write_text(json.dumps([problem]))
     assert run(["solve", "--problem", path]) == 2
+
+
+@pytest.mark.parametrize("kind,config,field", [
+    ("lasso", _bench_lasso_config(noise={"sigma": BIG}), "sigma"),
+    ("lasso", _bench_lasso_config(noise={"model": {"kind": "explicit", "corr": [[BIG]]}},
+                                  design={"kind": "matching", "n": 1}), "corr"),
+    ("lasso", _bench_lasso_config(noise={"model": {"kind": "explicit", "corr": [[True]]}},
+                                  design={"kind": "matching", "n": 1}), "corr"),
+    ("lasso", _bench_lasso_config(target={"kind": ["x"]}), "kind"),
+    ("dantzig", _bench_lasso_config(lambda_multiple=BIG), "lambda_multiple"),
+    ("mvse", {"ps": [-4], "trials": 2, "n": 64}, "ps"),
+    ("mvse", {"ps": [0], "trials": 2, "n": 64}, "ps"),
+    ("mvse", {"ps": [12], "s_exponent": 1e308, "trials": 2, "n": 64}, "s_exponent"),
+    ("mvse", {"ps": [12], "s_exponent": math.nan, "trials": 2, "n": 64}, "s_exponent"),
+    ("mvse", {"ps": [12, 20], "s_values": [1], "trials": 2, "n": 64}, "s_values"),
+    ("mvse", {"trials": 2}, "ps"),
+    ("recovery", {"design": {"kind": "matching", "n": 4}, "trials": 2}, "s"),
+    ("lasso", _bench_lasso_config(design={"kind": "random", "p": 12, "n": 80}), "d"),
+])
+def test_bench_config_errors_name_the_field(tmp_path, capsys, kind, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["bench", kind, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{field}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["--t", -1], ["--t", "nan"], ["--n", 1]])
+def test_noise_check_at_sigma_0_validates_n_and_t(capsys, args):
+    assert run(["noise-check", "--n", 10, "--sigma", 0, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for t in (1, 1e10):                 # bound 1, also where the tail underflows
+        assert run(["noise-check", "--n", 10, "--sigma", 0, "--t", t]) == 0
+        assert capsys.readouterr().out == '{\n  "frequency": 1,\n  "bound": 1,\n  "pass": true\n}\n'
+
+
+def test_kernel_check_of_a_tall_design_under_a_memory_cap(tmp_path):
+    # a full SVD of the 65536 x 16 design would build a 32 GiB U
+    assert run(["construct", "random", "--p", 16, "--d", 2, "--n", 65536,
+                "--out", tmp_path / "tall.json"]) == 0
+    code, err = _run_capped(["verify", "--graph", "tall.json", "--check", "kernel",
+                             "--s", 1, "--out", "r.json"], tmp_path)
+    assert code in (0, 1) and err == ""
+    assert json.loads((tmp_path / "r.json").read_text())["condition"] == "kernel_concentration"
 
 
 def test_verify_nsp_uses_its_own_budget(tmp_path, capsys):

@@ -166,6 +166,14 @@ def test_graph_from_json_dict_refuses_non_integer_neighbors(bad):
     assert graph_from_json_dict(obj).neighbors.tolist() == [[0, 1], [2, 3]]
 
 
+@pytest.mark.parametrize("field", ["p", "n", "d", "provenance", "neighbors"])
+def test_graph_from_json_dict_names_a_missing_field(field):
+    obj = {"p": 2, "n": 4, "d": 2, "provenance": "x", "neighbors": [[0, 1], [2, 3]]}
+    del obj[field]
+    with pytest.raises(ValueError, match=f"^missing field '{field}'$"):
+        graph_from_json_dict(obj)
+
+
 def test_graph_json_roundtrip(tmp_path):
     g = random_left_regular(7, 3, 9, seed=8)
     obj = graph_to_json_dict(g)

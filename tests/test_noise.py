@@ -42,6 +42,13 @@ def test_threshold_rejects_nan_parameters():
         thresholds(1e308, 100)
 
 
+def test_threshold_bound_at_a_huge_t_is_1():
+    # n ** ((1+t)**2/2 - 1) overflows a double, so the tail term rounds away
+    for sigma in (0.0, 1.0):
+        for t in (1e10, 1e200):
+            assert thresholds(sigma, 10, t).high_prob_bound == 1.0
+
+
 def test_noise_model_rejects_nan_sigma():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma must be"):

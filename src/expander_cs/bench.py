@@ -473,9 +473,11 @@ def search_certified_graph(p: int, d: int, n_values, s: int, eps: float,
     expansion check passes.
 
     Returns (graph, report, attempts) or (None, None, attempts). Each
-    check examines only the subsets that are connected in the collision
-    graph, up to the first violator, so a full pass on a graph whose
-    neighbor lists rarely overlap costs little more than a refutation.
+    check builds only the subsets that are connected in the collision
+    graph, one size at a time, and stops at the first chunk that holds a
+    violator: a graph refuted by a pair costs one sort of its neighbor
+    table, and a full pass on a graph whose neighbor lists rarely overlap
+    costs little more.
     """
     attempts = 0
     for n in n_values:
@@ -488,20 +490,21 @@ def search_certified_graph(p: int, d: int, n_values, s: int, eps: float,
     return None, None, attempts
 
 
-def mvse_sweep(ps, s_rule, alpha: float, trials: int, seed: int, *,
+def mvse_sweep(ps, s_values, alpha: float, trials: int, seed: int, *,
                sigma: float = 1.0, d: int = 8, n: int = 1536) -> list[dict]:
     """Mean-variable-selection-error proxy across a size sweep.
 
-    For each p: certify a random design at order 2 s(p) exactly, trying up
-    to MVSE_SEEDS seeds, run the lasso at lam = 7 Lambda, and report the
-    worst event-trial off-support mass per off-support coordinate. Rows
+    For each p in ``ps`` and the s at the same place in ``s_values`` (a p
+    may repeat with another s): certify a random design at order 2 s
+    exactly, trying up to MVSE_SEEDS seeds, run the lasso at lam = 7 Lambda,
+    and report the worst event-trial off-support mass per off-support
+    coordinate. Rows
     with 2 s > p, rows that fail construction or certification, and rows
     whose first check past the default budget stops the seed search are
     marked skipped.
     """
     rows = []
-    for idx, p in enumerate(ps):
-        s = int(s_rule(p))
+    for idx, (p, s) in enumerate(zip(ps, s_values, strict=True)):
         row = {"p": p, "s": s, "d": d, "n": n, "alpha": alpha, "skipped": True,
                "certified": None, "graph_seed": None, "proxy": None, "bound": None}
         if not 1 <= s <= p // 2 or d > n:      # certified at order 2 s <= p

@@ -301,8 +301,7 @@ def _cmd_bench(args) -> tuple[str, dict, int]:
             except (OverflowError, ValueError):     # p**expo past a double, or NaN
                 raise ValueError(
                     f"'s_exponent' = {expo} makes p**s_exponent non-finite") from None
-        s_rule = dict(zip(ps, s_values)).__getitem__
-        rows = mvse_sweep(ps, s_rule, read(config, "alpha", float, 1.0), trials, seed,
+        rows = mvse_sweep(ps, s_values, read(config, "alpha", float, 1.0), trials, seed,
                           sigma=read(config, "sigma", float, 1.0),
                           d=read(config, "d", int, 8), n=read(config, "n", int, 1536))
         if args.format == "json":

@@ -6,7 +6,9 @@ connected in the collision graph (left vertices linked when they share a
 right vertex): neighbor counts add up over components, so the first
 violator and the first worst subset of a full (size, lex) scan are always
 connected, and the report equals that scan's, ``trials`` included (see
-:func:`check_expansion_exhaustive`). The vector-quantified conditions
+:func:`check_expansion_exhaustive`). :mod:`.connected` builds those subsets
+on numpy arrays one size at a time, each level grown from the one before,
+in chunks of whole (size, smallest vertex) blocks. The vector-quantified conditions
 (RIP-1, the uncertainty-principle inequality, kernel concentration) are
 quantified over all of R^p and can only be falsified by sampling, so those
 checks are one-sided: a failure is definitive, a pass means "no violation
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connected import scan_connected
 from .design import DesignMatrix
 from .errors import CapacityError, SolverStatusError, read
 from .graphs import BipartiteGraph, neighbor_set
@@ -43,7 +46,7 @@ from .solve import LinearProgram, lp_solve
 SLACK = 1e-9  # absolute slack for near-integer / floating comparisons
 EXPANSION_BUDGET = 10**7  # default cap on the subsets an exhaustive expansion check covers
 NSP_BUDGET = 10**4        # default cap on the subset/sign pairs of the NSP oracle
-MAX_MASK_BITS = 1 << 32   # cap on the bits of an expansion check's bitmasks: 512 MiB
+MAX_MASK_BITS = 1 << 32   # cap on the bits of the sampled expansion check's bitmasks: 512 MiB
 
 
 @dataclass
@@ -104,8 +107,9 @@ def _check_mask_bits(bits: int) -> None:
 
 
 def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
-    """Shared core: scan subsets, track the first strict minimum of
-    |N(I)| / (d |I|) and stop at the first violator.
+    """The sampled check's scan, and the tests' brute-force oracle for the
+    exact one: scan subsets over bitmasks, track the first strict minimum
+    of |N(I)| / (d |I|) and stop at the first violator.
     Returns (first violator or None, worst ratio, witness, subsets examined)."""
     masks = [0] * g.p
     for i, nb in enumerate(g.neighbors.tolist()):
@@ -131,73 +135,12 @@ def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
         if cnt < least[len(subset)]:
             violator = tuple(subset)
             break
-    witness = {"s": s, "eps": eps, "p": g.p, "n": g.n, "d": g.d,
-               "subset": list(worst_subset), "neighbor_count": worst_count}
-    return violator, worst, witness, examined
+    return violator, worst, _witness(g, s, eps, worst_subset, worst_count), examined
 
 
-def _collision_graph(g: BipartiteGraph) -> list[int]:
-    """Left-vertex collision graph: entry i is a bitmask with bit j set when
-    left vertices i != j share a right vertex."""
-    table = g.neighbors.tolist()
-    rows = [0] * g.n
-    for i, nb in enumerate(table):
-        bit = 1 << i
-        for j in nb:
-            rows[j] |= bit
-    adj = []
-    for i, nb in enumerate(table):
-        m = 0
-        for j in nb:
-            m |= rows[j]
-        adj.append(m & ~(1 << i))
-    return adj
-
-
-def _connected_sets(adj: list[int], root: int, k: int, cap: int) -> list[tuple[int, ...]]:
-    """The k-sets (k >= 2) that are connected in the collision graph and
-    whose smallest vertex is ``root``, as ascending tuples in lex order.
-    Raises CapacityError as soon as more than ``cap`` are found.
-
-    ESU enumeration (Wernicke 2006): a set grows only by vertices above the
-    root that neighbor it, and a vertex joins the candidate list only
-    through the first member it neighbors, so each set is built once."""
-    above = ~((2 << root) - 1)
-    if not adj[root] & above:
-        return []
-    found = []
-    stack = [((root,), adj[root] | (1 << root), adj[root] & above)]
-    while stack:
-        members, closed, ext = stack.pop()
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            w = low.bit_length() - 1
-            grown = (*members, w) if w > members[-1] else tuple(sorted((*members, w)))
-            if len(grown) == k:
-                found.append(grown)
-                if len(found) > cap:
-                    raise CapacityError(f"connected {k}-sets exceed the budget ({cap} left)")
-            else:
-                stack.append((grown, closed | adj[w], ext | (adj[w] & ~closed & above)))
-    found.sort()
-    return found
-
-
-def _connected_subsets(g: BipartiteGraph, s: int, budget: int = EXPANSION_BUDGET):
-    """Connected subsets of size 1..s in (size, lex) order, one (size,
-    smallest vertex) block at a time; past ``budget`` raises CapacityError."""
-    left = budget - g.p
-    if left < 0:
-        raise CapacityError(f"{g.p} singletons exceed budget {budget}")
-    yield from ((i,) for i in range(g.p))
-    adj = _collision_graph(g)
-    for k in range(2, s + 1):
-        for root in range(g.p):
-            block = _connected_sets(adj, root, k, left)
-            left -= len(block)
-            yield from block
-            del block  # freed before the next block is built
+def _witness(g: BipartiteGraph, s: int, eps: float, subset, count: int) -> dict:
+    return {"s": s, "eps": eps, "p": g.p, "n": g.n, "d": g.d,
+            "subset": list(subset), "neighbor_count": count}
 
 
 def _lex_rank(subset: tuple[int, ...], p: int) -> int:
@@ -232,10 +175,9 @@ def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
                                budget: int = EXPANSION_BUDGET) -> VerificationReport:
     """Exact decision: every left subset of size 1..s must have at least
     (1 - eps) d |I| distinct neighbors. ``budget`` caps the connected
-    subsets enumerated, never more than the sum of C(p, k) over k = 1..s;
-    past it CapacityError is raised, unless a violator came first. A graph
-    whose bitmasks would pass MAX_MASK_BITS bits is refused before any is
-    built, by CapacityError too.
+    subsets enumerated, never more than the sum of C(p, k) over k = 1..s:
+    the first (size, smallest vertex) block of them that passes it raises
+    CapacityError, unless a violator came in an earlier block.
 
     The report is the one a scan of every subset in (size, lex) order would
     give, stopping at the first violator, but only subsets that are
@@ -248,6 +190,11 @@ def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
     decides: the sum of C(p, k) on a pass, and on a refutation the first
     violator's 1-based position in (size, lex) order.
 
+    :func:`.connected.scan_connected` builds and scans the connected
+    subsets on arrays, one size at a time, in chunks of whole blocks: it
+    holds only the level before whole, and a refutation stops at the
+    chunk that holds its violator.
+
     The argument needs the least passing count per size to be
     subadditive. An eps that puts (1 - eps) d k just past an integer can
     break that, because components that each pass within SLACK can add up
@@ -255,19 +202,18 @@ def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
     """
     _check_s_range(g.p, s)
     _check_eps(eps)
-    _check_mask_bits(2 * g.p * g.n + g.p**2)   # masks, right-to-left rows, collision graph
     least = _least_counts(g.d, s, eps)
     if any(least[a] + least[k - a] < least[k]
            for k in range(2, s + 1) for a in range(1, k // 2 + 1)):
         raise ValueError(f"eps={eps!r} is within slack of an integer threshold "
                          f"at d={g.d}; the connected-subset certificate is not exact there")
-    violator, worst, witness, _ = _expansion_scan(g, _connected_subsets(g, s, budget), s, eps)
+    violator, worst, subset, count = scan_connected(g, s, least, budget)
     if violator is None:
         trials = _subset_budget(g.p, s)
     else:
         trials = _subset_budget(g.p, len(violator) - 1) + _lex_rank(violator, g.p) + 1
     return VerificationReport("expansion_exhaustive", violator is None, worst,
-                              witness, trials, None)
+                              _witness(g, s, eps, subset, count), trials, None)
 
 
 def check_expansion_sampled(g: BipartiteGraph, s: int, eps: float,

@@ -194,7 +194,7 @@ def test_report_csv_shape_and_determinism(certified):
 
 
 def test_mvse_sweep_rows():
-    rows = mvse_sweep([12, 16, 20], lambda p: max(1, round(p**0.4)), 1.0,
+    rows = mvse_sweep([12, 16, 20], [3, 3, 3], 1.0,
                       trials=8, seed=9, n=1536)
     assert [r["p"] for r in rows] == [12, 16, 20]
     for r in rows:
@@ -213,7 +213,7 @@ def test_mvse_sweep_rows():
 def test_mvse_sweep_certifies_p32_exactly():
     # order 8 at p = 32 has 15,033,172 subsets but only a few hundred
     # connected ones, so the exact check certifies under the default budget
-    rows = mvse_sweep([32], lambda p: max(1, round(p**0.4)), 1.0, trials=2, seed=0)
+    rows = mvse_sweep([32], [4], 1.0, trials=2, seed=0)
     assert rows[0]["s"] == 4
     assert not rows[0]["skipped"] and rows[0]["certified"] == "exhaustive"
 
@@ -227,12 +227,12 @@ def test_mvse_sweep_skips_a_row_past_the_budget_after_one_seed(monkeypatch):
         return check_expansion_exhaustive(g, s, eps, budget=40)
 
     monkeypatch.setattr(bench, "check_expansion_exhaustive", small_budget)
-    rows = mvse_sweep([32], lambda p: 4, 1.0, trials=2, seed=0)
+    rows = mvse_sweep([32], [4], 1.0, trials=2, seed=0)
     assert len(calls) == 1
     assert rows[0]["skipped"] and rows[0]["certified"] is None
     assert rows[0]["graph_seed"] is None
 
 
 def test_mvse_sweep_marks_impossible_rows():
-    rows = mvse_sweep([4], lambda p: p, 1.0, trials=2, seed=10, n=64)
+    rows = mvse_sweep([4], [4], 1.0, trials=2, seed=10, n=64)
     assert rows[0]["skipped"]

@@ -351,6 +351,17 @@ def test_bench_mvse_skips_a_row_whose_order_2s_exceeds_p(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_bench_mvse_keeps_each_s_of_a_repeated_p(tmp_path):
+    # s_values are matched to ps by place: a p listed twice used to get
+    # its last s in both rows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ps": [12, 12], "s_values": [1, 2], "trials": 2,
+                               "n": 64, "d": 4}))
+    out = tmp_path / "mvse.json"
+    run(["bench", "mvse", "--config", cfg, "--format", "json", "--out", out])
+    assert [(row["p"], row["s"]) for row in json.loads(out.read_text())] == [(12, 1), (12, 2)]
+
+
 def test_verify_csv_writes_null_as_empty_cell(tmp_path, capsys):
     g = tmp_path / "g.json"
     run(["construct", "random", "--p", 12, "--d", 4, "--n", 80, "--seed", 2,
@@ -504,8 +515,6 @@ def test_oversized_designs_exit_2_under_a_memory_cap(tmp_path):
     for args, message in (
             (["construct", "random", "--p", 2, "--d", 2, "--n", 1 << 40], far),
             (["verify", "--graph", "far.json", "--s", 1], far),
-            (["verify", "--graph", "wide.json", "--s", 1],
-             f"expansion bitmasks of {3 << 40} bits exceed limit {1 << 32}"),
             (["verify", "--graph", "wide.json", "--s", 1, "--mode", "sampled"],
              f"expansion bitmasks of {1 << 40} bits exceed limit {1 << 32}"),
             (["verify", "--graph", "flat.json", "--s", 1, "--check", "kernel"],
@@ -514,6 +523,11 @@ def test_oversized_designs_exit_2_under_a_memory_cap(tmp_path):
              "Dantzig LP matrix 2p*4p = 120000*240000 exceeds limit 16777216")):
         assert _run_capped([*args, "--out", "r.json"], tmp_path) == (2, f"error: {message}\n")
     assert not (tmp_path / "r.json").exists()
+    for s in (1, 2):    # the exact check holds no bitmasks and certifies the matching
+        assert _run_capped(["verify", "--graph", "wide.json", "--s", s, "--out", "r.json"],
+                           tmp_path) == (0, "")
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert (report["ok"], report["worst_ratio"]) == (True, 1.0)
 
 
 def test_nonfinite_penalty_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property tests (hypothesis): design products, the graph interchange
-format and its file writer, the connected-subset expansion certificate,
-the lasso's optimality conditions and basis pursuit's dual certificate."""
+format and its file writer, the connected-subset expansion certificate
+(against the full scan and the ESU enumeration), the lasso's optimality
+conditions and basis pursuit's dual certificate."""
 
 import itertools
 import json
@@ -16,7 +17,11 @@ from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
                          load_graph, save_graph)
 from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,  # noqa: E402
                                 graph_to_json_text)
+from expander_cs import connected, verify  # noqa: E402
+from expander_cs.errors import CapacityError  # noqa: E402
 from expander_cs.verify import _expansion_scan  # noqa: E402
+
+from esu_oracle import _connected_subsets, esu_check  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
                                database=None)
@@ -94,6 +99,33 @@ def test_connected_certificate_equals_full_scan(g, s, eps):
     rep = check_expansion_exhaustive(g, s, eps)
     assert (rep.ok, rep.worst_ratio, rep.witness, rep.trials) == (
         violator is None, worst, witness, examined)
+
+
+def _outcome(check, *args):
+    """The report's JSON text, or the CapacityError's message."""
+    try:
+        return json.dumps(check(*args).to_json_dict())
+    except CapacityError as exc:
+        return f"CapacityError: {exc}"
+
+
+@SETTINGS
+@hypothesis.given(graphs(max_p=14, max_n=30), st.integers(1, 5),
+                  st.sampled_from([0.125, 0.25, 0.5]), st.sampled_from([1, 5, 64, None]))
+def test_array_certificate_equals_esu_enumeration(g, s, eps, chunk):
+    # the same report bytes as the ESU check, and at a budget one short of
+    # the whole enumeration the same refusal message or the same
+    # refutation; a small chunk builds blocks and levels in many chunks
+    s = min(s, g.p)
+    budget = sum(1 for _ in _connected_subsets(g, s)) - 1
+    default = connected._CHUNK
+    connected._CHUNK = chunk or default
+    try:
+        for b in (verify.EXPANSION_BUDGET, budget):
+            assert _outcome(check_expansion_exhaustive, g, s, eps, b) == \
+                _outcome(esu_check, g, s, eps, b)
+    finally:
+        connected._CHUNK = default
 
 
 @SETTINGS

@@ -8,11 +8,12 @@ from expander_cs import (BipartiteGraph, DesignMatrix, check_expansion_exhaustiv
                          check_rip1_sampled, check_up2_sampled, matching_graph,
                          nullspace_property_oracle, random_left_regular,
                          recheck_violation)
-from expander_cs import verify
+from expander_cs import connected, verify
 from expander_cs.errors import CapacityError
 from expander_cs.rng import Stream, derive_seed, gaussians
-from expander_cs.verify import (_collision_graph, _connected_sets, _connected_subsets,
-                                _subset_budget, up2_lhs_rhs)
+from expander_cs.verify import _subset_budget, up2_lhs_rhs
+
+from esu_oracle import _connected_subsets, esu_check
 
 
 def duplicate_column_graph():
@@ -79,15 +80,22 @@ def test_expansion_budget_returns_a_refutation_met_within_it():
     assert not rep.ok and rep.witness["subset"] == [0, 1] and rep.trials == 31
 
 
-def test_a_block_past_the_allowance_raises_while_it_is_built():
-    g = random_left_regular(64, 8, 1536, seed=3)
-    adj = _collision_graph(g)
-    size = len(_connected_sets(adj, 0, 4, 10**9))
-    assert size > 1
-    assert len(_connected_sets(adj, 0, 4, size)) == size
-    message = rf"connected 4-sets exceed the budget \({size - 1} left\)"
-    with pytest.raises(CapacityError, match=message):
-        _connected_sets(adj, 0, 4, size - 1)
+@pytest.mark.parametrize("chunk", [1, 7, connected._CHUNK])
+def test_a_block_past_the_budget_raises_with_what_was_left(monkeypatch, chunk):
+    # the certified instance has 891 connected subsets at s = 4; one short
+    # of them, the last (4, root) block passes the budget, and the message
+    # gives what was left before it, as the ESU enumeration's does. A chunk
+    # of 1 builds every block from several chunks
+    g = random_left_regular(64, 8, 1536, seed=0)
+    total = sum(1 for _ in _connected_subsets(g, 4))
+    monkeypatch.setattr(connected, "_CHUNK", chunk)
+    assert check_expansion_exhaustive(g, 4, 0.125, budget=total) == esu_check(g, 4, 0.125)
+    with pytest.raises(CapacityError) as esu:
+        esu_check(g, 4, 0.125, budget=total - 1)
+    with pytest.raises(CapacityError) as got:
+        check_expansion_exhaustive(g, 4, 0.125, budget=total - 1)
+    assert str(got.value) == str(esu.value)
+    assert str(esu.value).startswith("connected 4-sets exceed the budget (")
 
 
 def test_exact_certificate_reaches_past_the_full_scan_count():
@@ -99,26 +107,30 @@ def test_exact_certificate_reaches_past_the_full_scan_count():
 
 
 def test_expansion_bitmasks_are_capped_at_the_boundary(monkeypatch):
-    # p = 4, n = 8: the exact check holds 2pn + p^2 = 80 bits, the sampled pn = 32
+    # p = 4, n = 8: the sampled check holds pn = 32 bits of masks; the
+    # exact check holds none, so no cap applies to it
     g = random_left_regular(4, 2, 8, seed=1)
-    for check, bits in ((lambda: check_expansion_exhaustive(g, 2, 0.125), 80),
-                        (lambda: check_expansion_sampled(g, 2, 0.125, 5, 0), 32)):
-        monkeypatch.setattr(verify, "MAX_MASK_BITS", bits)
-        check()
-        monkeypatch.setattr(verify, "MAX_MASK_BITS", bits - 1)
-        with pytest.raises(CapacityError,
-                           match=f"^expansion bitmasks of {bits} bits exceed limit {bits - 1}$"):
-            check()
+    monkeypatch.setattr(verify, "MAX_MASK_BITS", 32)
+    check_expansion_sampled(g, 2, 0.125, 5, 0)
+    monkeypatch.setattr(verify, "MAX_MASK_BITS", 31)
+    with pytest.raises(CapacityError, match="^expansion bitmasks of 32 bits exceed limit 31$"):
+        check_expansion_sampled(g, 2, 0.125, 5, 0)
+    monkeypatch.setattr(verify, "MAX_MASK_BITS", 0)
+    assert check_expansion_exhaustive(g, 2, 0.125) == esu_check(g, 2, 0.125)
 
 
 def test_oversized_bitmasks_are_refused_before_they_are_built(monkeypatch):
-    # p = n = 2**20 would need 2**40 bits of masks per side
+    # p = n = 2**20 would need 2**40 bits of masks for the sampled check;
+    # the exact check certifies it from the table alone: no two left
+    # vertices share a right vertex, so every set has ratio 1
     g = matching_graph(1 << 20)
     monkeypatch.setattr(verify, "_expansion_scan", None)
-    for check in (lambda: check_expansion_exhaustive(g, 1, 0.125),
-                  lambda: check_expansion_sampled(g, 1, 0.125, 5, 0)):
-        with pytest.raises(CapacityError, match=r"^expansion bitmasks of \d+ bits exceed"):
-            check()
+    with pytest.raises(CapacityError, match=r"^expansion bitmasks of \d+ bits exceed"):
+        check_expansion_sampled(g, 1, 0.125, 5, 0)
+    for s in (1, 2):
+        rep = check_expansion_exhaustive(g, s, 0.125)
+        assert rep.ok and rep.worst_ratio == 1.0 and rep.witness["subset"] == [0]
+        assert rep.trials == _subset_budget(1 << 20, s)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 1.5, 1.0, 0.0, -1.0])

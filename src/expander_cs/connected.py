@@ -1,6 +1,6 @@
-"""The connected subsets of a graph's collision graph, built and scanned
-level by level on numpy arrays: the engine of the exact expansion
-certificate (see :func:`expander_cs.verify.check_expansion_exhaustive`).
+"""The neighbor counter and scan of both expansion checks, and the
+connected subsets of the collision graph that the exact one scans, built
+level by level on numpy arrays (see :mod:`expander_cs.verify`).
 
 Two left vertices collide when they share a right vertex. A level is the
 connected subsets of one size in lex order. Level 1 needs no work: every
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityError
 from .graphs import BipartiteGraph
 
-_CHUNK = 1 << 18  # entries of the candidate or table-row arrays the exact check builds at once
+_CHUNK = 1 << 18  # entries of the candidate or table-row arrays a check builds at once
 
 
 def _runs(cum: np.ndarray, limit: int):
@@ -178,28 +178,31 @@ def _neighbor_counts(table: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 
 class _Scan:
-    """A scan in (size, lex) order: the first strict minimum of
-    |N(I)| / (d |I|) and the first I with fewer than least[|I|] neighbors.
-    Every singleton has ratio 1 and none violates, so the scan starts
-    past them."""
+    """A scan in order for the first strict minimum of |N(I)| / (d |I|) and
+    the first I with fewer than least[|I|] neighbors, from ``start`` =
+    (worst ratio, its subset, its count): past the singletons, which all
+    have ratio 1, for the exact check, and from (inf, None, 0) otherwise."""
 
-    def __init__(self, d: int, least: list[int]):
-        self.d, self.least = d, least
-        self.worst, self.subset, self.count = 1.0, (0,), d
+    def __init__(self, d: int, least: list[int], start: tuple):
+        self.d, self.least = d, np.asarray(least)
+        self.worst, self.subset, self.count = start
         self.violator = None
 
-    def __call__(self, sets: np.ndarray, counts: np.ndarray) -> bool:
-        """Scan k-sets, in order, with their neighbor counts; True once a
-        violator is met."""
-        k = sets.shape[1]
-        below = counts < self.least[k]
+    def __call__(self, sets: np.ndarray, counts: np.ndarray, sizes) -> bool:
+        """Scan sets, in order, with their neighbor counts and sizes: one
+        int for a level, or one per row, each row padded past its size by
+        repeats of its members. True once a violator is met."""
+        below = counts < self.least[sizes]
         stop = int(below.argmax()) + 1 if below.any() else len(counts)
-        i = int(counts[:stop].argmin())
-        ratio = int(counts[i]) / (self.d * k)
+        one = isinstance(sizes, int)
+        # counts / sizes orders the rows as the ratio does, ties included
+        i = int((counts[:stop] if one else counts[:stop] / sizes[:stop]).argmin())
+        ratio = int(counts[i]) / (self.d * (sizes if one else int(sizes[i])))
         if ratio < self.worst:
-            self.worst, self.subset, self.count = ratio, tuple(sets[i].tolist()), int(counts[i])
+            self.worst, self.count = ratio, int(counts[i])
+            self.subset = tuple(dict.fromkeys(sets[i].tolist()))
         if below[stop - 1]:
-            self.violator = tuple(sets[stop - 1].tolist())
+            self.violator = tuple(dict.fromkeys(sets[stop - 1].tolist()))
         return self.violator is not None
 
 
@@ -217,7 +220,7 @@ def scan_connected(g: BipartiteGraph, s: int, least: list[int], budget: int):
     left = budget - g.p
     if left < 0:
         raise CapacityError(f"{g.p} singletons exceed budget {budget}")
-    scan = _Scan(g.d, least)
+    scan = _Scan(g.d, least, (1.0, (0,), g.d))
     level = []
     for k in range(2, s + 1):
         parents, level = level, []
@@ -239,7 +242,7 @@ def scan_connected(g: BipartiteGraph, s: int, least: list[int], budget: int):
             for x in range(0, stop, step):
                 part = sets[x:x + step]
                 if scan(part, _neighbor_counts(table, part) if counts is None
-                        else counts[x:x + step]):
+                        else counts[x:x + step], k):
                     return scan.violator, scan.worst, scan.subset, scan.count
             if stop < len(sets):
                 raise CapacityError(f"connected {k}-sets exceed the budget ({left - stop} left)")

@@ -8,12 +8,12 @@ violator and the first worst subset of a full (size, lex) scan are always
 connected, and the report equals that scan's, ``trials`` included (see
 :func:`check_expansion_exhaustive`). :mod:`.connected` builds those subsets
 on numpy arrays one size at a time, each level grown from the one before,
-in chunks of whole (size, smallest vertex) blocks. The vector-quantified conditions
-(RIP-1, the uncertainty-principle inequality, kernel concentration) are
-quantified over all of R^p and can only be falsified by sampling, so those
-checks are one-sided: a failure is definitive, a pass means "no violation
-found". The nullspace property gets an exact LP-based decision at tiny
-scale.
+in chunks of whole (size, smallest vertex) blocks, and counts and scans
+the sampled check's draws too. The vector-quantified conditions (RIP-1,
+the uncertainty-principle inequality, kernel concentration) are quantified
+over all of R^p and can only be falsified by sampling, so those checks are
+one-sided: a failure is definitive, a pass means "no violation found". The
+nullspace property gets an exact LP-based decision at tiny scale.
 
 Sampling distributions are fixed: supports are uniform without
 replacement, sparse magnitudes are uniform in [-1, 1], and dense test
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connected import scan_connected
+from . import connected
 from .design import DesignMatrix
 from .errors import CapacityError, SolverStatusError, read
 from .graphs import BipartiteGraph, neighbor_set
@@ -46,7 +46,6 @@ from .solve import LinearProgram, lp_solve
 SLACK = 1e-9  # absolute slack for near-integer / floating comparisons
 EXPANSION_BUDGET = 10**7  # default cap on the subsets an exhaustive expansion check covers
 NSP_BUDGET = 10**4        # default cap on the subset/sign pairs of the NSP oracle
-MAX_MASK_BITS = 1 << 32   # cap on the bits of the sampled expansion check's bitmasks: 512 MiB
 
 
 @dataclass
@@ -97,45 +96,6 @@ def _least_counts(d: int, s: int, eps: float) -> list[int]:
     return [bisect.bisect_left(range(d * k + 1), True,
                                key=lambda c: not c + SLACK < (1.0 - eps) * d * k)
             for k in range(s + 1)]
-
-
-def _check_mask_bits(bits: int) -> None:
-    """Refuse, before any bitmask is built, a check whose masks would hold
-    more than MAX_MASK_BITS bits."""
-    if bits > MAX_MASK_BITS:
-        raise CapacityError(f"expansion bitmasks of {bits} bits exceed limit {MAX_MASK_BITS}")
-
-
-def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
-    """The sampled check's scan, and the tests' brute-force oracle for the
-    exact one: scan subsets over bitmasks, track the first strict minimum
-    of |N(I)| / (d |I|) and stop at the first violator.
-    Returns (first violator or None, worst ratio, witness, subsets examined)."""
-    masks = [0] * g.p
-    for i, nb in enumerate(g.neighbors.tolist()):
-        m = 0
-        for j in nb:
-            m |= 1 << j
-        masks[i] = m
-    worst = math.inf
-    worst_subset = None
-    worst_count = 0
-    violator = None
-    examined = 0
-    least = _least_counts(g.d, s, eps)
-    for subset in subsets:
-        examined += 1
-        m = 0
-        for i in subset:
-            m |= masks[i]
-        cnt = m.bit_count()
-        ratio = cnt / (g.d * len(subset))
-        if ratio < worst:
-            worst, worst_subset, worst_count = ratio, tuple(subset), cnt
-        if cnt < least[len(subset)]:
-            violator = tuple(subset)
-            break
-    return violator, worst, _witness(g, s, eps, worst_subset, worst_count), examined
 
 
 def _witness(g: BipartiteGraph, s: int, eps: float, subset, count: int) -> dict:
@@ -207,7 +167,7 @@ def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
            for k in range(2, s + 1) for a in range(1, k // 2 + 1)):
         raise ValueError(f"eps={eps!r} is within slack of an integer threshold "
                          f"at d={g.d}; the connected-subset certificate is not exact there")
-    violator, worst, subset, count = scan_connected(g, s, least, budget)
+    violator, worst, subset, count = connected.scan_connected(g, s, least, budget)
     if violator is None:
         trials = _subset_budget(g.p, s)
     else:
@@ -219,16 +179,23 @@ def check_expansion_exhaustive(g: BipartiteGraph, s: int, eps: float,
 def check_expansion_sampled(g: BipartiteGraph, s: int, eps: float,
                             trials: int, seed: int) -> VerificationReport:
     """One-sided randomized relaxation of the exhaustive check: samples
-    uniformly random subsets of sizes 1..s and can only refute."""
+    uniformly random subsets of sizes 1..s and can only refute. The exact
+    check's counter and scan take the draws in chunks of _CHUNK // (s d),
+    so the report is that of a scan of the draws one by one, and a
+    refutation draws none past its violator's chunk."""
     _check_s_range(g.p, s, trials)
     _check_eps(eps)
-    _check_mask_bits(g.p * g.n)
     rng = Stream(seed)
-    subsets = (rng.sample_without_replacement(g.p, 1 + rng.below(s))
-               for _ in range(trials))
-    violator, worst, witness, _ = _expansion_scan(g, subsets, s, eps)
-    return VerificationReport("expansion_sampled", violator is None, worst,
-                              witness, trials, seed)
+    scan = connected._Scan(g.d, _least_counts(g.d, s, eps), (math.inf, None, 0))
+    step = max(1, connected._CHUNK // (s * g.d))
+    for start in range(0, trials, step):
+        rows = [rng.sample_without_replacement(g.p, 1 + rng.below(s))
+                for _ in range(min(step, trials - start))]
+        sets = np.array([row + row[:1] * (s - len(row)) for row in rows])
+        if scan(sets, connected._neighbor_counts(g.neighbors, sets), np.array([*map(len, rows)])):
+            break
+    return VerificationReport("expansion_sampled", scan.violator is None, scan.worst,
+                              _witness(g, s, eps, scan.subset, scan.count), trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +416,8 @@ def recheck_violation(report: VerificationReport,
 
     Returns the violation margin (how far the witnessed quantity sits past
     its bound; > 0 confirms a genuine violation). Raises if the report is
-    not a failure or lacks the needed object.
+    not a failure or lacks the needed object, and ValueError naming the
+    field when a witness field is missing or of the wrong type.
     """
     if report.ok:
         raise ValueError("report is not a violation")
@@ -458,23 +426,23 @@ def recheck_violation(report: VerificationReport,
     if cond.startswith("expansion"):
         if g is None:
             raise ValueError("expansion recheck needs the graph")
-        subset = w["subset"]
-        return (1.0 - w["eps"]) * g.d * len(subset) - len(neighbor_set(g, subset))
+        subset = read(w, "subset", list[int])
+        return (1.0 - read(w, "eps", float)) * g.d * len(subset) - len(neighbor_set(g, subset))
     if X is None:
         raise ValueError(f"{cond} recheck needs the design matrix")
     if cond == "rip1_sampled":
         gamma = np.zeros(X.p)
-        for i, v in zip(w["support"], w["values"]):
+        for i, v in zip(read(w, "support", list[int]), read(w, "values", list[float])):
             gamma[i] = v
         num, den = _rip1_num_den(X, gamma)
-        lower = (1.0 - 2.0 * w["eps"]) * den
+        lower = (1.0 - 2.0 * read(w, "eps", float)) * den
         return max(lower - num, num - den)
     if cond == "up2_sampled":
-        lhs, rhs, _ = up2_lhs_rhs(X, np.asarray(w["gamma"]), w["s"])
+        lhs, rhs, _ = up2_lhs_rhs(X, np.asarray(read(w, "gamma", list[float])), read(w, "s", int))
         return lhs - rhs
     if cond in ("kernel_concentration", "nullspace_property"):
-        gamma = np.asarray(w["gamma"])
-        mass_s, mass_c = _mass_split(gamma, w["support"])
+        gamma = np.asarray(read(w, "gamma", list[float]))
+        mass_s, mass_c = _mass_split(gamma, read(w, "support", list[int]))
         if cond == "kernel_concentration":
             return mass_s - 0.5 * mass_c
         if np.max(np.abs(X.matvec(gamma))) > 1e-8:

@@ -1,18 +1,55 @@
-"""The exact expansion check as ESU enumeration, kept as a test oracle.
+"""The expansion checks as they were before the array scans, kept as test
+oracles.
 
-Before the check moved to whole-array levels, it enumerated the subsets
-that are connected in the collision graph one (size, smallest vertex)
-block at a time with ESU (Wernicke 2006), as lists of tuples over Python
-bitmasks, and fed them to the shared scan core. The three enumeration
-functions below are that code, unchanged; :func:`esu_check` is the check
-built on them, so its reports and budget refusals are the ones the
-array check must reproduce.
+Before the exact check moved to whole-array levels, it enumerated the
+subsets that are connected in the collision graph one (size, smallest
+vertex) block at a time with ESU (Wernicke 2006), as lists of tuples over
+Python bitmasks, and fed them to a bitmask scan that the sampled check
+shared. The scan and the three enumeration functions below are that code,
+unchanged; :func:`esu_check` is the exact check built on them, so its
+reports and budget refusals are the ones the array check must reproduce,
+and the scan over the sampled check's draws gives the report the sampled
+check must reproduce.
 """
+
+import math
 
 from expander_cs.errors import CapacityError
 from expander_cs.graphs import BipartiteGraph
-from expander_cs.verify import (EXPANSION_BUDGET, VerificationReport, _expansion_scan,
-                                _lex_rank, _subset_budget)
+from expander_cs.verify import (EXPANSION_BUDGET, VerificationReport, _least_counts,
+                                _lex_rank, _subset_budget, _witness)
+
+
+def _expansion_scan(g: BipartiteGraph, subsets, s: int, eps: float):
+    """The sampled check's scan, and the tests' brute-force oracle for the
+    exact one: scan subsets over bitmasks, track the first strict minimum
+    of |N(I)| / (d |I|) and stop at the first violator.
+    Returns (first violator or None, worst ratio, witness, subsets examined)."""
+    masks = [0] * g.p
+    for i, nb in enumerate(g.neighbors.tolist()):
+        m = 0
+        for j in nb:
+            m |= 1 << j
+        masks[i] = m
+    worst = math.inf
+    worst_subset = None
+    worst_count = 0
+    violator = None
+    examined = 0
+    least = _least_counts(g.d, s, eps)
+    for subset in subsets:
+        examined += 1
+        m = 0
+        for i in subset:
+            m |= masks[i]
+        cnt = m.bit_count()
+        ratio = cnt / (g.d * len(subset))
+        if ratio < worst:
+            worst, worst_subset, worst_count = ratio, tuple(subset), cnt
+        if cnt < least[len(subset)]:
+            violator = tuple(subset)
+            break
+    return violator, worst, _witness(g, s, eps, worst_subset, worst_count), examined
 
 
 def _collision_graph(g: BipartiteGraph) -> list[int]:

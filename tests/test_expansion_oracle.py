@@ -14,9 +14,9 @@ import pytest
 from expander_cs import (GF, BipartiteGraph, check_expansion_exhaustive,
                          matching_graph, pv_expander, random_left_regular)
 from expander_cs.rng import Stream
-from expander_cs.verify import VerificationReport, _expansion_scan, _lex_rank
+from expander_cs.verify import VerificationReport, _lex_rank
 
-from esu_oracle import _collision_graph, _connected_subsets
+from esu_oracle import _collision_graph, _connected_subsets, _expansion_scan
 
 EPS_VALUES = (0.125, 0.25, 0.5)
 

@@ -1,6 +1,7 @@
 """Property tests (hypothesis): design products, the graph interchange
 format and its file writer, the connected-subset expansion certificate
-(against the full scan and the ESU enumeration), the lasso's optimality
+(against the full scan and the ESU enumeration), the sampled expansion
+check (against the bitmask scan of its draws), the lasso's optimality
 conditions and basis pursuit's dual certificate."""
 
 import itertools
@@ -13,15 +14,15 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
-                         basis_pursuit, check_expansion_exhaustive, lasso,
-                         load_graph, save_graph)
+                         basis_pursuit, check_expansion_exhaustive,
+                         check_expansion_sampled, lasso, load_graph,
+                         random_left_regular, save_graph)
 from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,  # noqa: E402
                                 graph_to_json_text)
 from expander_cs import connected, verify  # noqa: E402
 from expander_cs.errors import CapacityError  # noqa: E402
-from expander_cs.verify import _expansion_scan  # noqa: E402
-
-from esu_oracle import _connected_subsets, esu_check  # noqa: E402
+from expander_cs.rng import Stream  # noqa: E402
+from esu_oracle import _connected_subsets, _expansion_scan, esu_check  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
                                database=None)
@@ -126,6 +127,45 @@ def test_array_certificate_equals_esu_enumeration(g, s, eps, chunk):
                 _outcome(esu_check, g, s, eps, b)
     finally:
         connected._CHUNK = default
+
+
+def _bitmask_sampled(g, s, eps, trials, seed):
+    """The sampled check's report JSON from the bitmask scan of its draws."""
+    rng = Stream(seed)
+    subsets = (rng.sample_without_replacement(g.p, 1 + rng.below(s))
+               for _ in range(trials))
+    violator, worst, witness, _ = _expansion_scan(g, subsets, s, eps)
+    return json.dumps(verify.VerificationReport(
+        "expansion_sampled", violator is None, worst, witness, trials, seed).to_json_dict())
+
+
+@SETTINGS
+@hypothesis.given(graphs(max_p=40, max_n=80), st.integers(1, 6),
+                  st.sampled_from([0.125, 0.25, 0.3, 0.5]), st.integers(1, 300),
+                  st.integers(0, 2**64 - 1), st.sampled_from([1, 7, 64, None]))
+def test_sampled_check_equals_bitmask_scan(g, s, eps, trials, seed, chunk):
+    # the same report bytes as the bitmask scan on the same draws; chunks
+    # of 1, of a few and of many subsets put the violator and the worst
+    # subset mid-chunk and on chunk boundaries
+    s = min(s, g.p)
+    default = connected._CHUNK
+    connected._CHUNK = chunk or default
+    try:
+        got = json.dumps(check_expansion_sampled(g, s, eps, trials, seed).to_json_dict())
+    finally:
+        connected._CHUNK = default
+    assert got == _bitmask_sampled(g, s, eps, trials, seed)
+
+
+@pytest.mark.parametrize("eps", [0.125, 0.5])
+def test_sampled_check_past_one_default_chunk_equals_bitmask_scan(eps):
+    # at the default chunk of _CHUNK // (s d) subsets, trials run into a
+    # second chunk; eps = 1/8 refutes and eps = 1/2 passes
+    g = random_left_regular(40, 4, 60, seed=2)
+    trials = connected._CHUNK // (6 * 4) + 50
+    rep = check_expansion_sampled(g, 6, eps, trials, 11)
+    assert rep.ok == (eps == 0.5)
+    assert json.dumps(rep.to_json_dict()) == _bitmask_sampled(g, 6, eps, trials, 11)
 
 
 @SETTINGS

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from expander_cs import (BipartiteGraph, DesignMatrix, check_expansion_exhaustive,
+from expander_cs import (GF, BipartiteGraph, DesignMatrix, check_expansion_exhaustive,
                          check_expansion_sampled, check_kernel_concentration,
                          check_rip1_sampled, check_up2_sampled, matching_graph,
-                         nullspace_property_oracle, random_left_regular,
-                         recheck_violation)
-from expander_cs import connected, verify
+                         nullspace_property_oracle, pv_expander,
+                         random_left_regular, recheck_violation)
+from expander_cs import connected
 from expander_cs.errors import CapacityError
 from expander_cs.rng import Stream, derive_seed, gaussians
-from expander_cs.verify import _subset_budget, up2_lhs_rhs
+from expander_cs.verify import _subset_budget, report_from_json_dict, up2_lhs_rhs
 
 from esu_oracle import _connected_subsets, esu_check
 
@@ -106,31 +106,23 @@ def test_exact_certificate_reaches_past_the_full_scan_count():
     assert rep.ok and rep.trials == _subset_budget(32, 8) == 15_033_172
 
 
-def test_expansion_bitmasks_are_capped_at_the_boundary(monkeypatch):
-    # p = 4, n = 8: the sampled check holds pn = 32 bits of masks; the
-    # exact check holds none, so no cap applies to it
+def test_small_graph_exact_check_equals_esu():
+    # p = 4, n = 8: the report is the ESU enumeration's
     g = random_left_regular(4, 2, 8, seed=1)
-    monkeypatch.setattr(verify, "MAX_MASK_BITS", 32)
-    check_expansion_sampled(g, 2, 0.125, 5, 0)
-    monkeypatch.setattr(verify, "MAX_MASK_BITS", 31)
-    with pytest.raises(CapacityError, match="^expansion bitmasks of 32 bits exceed limit 31$"):
-        check_expansion_sampled(g, 2, 0.125, 5, 0)
-    monkeypatch.setattr(verify, "MAX_MASK_BITS", 0)
     assert check_expansion_exhaustive(g, 2, 0.125) == esu_check(g, 2, 0.125)
 
 
-def test_oversized_bitmasks_are_refused_before_they_are_built(monkeypatch):
-    # p = n = 2**20 would need 2**40 bits of masks for the sampled check;
-    # the exact check certifies it from the table alone: no two left
-    # vertices share a right vertex, so every set has ratio 1
+def test_both_expansion_checks_certify_a_wide_matching():
+    # p = n = 2**20: both checks count from the table alone, with no cap
+    # past the table's; no two left vertices share a right vertex, so every
+    # set has ratio 1
     g = matching_graph(1 << 20)
-    monkeypatch.setattr(verify, "_expansion_scan", None)
-    with pytest.raises(CapacityError, match=r"^expansion bitmasks of \d+ bits exceed"):
-        check_expansion_sampled(g, 1, 0.125, 5, 0)
     for s in (1, 2):
         rep = check_expansion_exhaustive(g, s, 0.125)
         assert rep.ok and rep.worst_ratio == 1.0 and rep.witness["subset"] == [0]
         assert rep.trials == _subset_budget(1 << 20, s)
+        rep = check_expansion_sampled(g, s, 0.125, 5, 0)
+        assert rep.ok and rep.worst_ratio == 1.0
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 1.5, 1.0, 0.0, -1.0])
@@ -160,6 +152,46 @@ def test_sampled_finds_tiny_violation():
     rep = check_expansion_sampled(g, 2, 0.125, trials=50, seed=0)
     assert not rep.ok                    # only 3 nonempty subsets to sample
     assert recheck_violation(rep, g=g) > 0
+
+
+def test_sampled_refutation_draws_no_chunk_past_its_violator():
+    # 10**12 trials would never finish if they were drawn past the first chunk
+    g = BipartiteGraph(2, 2, 2, ((0, 1), (0, 1)), "overlap")
+    rep = check_expansion_sampled(g, 2, 0.125, trials=10**12, seed=0)
+    assert not rep.ok and rep.trials == 10**12 and rep.witness["subset"] == [0, 1]
+
+
+def test_sampled_check_reaches_a_compressive_pv_design():
+    # GF(49), l = 3, m = 1, h = 4: p = 117,649 > n = 2,401, out of reach of
+    # the exact certificate; no sampled pair falls below 1 - 6/49, the GUV
+    # eps of this design
+    g = pv_expander(GF(7, 2), 3, 1, 4)
+    assert (g.p, g.n, g.d) == (117_649, 2_401, 49)
+    rep = check_expansion_sampled(g, 2, 0.125, 500, 0)
+    assert rep.ok and rep.worst_ratio >= 1 - 6 / 49
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("subset", [1.5], "'subset' must be of type list[int], got [1.5]"),
+    ("subset", "01", "'subset' must be of type list[int], got '01'"),
+    ("eps", "0.125", "'eps' must be of type float, got '0.125'"),
+    ("eps", None, "'eps' must be of type float, got None"),
+    ("eps", ..., "missing field 'eps'"),
+])
+def test_recheck_reads_witness_fields_by_type(field, value, message):
+    # a decoded report whose witness field is missing or mistyped is a
+    # ValueError naming the field, never an IndexError, TypeError or KeyError
+    g = BipartiteGraph(2, 2, 2, ((0, 1), (0, 1)), "overlap")
+    obj = check_expansion_sampled(g, 2, 0.125, trials=50, seed=0).to_json_dict()
+    rep = report_from_json_dict(obj)
+    assert recheck_violation(rep, g=g) > 0
+    if value is ...:
+        del obj["witness"][field]
+    else:
+        obj["witness"][field] = value
+    with pytest.raises(ValueError) as exc:
+        recheck_violation(report_from_json_dict(obj), g=g)
+    assert str(exc.value) == message
 
 
 def test_sampled_subset_of_exhaustive_claim():

@@ -194,10 +194,10 @@ class _Scan:
         repeats of its members. True once a violator is met."""
         below = counts < self.least[sizes]
         stop = int(below.argmax()) + 1 if below.any() else len(counts)
-        one = isinstance(sizes, int)
+        sizes = np.broadcast_to(sizes, counts.shape)
         # counts / sizes orders the rows as the ratio does, ties included
-        i = int((counts[:stop] if one else counts[:stop] / sizes[:stop]).argmin())
-        ratio = int(counts[i]) / (self.d * (sizes if one else int(sizes[i])))
+        i = int((counts[:stop] / sizes[:stop]).argmin())
+        ratio = int(counts[i]) / (self.d * int(sizes[i]))
         if ratio < self.worst:
             self.worst, self.count = ratio, int(counts[i])
             self.subset = tuple(dict.fromkeys(sets[i].tolist()))

@@ -59,16 +59,8 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         ratio = self.worst_ratio
-        if ratio is not None and not math.isfinite(ratio):
-            ratio = None
-        return {
-            "condition": self.condition,
-            "ok": self.ok,
-            "worst_ratio": ratio,
-            "witness": self.witness,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        finite = ratio is None or math.isfinite(ratio)
+        return {**vars(self), "worst_ratio": ratio if finite else None}
 
 
 def report_from_json_dict(obj: dict) -> VerificationReport:
@@ -363,7 +355,6 @@ def nullspace_property_oracle(X: DesignMatrix, s: int,
     b[n] = 1.0
     worst = 0.0
     worst_witness = None
-    ok = True
     examined = 0
     for support in itertools.combinations(range(p), s):
         cols = dense[:, support]
@@ -399,15 +390,30 @@ def nullspace_property_oracle(X: DesignMatrix, s: int,
                 worst = value
                 worst_witness = {"support": list(support), "signs": list(signs),
                                  "optimum": value, "gamma": [float(v) for v in gamma]}
-            if value >= 1.0 - SLACK:
-                ok = False
     witness = {"s": s, **(worst_witness or {})}
-    return VerificationReport("nullspace_property", ok, worst, witness, examined, None)
+    return VerificationReport("nullspace_property", worst < 1.0 - SLACK, worst, witness,
+                              examined, None)
 
 
 # ---------------------------------------------------------------------------
 # standalone witness re-check
 # ---------------------------------------------------------------------------
+
+def _read_indices(w: dict, key: str, p: int) -> list[int]:
+    """Witness field ``key``: distinct indices in [0, p)."""
+    indices = read(w, key, list[int])
+    if len(set(indices)) < len(indices) or not all(0 <= i < p for i in indices):
+        raise ValueError(f"{key!r} must hold distinct indices in [0, {p})")
+    return indices
+
+
+def _read_vector(w: dict, key: str, length: int) -> np.ndarray:
+    """Witness field ``key``: ``length`` floats."""
+    values = read(w, key, list[float])
+    if len(values) != length:
+        raise ValueError(f"{key!r} must hold {length} floats, got {len(values)}")
+    return np.asarray(values, dtype=float)
+
 
 def recheck_violation(report: VerificationReport,
                       g: BipartiteGraph | None = None,
@@ -417,7 +423,9 @@ def recheck_violation(report: VerificationReport,
     Returns the violation margin (how far the witnessed quantity sits past
     its bound; > 0 confirms a genuine violation). Raises if the report is
     not a failure or lacks the needed object, and ValueError naming the
-    field when a witness field is missing or of the wrong type.
+    field when a witness field is missing, of the wrong type, or does not
+    fit the graph or design (an index outside [0, p) or repeated, a vector
+    of the wrong length).
     """
     if report.ok:
         raise ValueError("report is not a violation")
@@ -426,23 +434,23 @@ def recheck_violation(report: VerificationReport,
     if cond.startswith("expansion"):
         if g is None:
             raise ValueError("expansion recheck needs the graph")
-        subset = read(w, "subset", list[int])
+        subset = _read_indices(w, "subset", g.p)
         return (1.0 - read(w, "eps", float)) * g.d * len(subset) - len(neighbor_set(g, subset))
     if X is None:
         raise ValueError(f"{cond} recheck needs the design matrix")
     if cond == "rip1_sampled":
+        support = _read_indices(w, "support", X.p)
         gamma = np.zeros(X.p)
-        for i, v in zip(read(w, "support", list[int]), read(w, "values", list[float])):
-            gamma[i] = v
+        gamma[support] = _read_vector(w, "values", len(support))
         num, den = _rip1_num_den(X, gamma)
         lower = (1.0 - 2.0 * read(w, "eps", float)) * den
         return max(lower - num, num - den)
     if cond == "up2_sampled":
-        lhs, rhs, _ = up2_lhs_rhs(X, np.asarray(read(w, "gamma", list[float])), read(w, "s", int))
+        lhs, rhs, _ = up2_lhs_rhs(X, _read_vector(w, "gamma", X.p), read(w, "s", int))
         return lhs - rhs
     if cond in ("kernel_concentration", "nullspace_property"):
-        gamma = np.asarray(read(w, "gamma", list[float]))
-        mass_s, mass_c = _mass_split(gamma, read(w, "support", list[int]))
+        gamma = _read_vector(w, "gamma", X.p)
+        mass_s, mass_c = _mass_split(gamma, _read_indices(w, "support", X.p))
         if cond == "kernel_concentration":
             return mass_s - 0.5 * mass_c
         if np.max(np.abs(X.matvec(gamma))) > 1e-8:

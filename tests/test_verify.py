@@ -194,6 +194,31 @@ def test_recheck_reads_witness_fields_by_type(field, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("condition, field, value, message", [
+    ("expansion", "subset", [0, 0], "'subset' must hold distinct indices in [0, 2)"),
+    ("expansion", "subset", [0, 2], "'subset' must hold distinct indices in [0, 2)"),
+    ("rip1", "support", [-12, -9, -3], "'support' must hold distinct indices in [0, 12)"),
+    ("rip1", "support", [0, 3, 12], "'support' must hold distinct indices in [0, 12)"),
+    ("rip1", "support", [0, 3], "'values' must hold 2 floats, got 3"),
+    ("kernel", "support", [0, 0, 4], "'support' must hold distinct indices in [0, 12)"),
+    ("kernel", "gamma", [0.5] * 11, "'gamma' must hold 12 floats, got 11"),
+])
+def test_recheck_refuses_witnesses_that_do_not_fit_the_design(condition, field, value, message):
+    # a witness index that wraps, passes p or repeats, or a vector of the
+    # wrong length, is a ValueError naming the field, never a confirmation
+    g = BipartiteGraph(2, 2, 2, ((0, 1), (0, 1)), "overlap")
+    X = DesignMatrix.from_graph(random_left_regular(12, 3, 8, seed=0))
+    rep = {"expansion": lambda: check_expansion_sampled(g, 2, 0.125, 50, 0),
+           "rip1": lambda: check_rip1_sampled(X, 3, 0.125, 200, 0),
+           "kernel": lambda: check_kernel_concentration(X, 3, 50, 0)}[condition]()
+    assert recheck_violation(rep, g=g, X=X) > 0
+    obj = rep.to_json_dict()
+    obj["witness"][field] = value
+    with pytest.raises(ValueError) as exc:
+        recheck_violation(report_from_json_dict(obj), g=g, X=X)
+    assert str(exc.value) == message
+
+
 def test_sampled_subset_of_exhaustive_claim():
     g = matching_graph(8)
     for seed in (0, 1, 2):

@@ -22,7 +22,7 @@ from .graphs import (BipartiteGraph, ExpanderParams, load_graph,
                      random_left_regular, save_graph, suggest_pv_bounds,
                      suggest_random_params)
 from .noise import (NoiseModel, Thresholds, empirical_noise_bound,
-                    sample_noise, thresholds)
+                    sample_noise, sample_noise_rows, thresholds, trial_noise)
 from .solve import (DantzigSolution, LassoSolution, LinearProgram, LpResult,
                     basis_pursuit, dantzig, lasso, lp_solve, ols_on_support)
 from .verify import (VerificationReport, check_expansion_exhaustive,
@@ -43,6 +43,6 @@ __all__ = [
     "oracle_factors", "poly_eval", "poly_mod_pow", "pv_expander",
     "random_left_regular", "recheck_violation", "run_dantzig_experiment",
     "run_lasso_experiment", "run_recovery_experiment", "sample_noise",
-    "save_graph", "search_certified_graph", "suggest_pv_bounds",
-    "suggest_random_params", "thresholds",
+    "sample_noise_rows", "save_graph", "search_certified_graph",
+    "suggest_pv_bounds", "suggest_random_params", "thresholds", "trial_noise",
 ]

@@ -34,8 +34,8 @@ import numpy as np
 from .design import DesignMatrix
 from .errors import CapacityError, SolverStatusError, read
 from .graphs import random_left_regular
-from .noise import NoiseModel, sample_noise, thresholds
-from .rng import Stream, derive_seed
+from .noise import NoiseModel, thresholds, trial_noise
+from .rng import Stream, _words, derive_seed
 from .solve import basis_pursuit, dantzig, lasso, ols_on_support
 from .verify import VerificationReport, check_expansion_exhaustive
 
@@ -114,10 +114,12 @@ def sparse_target(p: int, s: int, seed: int) -> tuple[np.ndarray, list[int]]:
 def compressible_target(p: int, s: int, seed: int) -> tuple[np.ndarray, list[int]]:
     """Power-law target b_i = +/- (i+1)^-2; the s largest magnitudes are the
     first s coordinates, and the tail keeps every ||b*_{S^c}||_1 term of
-    the bounds strictly positive."""
-    rng = Stream(seed)
-    beta = np.array([rng.sign() * (i + 1) ** -2.0 for i in range(p)])
-    return beta, list(range(s))
+    the bounds strictly positive. Sign i is ``Stream(seed).sign()``'s i-th
+    draw, the top bit of word i; the magnitudes stay Python's ``**``,
+    which numpy's power does not match to the last bit."""
+    negative = (_words(seed, 0, p) >> np.uint64(63)).astype(bool)
+    magnitude = np.array([(i + 1) ** -2.0 for i in range(p)])
+    return np.where(negative, -magnitude, magnitude), list(range(s))
 
 
 @dataclass
@@ -269,8 +271,7 @@ def _noisy_trials(instance: RecoveryInstance, xb: np.ndarray, lam_noise: float,
     """Per trial k, draw z from (seed, k) and yield
     (k, y = X b* + z, event ||X^T z||_inf <= Lambda, ||X^T z||_inf)."""
     X = instance.design
-    for k in range(trials):
-        z = sample_noise(instance.noise, derive_seed(instance.seed, k))
+    for k, z in enumerate(trial_noise(instance.noise, instance.seed, trials)):
         sup = float(np.max(np.abs(X.transpose_matvec(z))))
         yield k, xb + z, sup <= lam_noise + 1e-12, sup
 

@@ -8,9 +8,11 @@ correlated. Three correlation structures are supported:
     rho^|i-j|, generated by the recursive filter z_i = rho z_{i-1} +
     sigma sqrt(1-rho^2) g_i with the variance-correcting start z_0 =
     sigma g_0, so the marginal variance is sigma^2 at every index. The
-    recurrence is evaluated in index order on Python floats, which performs
-    the definition's IEEE-double operations in the definition's order and
-    so gives the same bytes (see ``sample_noise``),
+    samples are the definition's IEEE-double operations in the
+    definition's order, bit for bit, however they are computed: a
+    speculative scan proposes every position at once, one check confirms
+    each position against the recurrence, and a sequential repair redoes
+    what fails (see ``sample_noise_rows``),
   * ``explicit`` - any unit-diagonal PSD correlation matrix C; samples are
     sigma L g with L the symmetric PSD square root of C (eigenvalues
     clipped at zero, tolerance 1e-12).
@@ -20,7 +22,8 @@ Lambda = 2 sigma sqrt(log n), Lambda_t = (1+t) sigma sqrt(log n),
 eta_n = 1 / (sqrt(2 pi) n sqrt(log n)), and for t >= 1 the event
 ||X^T z||_inf <= Lambda_t has probability at least
 1 - sqrt(2) / ((1+t) sqrt(pi log n) n^((1+t)^2/2 - 1)). Monte Carlo checks
-compare empirical frequencies against those bounds.
+compare empirical frequencies against those bounds; ``trial_noise`` draws
+their noise as the rows of blocks of at most _BLOCK entries.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ import numpy as np
 
 from .design import DesignMatrix
 from .rng import derive_seed, gaussians
+
+_BLOCK = 1 << 14  # entries of one block of noise rows drawn together
+_STEP = 32        # one scan step costs about the repair loop on this many entries
 
 
 @dataclass(eq=False)
@@ -113,29 +119,144 @@ def thresholds(sigma: float, n: int, t: float = 1.0) -> Thresholds:
 
 def sample_noise(model: NoiseModel, seed: int) -> np.ndarray:
     """One noise vector; identical (model, seed) give identical samples.
+    The one-row case of ``sample_noise_rows``: an AR(1) row that is too
+    short for the speculative scan to pay runs the recurrence itself."""
+    return sample_noise_rows(model, [seed])[0]
 
-    sigma = 0 returns zeros without drawing. The AR(1) filter evaluates
-    z_i = rho z_{i-1} + (scale g_i) in index order on Python floats: the
-    vectorised ``scale * g`` rounds each product as the scalar product
-    does, and the addition commutes exactly, so the result is the
-    definition's, bit for bit. Indexing numpy arrays in the loop would box
-    three numpy scalars per step, which cost most of a draw; a prefix scan
-    or closed form would change the rounding.
+
+def sample_noise_rows(model: NoiseModel, seeds) -> np.ndarray:
+    """One noise row per seed, row r byte for byte ``sample_noise(model,
+    seeds[r])``; the rows are drawn together, so callers keep
+    len(seeds) * n near _BLOCK (see ``trial_noise``).
+
+    sigma = 0 returns zeros without drawing. iid rows scale the Gaussians,
+    and explicit rows multiply them by the correlation root one row at a
+    time. AR(1) rows come from ``_ar1``: w = scale g rounds each product
+    as the scalar product does, and every z_i is fl(fl(rho z_{i-1}) + w_i)
+    in index order, the definition's rounding bit for bit.
     """
     if model.sigma == 0.0:
-        return np.zeros(model.n)
-    g = gaussians(seed, model.n)
+        return np.zeros((len(seeds), model.n))
+    g = gaussians(seeds, model.n)
     if model.kind == "iid":
-        return model.sigma * g
+        g *= model.sigma
+        return g
     if model.kind == "ar1":
-        rho = model.rho
-        scale = model.sigma * math.sqrt(1.0 - rho * rho)
-        w = (scale * g).tolist()
-        prev = w[0] = model.sigma * float(g[0])
-        for i in range(1, model.n):
-            prev = w[i] = rho * prev + w[i]
-        return np.array(w)
-    return model.sigma * (model._sqrt @ g)
+        first = model.sigma * g[:, 0]
+        g *= model.sigma * math.sqrt(1.0 - model.rho * model.rho)
+        g[:, 0] = first
+        return _ar1(g, model.rho)[0]
+    z = np.empty(g.shape)
+    for r, row in enumerate(g):
+        z[r] = model.sigma * (model._sqrt @ row)
+    return z
+
+
+def trial_noise(model: NoiseModel, seed: int, trials: int):
+    """Yield the noise of trials 0 .. trials-1, trial k drawn from
+    derive_seed(seed, k), as the rows of blocks of at most _BLOCK entries
+    (one row when n passes it)."""
+    rows = max(1, _BLOCK // model.n)
+    for first in range(0, trials, rows):
+        seeds = [derive_seed(seed, k) for k in range(first, min(first + rows, trials))]
+        yield from sample_noise_rows(model, seeds)
+
+
+def _ar1(w: np.ndarray, rho: float) -> tuple[np.ndarray, int]:
+    """The rows z of z_0 = w_0, z_i = fl(fl(rho z_{i-1}) + w_i) for the
+    rows of w, and the number of positions the sequential repair computed.
+
+    Speculate: positions 1 .. n-1 are cut into chunks, and every chunk of
+    every row runs the recurrence at once from 0, ``burn`` positions before
+    its first (``_scan``). |rho|^burn <= 2**-64, so the contracting
+    recurrence has forgotten its wrong start, to the last bit, well before
+    the chunk begins; a burn-in that would reach back past position 0
+    starts there, from z_0 itself. Check: one vectorised pass computes
+    fl(fl(rho z_{i-1}) + w_i) at every position and compares bits. A
+    candidate that passes at every position is, by induction, the
+    sequential result. Repair: ``_repair`` recomputes on Python floats
+    from each failing position. Where the scan's steps cost more than the
+    recurrence it replaces (one row, or |rho| near 1), nothing is
+    speculated and the repair runs every row from position 1, which is
+    the recurrence itself.
+    """
+    rows, n = w.shape
+    burn = 0 if rho == 0.0 else math.ceil(64 / -math.log2(abs(rho)))
+    # a step's fixed cost is about that of 1024 entries' arithmetic, so this
+    # chunk length balances the step count against the repeated burn-in work
+    chunk = max(1, min(n - 1, math.isqrt(burn * rows * n >> 10)))
+    count = -(-(n - 1) // chunk)
+    burn = min(burn, 1 + (count - 1) * chunk)   # the last chunk's reaches back to position 0
+    if (burn + chunk) * _STEP <= rows * n:
+        z = _scan(w, rho, burn, chunk)
+        fit = z[:, :-1] * rho
+        fit += w[:, 1:]
+        bad = fit.view(np.uint64) != z[:, 1:].view(np.uint64)
+        starts: dict[int, list[int]] = {}
+        if bad.any():
+            bad_rows, bad_cols = np.nonzero(bad)
+            for r, i in zip(bad_rows.tolist(), (bad_cols + 1).tolist()):
+                starts.setdefault(r, []).append(i)
+    else:
+        z, chunk = w, n
+        starts = {r: [1] for r in range(rows)} if n > 1 else {}
+    work = 0
+    for r, first in starts.items():
+        row = z[r].tolist()
+        work += _repair(row, row if z is w else w[r].tolist(), rho, first, chunk)
+        z[r] = row
+    return z, work
+
+
+def _scan(w: np.ndarray, rho: float, burn: int, chunk: int) -> np.ndarray:
+    """Candidate rows for ``_ar1``. Chunk c holds positions 1 + c chunk ..
+    (c+1) chunk and runs the recurrence from 0 at ``burn`` positions
+    before its first (w = 0 before position 0). Each step advances every
+    row and chunk by one multiply and one add on a contiguous (chunks,
+    rows) slice: w is laid out by offset in the chunk, then chunk, then
+    row, after enough leading chunks of zeros (and w_0) for the burn-in."""
+    rows, n = w.shape
+    count = -(-(n - 1) // chunk)
+    lead = -(-burn // chunk) + 1                   # chunks of zeros, then w_0, before position 1
+    flat = np.zeros((rows, (lead + count) * chunk))
+    flat[:, lead * chunk - 1:lead * chunk - 1 + n] = w
+    src = flat.reshape(rows, lead + count, chunk)  # src[:, lead + c, j] is w at c chunk + j + 1
+    cand = np.empty((chunk, rows, count))
+    prev = np.zeros((rows, count))
+    for t in range(-burn, chunk):
+        out = prev if t < 0 else cand[t]
+        np.multiply(prev, rho, out=out)
+        c = lead + t // chunk
+        out += src[:, c:c + count, t % chunk]
+        prev = out
+    src[:, lead:] = cand.transpose(1, 2, 0)        # candidates replace w from position 1 on
+    return flat[:, lead * chunk - 1:lead * chunk - 1 + n]
+
+
+def _repair(z: list, w: list, rho: float, starts: list[int], chunk: int) -> int:
+    """Recompute z_i = rho z_{i-1} + w_i on Python floats from each
+    position in ``starts`` (ascending) through the first position of the
+    next chunk, where a wrong chunk start has usually been outgrown, and
+    on through later chunks' first positions until the value there
+    equals, bit for bit, the one z held. Every position after it up to
+    the next start passed the check against a right predecessor, so z is
+    right up to there. Returns the number of positions computed."""
+    n = len(z)
+    work = done = 0
+    for i in starts:
+        if i < done:
+            continue
+        while True:
+            stop = min(n, i + chunk - (i - 1) % chunk + 1)
+            held = z[stop - 1]
+            prev = z[i - 1]
+            for j in range(i, stop):
+                prev = z[j] = rho * prev + w[j]
+            work += stop - i
+            i = done = stop
+            if stop == n or (prev == held and math.copysign(1.0, prev) == math.copysign(1.0, held)):
+                break
+    return work
 
 
 @dataclass
@@ -170,8 +291,7 @@ def empirical_noise_bound(X: DesignMatrix, model: NoiseModel, t: float,
     bound = th.high_prob_bound if model.sigma > 0 else 1.0
     hits = 0
     nonamp_ok = True
-    for k in range(trials):
-        z = sample_noise(model, derive_seed(seed, k))
+    for z in trial_noise(model, seed, trials):
         xtz = float(np.max(np.abs(X.transpose_matvec(z))))
         if xtz <= th.lam_t:
             hits += 1

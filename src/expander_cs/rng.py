@@ -19,7 +19,9 @@ Derived values:
 
 ``Stream`` consumes words one by one; ``gaussians`` and
 ``Stream.samples_without_replacement`` compute the same words in bulk with
-numpy. All walk the identical counter sequence.
+numpy. All walk the identical counter sequence. ``gaussians``, ``uniforms``
+and ``_words`` also take a sequence of seeds and return one row per seed,
+each row word for word the call with that seed alone.
 """
 
 from __future__ import annotations
@@ -114,28 +116,46 @@ def _fisher_yates(n: int, words: list[int]) -> list[int]:
     return sorted(out)
 
 
-def _words(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized words for counter positions start+1 .. start+count."""
+def _words(seed, start: int, count: int) -> np.ndarray:
+    """Vectorized words for counter positions start+1 .. start+count; for
+    a sequence of seeds, one row per seed."""
+    if isinstance(seed, (int, np.integer)):
+        seeds = np.uint64(int(seed) & _MASK)
+    else:
+        seeds = np.array([int(s) & _MASK for s in seed], dtype=np.uint64)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x = (np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN))
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    x = seeds[..., None] + idx * np.uint64(_GOLDEN)
+    shifted = np.empty_like(x)
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        x ^= np.right_shift(x, np.uint64(shift), out=shifted)
+        x *= np.uint64(mul)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    return x
 
 
-def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Vector of uniforms in [0, 1); identical to Stream word for word."""
-    return (_words(seed, start, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def uniforms(seed, count: int, start: int = 0) -> np.ndarray:
+    """Vector of uniforms in [0, 1); identical to Stream word for word.
+    A sequence of seeds gives one row per seed."""
+    words = _words(seed, start, count)
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
-def gaussians(seed: int, count: int) -> np.ndarray:
-    """Vector of standard Gaussians, same stream as Stream.gaussian_pair."""
+def gaussians(seed, count: int) -> np.ndarray:
+    """Vector of standard Gaussians, same stream as Stream.gaussian_pair.
+    A sequence of seeds gives one row per seed."""
     pairs = (count + 1) // 2
     u = uniforms(seed, 2 * pairs)
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    a = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(a)
-    out[1::2] = r * np.sin(a)
-    return out[:count]
+    flat = u.reshape(-1)       # rows of even length: one pass serves every row
+    r = -flat[0::2]
+    r = np.log1p(r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    a = 2.0 * np.pi * flat[1::2]
+    # the pairs overwrite the uniforms they came from; cos and sin write
+    # fresh arrays, as numpy picks their loop by the output's layout too
+    np.multiply(r, np.cos(a), out=flat[0::2])
+    np.multiply(r, np.sin(a), out=flat[1::2])
+    return u[..., :count]

@@ -39,7 +39,7 @@ import numpy as np
 from . import connected
 from .design import DesignMatrix
 from .errors import CapacityError, SolverStatusError, read
-from .graphs import BipartiteGraph, neighbor_set
+from .graphs import BipartiteGraph, check_table, neighbor_set
 from .rng import Stream, derive_seed, gaussians
 from .solve import LinearProgram, lp_solve
 
@@ -291,7 +291,11 @@ def check_up2_sampled(X: DesignMatrix, s: int, trials: int, seed: int) -> Verifi
 def kernel_basis(X: DesignMatrix, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal kernel basis columns from the SVD, singular values
     below ``tol`` treated as zero. The full p x p V is needed only when
-    n < p; a tall design skips the n x n U, which is never read."""
+    n < p; both tables are capped, in the order they are built, before
+    either is. A tall design skips the n x n U, which is never read."""
+    if X.n < X.p:
+        check_table("dense design n*p", X.n, X.p)
+        check_table("kernel basis p*p", X.p, X.p)
     dense = X.to_dense()
     _, svals, vt = np.linalg.svd(dense, full_matrices=X.n < X.p)
     rank = int(np.sum(svals > tol))

@@ -13,6 +13,7 @@ from expander_cs.bench import (CheckResult, ExperimentReport, TrialRecord,
                                dantzig_selection_bound, lasso_prediction_bound,
                                lasso_selection_bound, sparse_target)
 from expander_cs.graphs import BipartiteGraph, neighbor_set, random_left_regular
+from expander_cs.rng import Stream
 from expander_cs.verify import check_expansion_exhaustive
 
 
@@ -48,6 +49,14 @@ def test_compressible_target_structure():
     assert support == [0, 1]
     np.testing.assert_allclose(np.abs(beta),
                                [(i + 1) ** -2.0 for i in range(10)])
+
+
+def test_compressible_target_is_the_stream_definition():
+    # one sign() per coordinate from Stream(seed), times (i+1)^-2 on Python floats
+    for p, seed in ((1, 0), (2, 5), (17, 3), (1000, 2**64 - 1), (4099, 12345)):
+        rng = Stream(seed)
+        want = np.array([rng.sign() * (i + 1) ** -2.0 for i in range(p)])
+        assert compressible_target(p, 1, seed)[0].tobytes() == want.tobytes()
 
 
 def test_lambda_policy_enforced():

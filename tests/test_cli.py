@@ -508,6 +508,9 @@ def test_oversized_designs_exit_2_under_a_memory_cap(tmp_path):
         {"p": 2, "n": 1 << 40, "d": 2, "provenance": "far", "neighbors": [[0, 1], [2, 3]]}))
     assert run(["construct", "random", "--p", 60000, "--d", 4, "--n", 30000,
                 "--out", tmp_path / "flat.json"]) == 0
+    # n*p = 2**24 passes the dense cap, but the kernel's p x p V does not
+    assert run(["construct", "random", "--p", 16384, "--d", 8, "--n", 1024,
+                "--out", tmp_path / "wide_kernel.json"]) == 0
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"design": "flat.json", "noise": {"sigma": 0.001}, "lambda_multiple": 1.0,
          "trials": 2}))
@@ -517,6 +520,8 @@ def test_oversized_designs_exit_2_under_a_memory_cap(tmp_path):
             (["verify", "--graph", "far.json", "--s", 1], far),
             (["verify", "--graph", "flat.json", "--s", 1, "--check", "kernel"],
              "dense design n*p = 30000*60000 exceeds limit 16777216"),
+            (["verify", "--graph", "wide_kernel.json", "--s", 1, "--check", "kernel"],
+             "kernel basis p*p = 16384*16384 exceeds limit 16777216"),
             (["bench", "dantzig", "--config", "cfg.json"],
              "Dantzig LP matrix 2p*4p = 120000*240000 exceeds limit 16777216")):
         assert _run_capped([*args, "--out", "r.json"], tmp_path) == (2, f"error: {message}\n")

@@ -5,7 +5,8 @@ import pytest
 
 from expander_cs import (DesignMatrix, NoiseModel, empirical_noise_bound,
                          matching_graph, random_left_regular, sample_noise,
-                         thresholds)
+                         sample_noise_rows, thresholds, trial_noise)
+from expander_cs import noise
 from expander_cs.rng import derive_seed, gaussians
 
 
@@ -78,7 +79,7 @@ def test_noise_deterministic_per_seed():
 
 def reference_ar1(model: NoiseModel, seed: int) -> np.ndarray:
     """The AR(1) filter as first written, a loop over numpy scalars: the
-    slow reference for ``sample_noise``'s Python-float recurrence."""
+    slow reference for ``sample_noise``'s AR(1) rows."""
     g = gaussians(seed, model.n)
     rho = model.rho
     scale = model.sigma * math.sqrt(1.0 - rho * rho)
@@ -107,9 +108,46 @@ def test_ar1_rho_zero_matches_iid_stream():
     np.testing.assert_array_equal(sample_noise(iid, 5), sample_noise(ar0, 5))
 
 
+def test_block_rows_are_the_one_seed_draws():
+    corr = np.array([[0.6 ** abs(i - j) for j in range(7)] for i in range(7)])
+    for model in (NoiseModel(7, 1.3), NoiseModel(7, 0.0),
+                  NoiseModel(7, 1.3, "ar1", rho=-0.4),
+                  NoiseModel(7, 1.3, "explicit", corr=corr)):
+        seeds = [0, 2**64 - 1, *(derive_seed(4, k) for k in range(5))]
+        rows = sample_noise_rows(model, seeds)
+        assert rows.shape == (7, 7) and rows.dtype == np.float64
+        for row, seed in zip(rows, seeds):
+            assert row.tobytes() == sample_noise(model, seed).tobytes()
+        assert sample_noise_rows(model, []).shape == (0, 7)
+        for k, z in enumerate(trial_noise(model, 9, 5)):
+            assert z.tobytes() == sample_noise(model, derive_seed(9, k)).tobytes()
+        assert k == 4
+
+
+def test_ar1_block_speculates_at_half_and_repairs_near_one():
+    # the work counter is the positions the sequential repair recomputed
+    n = 1536
+    rows = noise._BLOCK // n
+    seeds = [derive_seed(21, k) for k in range(rows)]
+    g = gaussians(seeds, n)
+    for rho in (0.5, 0.999):
+        w = g.copy()
+        w[:, 1:] *= math.sqrt(1.0 - rho * rho)
+        z, work = noise._ar1(w.copy(), rho)
+        model = NoiseModel(n, 1.0, "ar1", rho=rho)
+        for row, seed in zip(z, seeds):
+            assert row.tobytes() == reference_ar1(model, seed).tobytes()
+        if rho == 0.5:
+            assert work < rows * (n - 1) // 20     # the scan found nearly every position
+        else:
+            assert work == rows * (n - 1)          # no scan: the recurrence, row by row
+    _, work = noise._ar1(g[:1].copy(), 0.5)         # one row: a scan cannot pay
+    assert work == n - 1
+
+
 def test_ar1_marginal_variance_and_lag1_correlation():
     model = NoiseModel(8, 1.0, "ar1", rho=0.5)
-    draws = np.array([sample_noise(model, derive_seed(3, k)) for k in range(100000)])
+    draws = np.array(list(trial_noise(model, 3, 100000)))
     var = draws.var(axis=0)
     assert np.all(np.abs(var - 1.0) <= 0.02)
     lag1 = [np.corrcoef(draws[:, i], draws[:, i + 1])[0, 1] for i in range(7)]
@@ -135,7 +173,7 @@ def test_explicit_matches_ar1_second_moments():
     n, rho = 6, 0.6
     corr = np.array([[rho ** abs(i - j) for j in range(n)] for i in range(n)])
     model = NoiseModel(n, 1.0, "explicit", corr=corr)
-    draws = np.array([sample_noise(model, derive_seed(11, k)) for k in range(20000)])
+    draws = np.array(list(trial_noise(model, 11, 20000)))
     emp = np.corrcoef(draws.T)
     assert np.max(np.abs(emp - corr)) < 0.03
     assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.03)

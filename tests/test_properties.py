@@ -2,7 +2,8 @@
 format and its file writer, the connected-subset expansion certificate
 (against the full scan and the ESU enumeration), the sampled expansion
 check (against the bitmask scan of its draws), the lasso's optimality
-conditions and basis pursuit's dual certificate."""
+conditions, basis pursuit's dual certificate and the AR(1) noise blocks
+(against the recurrence on numpy scalars)."""
 
 import itertools
 import json
@@ -19,10 +20,11 @@ from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
                          random_left_regular, save_graph)
 from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,  # noqa: E402
                                 graph_to_json_text)
-from expander_cs import connected, verify  # noqa: E402
+from expander_cs import NoiseModel, connected, noise, trial_noise, verify  # noqa: E402
 from expander_cs.errors import CapacityError  # noqa: E402
-from expander_cs.rng import Stream  # noqa: E402
+from expander_cs.rng import Stream, derive_seed  # noqa: E402
 from esu_oracle import _connected_subsets, _expansion_scan, esu_check  # noqa: E402
+from test_noise import reference_ar1  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
                                database=None)
@@ -204,3 +206,21 @@ def test_bp_dual_certificate_holds(case):
         z = XA @ np.linalg.solve(XA.T @ XA, np.sign(beta[A]))
         assert np.abs(dense.T @ z).max() <= 1.0 + 1e-9
         assert abs(float(y @ z) - l1) <= 1e-9 * l1
+
+
+# a full block at rho = 0.5 cuts rows into chunks of 31-32 positions, so
+# n - 1 = 30 .. 33 and 62 .. 64 put a row's end on, just before and just
+# past a chunk's end
+@hypothesis.settings(SETTINGS, max_examples=25)
+@hypothesis.given(st.sampled_from([1, 2, 3, 31, 32, 33, 34, 63, 64, 65, 1536]),
+                  st.sampled_from([-1, 0, 1]),
+                  st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.9, -0.9, 0.999, 1e-300]),
+                  st.sampled_from([0.01, 1.0, 3.7]),
+                  st.integers(0, 2**64 - 1))
+def test_ar1_block_rows_are_the_recurrence(n, past_block, rho, sigma, seed):
+    # the trial count straddles one block, so the last block has 1 row or none
+    model = NoiseModel(n, sigma, "ar1", rho=rho)
+    trials = noise._BLOCK // n + past_block
+    for k, z in enumerate(trial_noise(model, seed, trials)):
+        assert z.tobytes() == reference_ar1(model, derive_seed(seed, k)).tobytes()
+    assert k == trials - 1

@@ -1,6 +1,6 @@
 import numpy as np
 
-from expander_cs.rng import Stream, derive_seed, gaussians, mix64, uniforms
+from expander_cs.rng import Stream, _words, derive_seed, gaussians, mix64, uniforms
 
 
 def test_scalar_vector_streams_agree():
@@ -22,6 +22,17 @@ def test_gaussians_match_scalar_pairs():
         scalar.extend([a, b])
     vector = gaussians(9, 20)
     np.testing.assert_allclose(vector, scalar, atol=1e-12)
+
+
+def test_rows_of_many_seeds_are_the_one_seed_draws():
+    seeds = [0, 1, 2**63, 2**64 - 1, *(derive_seed(6, k) for k in range(9))]
+    for count in (0, 1, 2, 3, 8, 1535, 1536):
+        for draw in (lambda s, c: _words(s, 0, c), uniforms, gaussians):
+            rows = draw(seeds, count)
+            assert rows.shape == (len(seeds), count)
+            for row, seed in zip(rows, seeds):
+                assert row.tobytes() == draw(seed, count).tobytes()
+    assert gaussians([], 5).shape == (0, 5)
 
 
 def test_determinism_and_seed_sensitivity():

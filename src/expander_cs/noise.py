@@ -212,9 +212,10 @@ def _scan(w: np.ndarray, rho: float, burn: int, chunk: int) -> np.ndarray:
     """Candidate rows for ``_ar1``. Chunk c holds positions 1 + c chunk ..
     (c+1) chunk and runs the recurrence from 0 at ``burn`` positions
     before its first (w = 0 before position 0). Each step advances every
-    row and chunk by one multiply and one add on a contiguous (chunks,
-    rows) slice: w is laid out by offset in the chunk, then chunk, then
-    row, after enough leading chunks of zeros (and w_0) for the burn-in."""
+    row and chunk by one multiply and one add: the state is a contiguous
+    (rows, chunks) array, and the step reads one offset of every chunk
+    from a copy of w laid out in whole chunks, after enough leading chunks
+    of zeros (and w_0) for the burn-in."""
     rows, n = w.shape
     count = -(-(n - 1) // chunk)
     lead = -(-burn // chunk) + 1                   # chunks of zeros, then w_0, before position 1

@@ -6,9 +6,10 @@ bench (default CSV; ols writes JSON only) also take --format {json,csv}.
 Runs that write an output file also write ``<out>.manifest.json``
 recording the command, all resolved parameters, the package version and
 the seed, so any number in a report can be regenerated from the manifest
-alone (nothing time-dependent is ever written). Exit codes: 0 when every
-asserted check passed, 1 when a check failed, 2 on usage errors and
-invalid input.
+alone (nothing time-dependent is ever written). Both files are written
+by ``errors.write_text``, which rewrites an existing file in place and
+cuts it to the new length. Exit codes: 0 when every asserted check
+passed, 1 when a check failed, 2 on usage errors and invalid input.
 
 Each ``_cmd_*`` returns ``(text, params, code)``: the report, the
 manifest's parameters and the exit code. ``main`` alone writes the report
@@ -34,7 +35,7 @@ from .bench import (ExperimentReport, RecoveryInstance, mvse_sweep,
                     ols_oracle_comparison, run_dantzig_experiment,
                     run_lasso_experiment, run_recovery_experiment)
 from .design import DesignMatrix
-from .errors import CapacityError, SolverStatusError, load_object, read
+from .errors import CapacityError, SolverStatusError, load_object, read, write_text
 from .fields import GF, MAX_FIELD_ORDER, is_prime
 from .graphs import (graph_from_json_dict, graph_to_json_text, load_graph,
                      matching_graph, pv_expander, random_left_regular)
@@ -93,7 +94,7 @@ def _emit(text: str, out: Path | None) -> None:
     if out is None:
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        write_text(out, text + "\n")
 
 
 def _write_manifest(out: Path | None, command: str, params: dict) -> None:
@@ -105,8 +106,7 @@ def _write_manifest(out: Path | None, command: str, params: dict) -> None:
         "params": params,
         "output": str(out),
     }
-    Path(str(out) + ".manifest.json").write_text(
-        dumps_17g(manifest) + "\n", encoding="utf-8")
+    write_text(str(out) + ".manifest.json", dumps_17g(manifest) + "\n")
 
 
 def _graph_from_spec(spec, seed: int):

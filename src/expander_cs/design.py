@@ -11,7 +11,7 @@ row for X gamma, per column for X^T z) and divide by d once, which keeps
 results independent of thread count and of how the matrix was built.
 
 A design holds that table and nothing derived from it: no solver state is
-kept between calls. The dense n x p export is capped at MAX_TABLE entries.
+kept between calls. The dense n x p matrix is capped at MAX_TABLE entries.
 """
 
 from __future__ import annotations
@@ -60,11 +60,3 @@ class DesignMatrix:
         out = np.zeros((self.n, self.p))
         out[self.rows, np.arange(self.p)[:, None]] = 1.0 / self.d
         return out
-
-    def write_dense_csv(self, path) -> None:
-        """Dense export: n rows, p comma-separated columns, 17 significant digits."""
-        dense = self.to_dense()
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in dense:
-                fh.write(",".join(f"{v:.17g}" for v in row))
-                fh.write("\n")

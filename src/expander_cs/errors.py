@@ -1,11 +1,14 @@
-"""Shared exception types, the size check that raises CapacityError, and
-the one reader of JSON input: every file the package reads is decoded by
-:func:`load_object` and every field typed by :func:`read`, which returns
-values as decoded, never converted.
+"""Shared exception types, the size check that raises CapacityError, the
+one reader of JSON input and the one writer of output files. Every file
+the package reads is decoded by :func:`load_object` and every field typed
+by :func:`read`, which returns values as decoded, never converted. Every
+file it writes is written by :func:`write_text`.
 """
 
 import json
+import os
 import reprlib
+import stat
 from types import GenericAlias, UnionType
 
 
@@ -67,3 +70,22 @@ def load_object(path) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     return obj
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, rewriting an existing file in
+    place: it is opened without truncation (created with mode 0o666 less
+    the umask when absent), written whole and then, when it is a regular
+    file, cut to the written length. Truncating a non-empty file on open
+    costs far more than cutting it after the write. A character device
+    or a FIFO, such as /dev/null, is written but not cut."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

@@ -5,7 +5,9 @@ vertex has exactly d distinct neighbors: row i of one read-only (p, d)
 int64 table, strictly increasing, shared by the design matrix and capped
 at MAX_TABLE entries. The JSON interchange form is an object with integer
 fields ``p``, ``n``, ``d``, text field ``provenance`` and ``neighbors``, an
-array of p arrays of d ascending integers.
+array of p arrays of d ascending integers. Its text is json's indent-2
+layout, rendered from one row template by :func:`graph_to_json_text` and
+written by ``errors.write_text``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, check_power, load_object, read
+from .errors import CapacityError, check_power, load_object, read, write_text
 from .fields import GF, find_irreducible, poly_eval, poly_mod_pow
 from .rng import Stream
 
 MAX_SIDE = 1 << 20
 MAX_TABLE = 1 << 24  # entries of a (p, d) neighbor table: 128 MB of int64
+_BLOCK_ENTRIES = 1 << 16  # table entries a graph file's text formats at once
 
 
 @dataclass(frozen=True)
@@ -211,13 +214,27 @@ def graph_to_json_dict(g: BipartiteGraph) -> dict:
 
 
 def graph_to_json_text(g: BipartiteGraph) -> str:
-    """The graph file's text: ``json.dumps(graph_to_json_dict(g), indent=2)``,
-    with the neighbor rows joined directly rather than by json's encoder."""
-    rows = "\n    ],\n    [\n      ".join(",\n      ".join(map(str, nb))
-                                         for nb in g.neighbors.tolist())
-    return (f'{{\n  "p": {g.p},\n  "n": {g.n},\n  "d": {g.d},\n'
-            f'  "provenance": {json.dumps(g.provenance)},\n'
-            f'  "neighbors": [\n    [\n      {rows}\n    ]\n  ]\n}}')
+    """The graph file's text: ``json.dumps(graph_to_json_dict(g), indent=2)``.
+
+    A neighbor row is one ``%d`` template. The flat table is formatted in
+    blocks of whole rows, at most ``_BLOCK_ENTRIES`` entries a block (one
+    row when d is larger), by one block template and a shorter one for the
+    last rows, so the table's Python ints exist one block at a time. The
+    head and tail of the object join the first and last blocks, so the
+    whole text is copied once, by the final join."""
+    row = "    [\n" + ",\n".join(["      %d"] * g.d) + "\n    ]"
+    rows = min(g.p, max(1, _BLOCK_ENTRIES // g.d))
+    block, step = ",\n".join([row] * rows), rows * g.d
+    flat = g.neighbors.reshape(-1)
+    full, last = divmod(g.p, rows)
+    parts = [block % tuple(flat[k:k + step].tolist()) for k in range(0, full * step, step)]
+    if last:
+        parts.append(",\n".join([row] * last) % tuple(flat[full * step:].tolist()))
+    parts[0] = (f'{{\n  "p": {g.p},\n  "n": {g.n},\n  "d": {g.d},\n'
+                f'  "provenance": {json.dumps(g.provenance)},\n'
+                f'  "neighbors": [\n{parts[0]}')
+    parts[-1] += "\n  ]\n}"
+    return ",\n".join(parts)
 
 
 def graph_from_json_dict(obj: dict) -> BipartiteGraph:
@@ -237,8 +254,7 @@ def graph_from_json_dict(obj: dict) -> BipartiteGraph:
 
 
 def save_graph(g: BipartiteGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_json_text(g) + "\n")
+    write_text(path, graph_to_json_text(g) + "\n")
 
 
 def load_graph(path) -> BipartiteGraph:

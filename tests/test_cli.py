@@ -15,7 +15,9 @@ import pytest
 
 import expander_cs
 from expander_cs.cli import _parser, dumps_17g, main
-from expander_cs.graphs import matching_graph, save_graph
+from expander_cs.fields import GF
+from expander_cs.graphs import (matching_graph, pv_expander, random_left_regular,
+                                  save_graph)
 
 
 def run(args):
@@ -42,6 +44,50 @@ def test_construct_random_deterministic(tmp_path):
     run(["construct", "random", "--p", 10, "--d", 3, "--n", 12, "--seed", 5, "--out", a])
     run(["construct", "random", "--p", 10, "--d", 3, "--n", 12, "--seed", 5, "--out", b])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_rerun_over_earlier_outputs_is_byte_identical(tmp_path):
+    # every output is rewritten in place: stale longer bytes must not survive
+    graph, report, bench, cfg = (tmp_path / name for name in
+                                 ("g.json", "r.json", "b.csv", "cfg.json"))
+    cfg.write_text(json.dumps(_bench_lasso_config(design=str(graph))))
+    commands = [["construct", "pv", "--q", 5, "--l", 2, "--m", 2, "--h", 2, "--out", graph],
+                ["verify", "--graph", graph, "--s", 2, "--out", report],
+                ["bench", "lasso", "--config", cfg, "--out", bench]]
+    outputs = [path.with_name(path.name + tail) for path in (graph, report, bench)
+               for tail in ("", ".manifest.json")]
+    assert [run(args) for args in commands] == [0, 0, 0]
+    first = [path.read_bytes() for path in outputs]
+    for stale in ("x" * 100_000, None):
+        if stale:
+            for path in outputs:
+                path.write_text(stale)
+        assert [run(args) for args in commands] == [0, 0, 0]
+        assert [path.read_bytes() for path in outputs] == first
+
+
+@pytest.mark.parametrize("out,blocked,message", [
+    ("missing/g.json", None, "[Errno 2] No such file or directory: '{}'"),
+    (".", None, "[Errno 21] Is a directory: '{}'"),
+    ("g.json", "g.json.manifest.json", "[Errno 21] Is a directory: '{}.manifest.json'"),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, out, blocked, message):
+    if blocked:
+        (tmp_path / blocked).mkdir()
+    out = tmp_path / out
+    assert run(["construct", "pv", "--q", 3, "--l", 2, "--m", 1, "--h", 2, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(out)}\n"
+
+
+@pytest.mark.parametrize("args,g", [
+    (["pv", "--q", 7, "--l", 2, "--m", 2, "--h", 2], lambda: pv_expander(GF(7), 2, 2, 2)),
+    (["random", "--p", 40, "--d", 5, "--n", 90, "--seed", 3],
+     lambda: random_left_regular(40, 5, 90, seed=3)),
+])
+def test_construct_out_is_save_graph(tmp_path, args, g):
+    assert run(["construct", *args, "--out", tmp_path / "cli.json"]) == 0
+    save_graph(g(), tmp_path / "lib.json")
+    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
 
 def test_verify_exit_codes(tmp_path):

@@ -11,7 +11,8 @@ from expander_cs import (GF, BipartiteGraph, CapacityError, ExpanderParams, load
                          random_left_regular, save_graph, suggest_pv_bounds,
                          suggest_random_params)
 from expander_cs import graphs
-from expander_cs.graphs import graph_from_json_dict, graph_to_json_dict
+from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,
+                                graph_to_json_text)
 
 
 def test_random_full_degree_forces_all_neighbors():
@@ -182,6 +183,44 @@ def test_graph_json_roundtrip(tmp_path):
     path = tmp_path / "g.json"
     save_graph(g, path)
     assert load_graph(path) == g
+
+
+_ROWS = graphs._BLOCK_ENTRIES // 64             # rows in one block of a d = 64 table
+
+
+@pytest.mark.parametrize("make", [
+    lambda: matching_graph(1),
+    lambda: random_left_regular(5, 7, 7, seed=1),                   # d = n
+    lambda: random_left_regular(_ROWS - 1, 64, 70, seed=2),
+    lambda: random_left_regular(_ROWS, 64, 70, seed=3),
+    lambda: random_left_regular(_ROWS + 1, 64, 70, seed=4),
+], ids=["matching1", "d=n", "block-1", "block", "block+1"])
+def test_graph_file_text_is_json_indent_2_at_the_edges(make):
+    g = make()
+    assert graph_to_json_text(g) == json.dumps(graph_to_json_dict(g), indent=2)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 6, 7, 64])
+def test_graph_file_text_is_json_indent_2_at_any_block_size(monkeypatch, block):
+    monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", block)
+    for g in (matching_graph(1), matching_graph(7), random_left_regular(7, 3, 9, seed=8),
+              random_left_regular(4, 6, 6, seed=0), pv_expander(GF(3), 2, 2, 2)):
+        assert graph_to_json_text(g) == json.dumps(graph_to_json_dict(g), indent=2)
+
+
+def test_graph_file_text_holds_one_block_of_ints():
+    # 2**19 entries in eight blocks: the peak is the text twice (the blocks'
+    # strings and their join), not one Python int per table entry
+    p = 1 << 15
+    g = BipartiteGraph(p, 2048, 16, np.arange(p)[:, None] % 128 + np.arange(0, 2048, 128),
+                       "stripes")
+    tracemalloc.start()
+    try:
+        text = graph_to_json_text(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 # -- the neighbor table --------------------------------------------------------

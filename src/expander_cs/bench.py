@@ -8,6 +8,14 @@ report the event frequency (which must clear its own tail bound) and the
 per-inequality pass fractions. Trials whose solver did not converge are
 flagged and excluded from pass statistics, never silently dropped.
 
+The noisy experiments run one block of trials at a time, as
+``trial_noise`` draws them: one stack product gives every trial's
+||X^T z||_inf, and the solvers take the block's observations y = X b* + z
+once per penalty. At the penalties the bounds prescribe the estimate is
+mostly b = 0, which the solvers settle from one product per block; the
+prediction error and off-support masses of b = 0 are computed once per
+experiment and reused by every estimate with no nonzero entry.
+
 Bound catalogue (scaling matches the solvers in :mod:`.solve`):
 
   lasso, lam >= 6 Lambda:
@@ -36,7 +44,7 @@ from .errors import CapacityError, SolverStatusError, read
 from .graphs import random_left_regular
 from .noise import NoiseModel, thresholds, trial_noise
 from .rng import Stream, _words, derive_seed
-from .solve import basis_pursuit, dantzig, lasso, ols_on_support
+from .solve import _solved, basis_pursuit, dantzig_rows, lasso_rows, ols_on_support
 from .verify import VerificationReport, check_expansion_exhaustive
 
 SLACK = 1e-9
@@ -141,6 +149,8 @@ class RecoveryInstance:
         maker = {"exact-sparse": sparse_target, "compressible": compressible_target}
         if kind not in maker:
             raise ValueError(f"unknown target kind {kind!r}")
+        if not 0 <= s <= design.p:
+            raise ValueError(f"target sparsity s = {s} is outside [0, p = {design.p}]")
         beta, support = maker[kind](design.p, s, derive_seed(seed, 0))
         return cls(design, beta, kind, s, support, noise, lambda_multiple, seed)
 
@@ -266,14 +276,25 @@ def _pred_error(X: DesignMatrix, xb: np.ndarray, beta: np.ndarray) -> float:
     return float(np.linalg.norm(xb - X.matvec(beta)))
 
 
-def _noisy_trials(instance: RecoveryInstance, xb: np.ndarray, lam_noise: float,
+def _zero_once(f, p: int):
+    """f of an estimate, with f(0) computed once here and returned for
+    every estimate that has no nonzero entry."""
+    at_zero = f(np.zeros(p))
+    return lambda beta: f(beta) if np.count_nonzero(beta) else at_zero
+
+
+def _noisy_blocks(instance: RecoveryInstance, xb: np.ndarray, lam_noise: float,
                   trials: int):
-    """Per trial k, draw z from (seed, k) and yield
-    (k, y = X b* + z, event ||X^T z||_inf <= Lambda, ||X^T z||_inf)."""
+    """Per block of trials drawn together by ``trial_noise`` (trial k
+    from (seed, k)), yield (k0, Y, events, sups): the block's first trial,
+    its rows y = X b* + z, and per row the event ||X^T z||_inf <= Lambda
+    and ||X^T z||_inf, from one stack product."""
     X = instance.design
-    for k, z in enumerate(trial_noise(instance.noise, instance.seed, trials)):
-        sup = float(np.max(np.abs(X.transpose_matvec(z))))
-        yield k, xb + z, sup <= lam_noise + 1e-12, sup
+    k0 = 0
+    for Z in trial_noise(instance.noise, instance.seed, trials):
+        sup = np.max(np.abs(X.transpose_matvec(Z)), axis=1)
+        yield k0, xb + Z, (sup <= lam_noise + 1e-12).tolist(), sup.tolist()
+        k0 += len(Z)
 
 
 def _params(estimator: str, instance: RecoveryInstance, lam: float,
@@ -292,7 +313,9 @@ def run_lasso_experiment(instance: RecoveryInstance, trials: int) -> ExperimentR
     """Per trial: draw noise, solve the lasso, assert the oracle inequality
     on event trials. Exactly sparse targets additionally get the
     lam = 6 Lambda prediction bound and lam = 7 Lambda selection bound,
-    each solved at its own penalty."""
+    each solved at its own penalty. Each block of trials is solved once
+    per penalty (``lasso_rows``); the records are then assembled trial by
+    trial, and a trial's solver failure is raised in trial order."""
     lam_main, lam_noise = _penalty(instance, 6.0, "lasso experiments need lambda >= 6 Lambda")
     X = instance.design
     sigma, n = instance.noise.sigma, X.n
@@ -305,26 +328,29 @@ def run_lasso_experiment(instance: RecoveryInstance, trials: int) -> ExperimentR
 
     report = ExperimentReport("lasso", _params("lasso", instance, lam_main, lam_noise, trials))
     xb = X.matvec(instance.beta_star)
-    for k, y, event, _ in _noisy_trials(instance, xb, lam_noise, trials):
-        sols = {lam: lasso(X, y, lam) for lam in sorted(lambdas)}
-        converged = all(s.converged for s in sols.values())
+    pred = _zero_once(lambda b: _pred_error(X, xb, b), X.p)
+    off = _zero_once(instance.offsupport, X.p)
+    off_err = _zero_once(lambda b: instance.offsupport(b - instance.beta_star), X.p)
+    order = sorted(lambdas)
+    for k0, Y, events, _ in _noisy_blocks(instance, xb, lam_noise, trials):
+        block = [lasso_rows(X, Y, lam) for lam in order]
+        for r, event in enumerate(events):
+            sols = {lam: _solved(rows[r]) for lam, rows in zip(order, block)}
+            converged = all(s.converged for s in sols.values())
 
-        sol = sols[lam_main]
-        gamma_pred = _pred_error(X, xb, sol.beta)
-        off_err = instance.offsupport(sol.beta - instance.beta_star)
-        checks = [_check("lasso_oracle",
-                         gamma_pred**2 + (lam_main - 6.0 * lam_noise) * off_err,
-                         lasso_oracle_rhs(lam_main, n, tail))]
-        if extras:
-            checks.append(_check("lasso_prediction",
-                                 _pred_error(X, xb, sols[6.0 * lam_noise].beta),
-                                 lasso_prediction_bound(sigma, n)))
-            checks.append(_check("lasso_selection",
-                                 instance.offsupport(sols[7.0 * lam_noise].beta),
-                                 lasso_selection_bound(sigma, n)))
+            sol = sols[lam_main]
+            gamma_pred = pred(sol.beta)
+            checks = [_check("lasso_oracle",
+                             gamma_pred**2 + (lam_main - 6.0 * lam_noise) * off_err(sol.beta),
+                             lasso_oracle_rhs(lam_main, n, tail))]
+            if extras:
+                checks.append(_check("lasso_prediction", pred(sols[6.0 * lam_noise].beta),
+                                     lasso_prediction_bound(sigma, n)))
+                checks.append(_check("lasso_selection", off(sols[7.0 * lam_noise].beta),
+                                     lasso_selection_bound(sigma, n)))
 
-        report.records.append(TrialRecord(
-            k, event, converged, gamma_pred, instance.offsupport(sol.beta), checks))
+            report.records.append(TrialRecord(
+                k0 + r, event, converged, gamma_pred, off(sol.beta), checks))
     return report
 
 
@@ -343,30 +369,32 @@ def run_dantzig_experiment(instance: RecoveryInstance, trials: int) -> Experimen
 
     report = ExperimentReport("dantzig", _params("dantzig", instance, lam, lam_noise, trials))
     xb = X.matvec(instance.beta_star)
-    for k, y, event, noise_sup in _noisy_trials(instance, xb, lam_noise, trials):
-        try:
-            sol = dantzig(X, y, lam)
-        except SolverStatusError:
-            report.records.append(TrialRecord(k, event, False, math.nan, math.nan, []))
-            continue
+    pred = _zero_once(lambda b: _pred_error(X, xb, b), X.p)
+    offsupport = _zero_once(instance.offsupport, X.p)
+    for k0, Y, events, sups in _noisy_blocks(instance, xb, lam_noise, trials):
+        for k, event, noise_sup, sol in zip(range(k0, k0 + len(Y)), events, sups,
+                                            dantzig_rows(X, Y, lam)):
+            if isinstance(sol, SolverStatusError):
+                report.records.append(TrialRecord(k, event, False, math.nan, math.nan, []))
+                continue
 
-        gamma_pred = _pred_error(X, xb, sol.beta)
-        off = instance.offsupport(sol.beta)
-        checks = [_check("dantzig_oracle", gamma_pred**2,
-                         dantzig_oracle_rhs(lam, lam_noise, n, tail)),
-                  _check("target_feasible", noise_sup, lam, 1e-12),
-                  _check("dantzig_l1_bound", sol.l1_norm, target_l1)]
-        if sparse:
-            checks.append(_check("dantzig_err_pred", gamma_pred,
-                                 dantzig_err_pred_bound(lam, lam_noise, n)))
-            checks.append(_check("dantzig_selection_general", off,
-                                 dantzig_selection_general_bound(lam, lam_noise, n)))
-            if at_floor:
-                checks.append(_check("dantzig_prediction", gamma_pred,
-                                     dantzig_prediction_bound(sigma, n)))
-                checks.append(_check("dantzig_selection", off,
-                                     dantzig_selection_bound(sigma, n)))
-        report.records.append(TrialRecord(k, event, True, gamma_pred, off, checks))
+            gamma_pred = pred(sol.beta)
+            off = offsupport(sol.beta)
+            checks = [_check("dantzig_oracle", gamma_pred**2,
+                             dantzig_oracle_rhs(lam, lam_noise, n, tail)),
+                      _check("target_feasible", noise_sup, lam, 1e-12),
+                      _check("dantzig_l1_bound", sol.l1_norm, target_l1)]
+            if sparse:
+                checks.append(_check("dantzig_err_pred", gamma_pred,
+                                     dantzig_err_pred_bound(lam, lam_noise, n)))
+                checks.append(_check("dantzig_selection_general", off,
+                                     dantzig_selection_general_bound(lam, lam_noise, n)))
+                if at_floor:
+                    checks.append(_check("dantzig_prediction", gamma_pred,
+                                         dantzig_prediction_bound(sigma, n)))
+                    checks.append(_check("dantzig_selection", off,
+                                         dantzig_selection_bound(sigma, n)))
+            report.records.append(TrialRecord(k, event, True, gamma_pred, off, checks))
     return report
 
 
@@ -438,12 +466,17 @@ def ols_oracle_comparison(instance: RecoveryInstance, trials: int,
     lam_noise = _noise_lambda(sigma, n)
     ols_sum = lasso_sum = dantzig_sum = 0.0
     xb = X.matvec(instance.beta_star)
-    for _, y, _, _ in _noisy_trials(instance, xb, lam_noise, trials):
-        b = ols_on_support(X, y, instance.support)
-        ols_sum += _pred_error(X, xb, b) ** 2 / n
+    pred = _zero_once(lambda b: _pred_error(X, xb, b), X.p)
+    for _, Y, _, _ in _noisy_blocks(instance, xb, lam_noise, trials):
         if include_estimators:
-            lasso_sum += _pred_error(X, xb, lasso(X, y, 6.0 * lam_noise).beta) ** 2 / n
-            dantzig_sum += _pred_error(X, xb, dantzig(X, y, lam_noise).beta) ** 2 / n
+            lassos = lasso_rows(X, Y, 6.0 * lam_noise)
+            dantzigs = dantzig_rows(X, Y, lam_noise)
+        for r, y in enumerate(Y):
+            b = ols_on_support(X, y, instance.support)
+            ols_sum += _pred_error(X, xb, b) ** 2 / n
+            if include_estimators:
+                lasso_sum += pred(_solved(lassos[r]).beta) ** 2 / n
+                dantzig_sum += pred(_solved(dantzigs[r]).beta) ** 2 / n
     ols_mean = ols_sum / trials
     expected = sigma**2 * instance.s / n
     out = {

@@ -9,6 +9,8 @@ order, and its flat view is the column-major gather/scatter layout.
 Products accumulate over that view in ascending-index order (per output
 row for X gamma, per column for X^T z) and divide by d once, which keeps
 results independent of thread count and of how the matrix was built.
+X^T z also takes a stack of rows z, one per noise trial, in one product
+whose rows equal the one-row products bit for bit.
 
 A design holds that table and nothing derived from it: no solver state is
 kept between calls. The dense n x p matrix is capped at MAX_TABLE entries.
@@ -48,11 +50,13 @@ class DesignMatrix:
 
     def transpose_matvec(self, z) -> np.ndarray:
         """X^T z: per column, the sum of z over its rows (ascending),
-        divided by d. Never amplifies the sup norm."""
+        divided by d. Never amplifies the sup norm. z may be a stack of
+        shape (k, n); row r of the (k, p) result is then, byte for byte,
+        the product of row r alone."""
         z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.n,):
+        if z.ndim not in (1, 2) or z.shape[-1] != self.n:
             raise ValueError(f"expected vector of length {self.n}, got {z.shape}")
-        acc = np.add.reduceat(z[self.rows.reshape(-1)], self._starts)
+        acc = np.add.reduceat(z[..., self.rows.reshape(-1)], self._starts, axis=-1)
         return acc / self.d
 
     def to_dense(self) -> np.ndarray:

@@ -23,7 +23,8 @@ eta_n = 1 / (sqrt(2 pi) n sqrt(log n)), and for t >= 1 the event
 ||X^T z||_inf <= Lambda_t has probability at least
 1 - sqrt(2) / ((1+t) sqrt(pi log n) n^((1+t)^2/2 - 1)). Monte Carlo checks
 compare empirical frequencies against those bounds; ``trial_noise`` draws
-their noise as the rows of blocks of at most _BLOCK entries.
+their noise in blocks of at most _BLOCK entries, one row per trial, and
+its consumers take each block's products in one stack product.
 """
 
 from __future__ import annotations
@@ -154,12 +155,13 @@ def sample_noise_rows(model: NoiseModel, seeds) -> np.ndarray:
 
 def trial_noise(model: NoiseModel, seed: int, trials: int):
     """Yield the noise of trials 0 .. trials-1, trial k drawn from
-    derive_seed(seed, k), as the rows of blocks of at most _BLOCK entries
-    (one row when n passes it)."""
+    derive_seed(seed, k), in (rows, n) blocks of at most _BLOCK entries
+    (one row when n passes it): row r of a block is the trial that
+    follows the previous blocks' rows."""
     rows = max(1, _BLOCK // model.n)
     for first in range(0, trials, rows):
         seeds = [derive_seed(seed, k) for k in range(first, min(first + rows, trials))]
-        yield from sample_noise_rows(model, seeds)
+        yield sample_noise_rows(model, seeds)
 
 
 def _ar1(w: np.ndarray, rho: float) -> tuple[np.ndarray, int]:
@@ -293,10 +295,9 @@ def empirical_noise_bound(X: DesignMatrix, model: NoiseModel, t: float,
     hits = 0
     nonamp_ok = True
     for z in trial_noise(model, seed, trials):
-        xtz = float(np.max(np.abs(X.transpose_matvec(z))))
-        if xtz <= th.lam_t:
-            hits += 1
-        if z.size and xtz > float(np.max(np.abs(z))):
+        xtz = np.max(np.abs(X.transpose_matvec(z)), axis=1)
+        hits += int(np.count_nonzero(xtz <= th.lam_t))
+        if np.any(xtz > np.max(np.abs(z), axis=1)):
             nonamp_ok = False
     freq = hits / trials
     se = math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)

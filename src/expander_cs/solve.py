@@ -6,6 +6,13 @@ scaling the solution is identically zero exactly when
 lam >= 2 ||X^T y||_inf; most library lassos scale differently, which is
 why the solvers live here.
 
+The lasso and the Dantzig selector solve a stack of observation rows Y
+at once (``lasso_rows``, ``dantzig_rows``; ``lasso`` and ``dantzig`` are
+their one-row cases). C = X^T Y is one product, and ``_zero_rows``, the
+one statement of the zero rule, settles every row whose estimate is
+b = 0 from it, with no path and no LP. A Monte Carlo at the penalties
+the oracle inequalities prescribe is mostly such rows.
+
 The lasso and basis pursuit are one path solver, ``_l1_path``: the
 piecewise-linear lasso path of Osborne, Presnell and Turlach (IMA J.
 Numer. Anal. 2000), followed in t = lam/2 from ||X^T y||_inf down to
@@ -31,11 +38,13 @@ exact unit vector with reduced cost exactly 0. Phase 2 runs on the real
 LP, without phase 1's artificial columns or redundant rows. Pricing and
 the crash basis are numpy scans; the ratio test loops over the eligible
 rows only, because its tie rule is sequential. The Dantzig selector
-builds its LP per call, and only when b = 0 is infeasible.
+builds its LP matrix once per call, and only when some row's b = 0 is
+infeasible.
 
 Every solver failure (phase 1 reported unbounded, a pivot or step limit,
 a singular active Gram matrix, a failed certificate) raises
-SolverStatusError.
+SolverStatusError; the row solvers put it in the failed row's place, so
+one row's failure leaves the others' solutions standing.
 """
 
 from __future__ import annotations
@@ -239,11 +248,12 @@ def _check_penalty(lam: float) -> None:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
 
-def _observations(X: DesignMatrix, y) -> np.ndarray:
-    """y as a float vector of length n; NaN and infinite entries are
-    rejected, since no solver can report on them meaningfully."""
+def _observations(X: DesignMatrix, y, ndim: int = 1) -> np.ndarray:
+    """y as a float vector of length n, or with ``ndim`` = 2 a stack of
+    such rows; NaN and infinite entries are rejected, since no solver can
+    report on them meaningfully."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n,):
+    if y.ndim != ndim or y.shape[-1] != X.n:
         raise ValueError(f"expected y of length {X.n}, got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("y must be finite (no NaN or infinite entries)")
@@ -275,34 +285,63 @@ def _dantzig_matrix(X: DesignMatrix) -> np.ndarray:
     return A
 
 
-def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
-    """min ||b||_1 subject to ||X^T (y - X b)||_inf <= lam.
+def _solved(sol):
+    """A row's solution, or the SolverStatusError its solve put in its
+    place, raised."""
+    if isinstance(sol, SolverStatusError):
+        raise sol
+    return sol
 
-    b = 0 is the unique optimum when ||X^T y||_inf <= lam, and is returned
-    without an LP (the simplex would stop there, at its slack crash basis).
-    Otherwise the LP is built for this call, in standard form with b = u - v
-    and one slack block per inequality side; the deterministic pivot rule
-    fixes which optimal vertex is returned.
+
+def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
+    """min ||b||_1 subject to ||X^T (y - X b)||_inf <= lam: the one-row
+    case of ``dantzig_rows``."""
+    _check_penalty(lam)
+    return _solved(dantzig_rows(X, _observations(X, y)[None], lam)[0])
+
+
+def dantzig_rows(X: DesignMatrix, Y, lam: float) -> list:
+    """The Dantzig selector of each row y of Y: one DantzigSolution per
+    row, or the SolverStatusError that row's LP raised, in its place.
+
+    C = X^T Y is one product. b = 0 is the unique optimum when
+    ||X^T y||_inf <= lam (``_zero_rows``), with slack ||X^T y||_inf, and
+    is returned without an LP (the simplex would stop there, at its slack
+    crash basis). Every other row solves the LP in standard form, b = u - v
+    with one slack block per inequality side, on a constraint matrix
+    built once per call; the deterministic pivot rule fixes which optimal
+    vertex is returned, and the slack is recomputed from it.
     """
     _check_penalty(lam)
-    y = _observations(X, y)
+    Y = _observations(X, Y, ndim=2)
     p = X.p
-    corr = X.transpose_matvec(y)
-    beta = np.zeros(p)
-    if np.max(np.abs(corr)) > lam:
-        b = np.concatenate([lam - corr, lam + corr])
-        c = np.concatenate([np.ones(2 * p), np.zeros(2 * p)])
-        res = lp_solve(LinearProgram(c, _dantzig_matrix(X), b))
-        if res.status == "unbounded":
-            raise SolverStatusError("Dantzig LP cannot be unbounded: objective >= 0")
-        if res.status != "optimal":
-            raise SolverStatusError(f"Dantzig LP is {res.status}")
-        beta = res.x[:p] - res.x[p:2 * p]
-    slack = float(np.max(np.abs(X.transpose_matvec(y - X.matvec(beta)))))
-    if slack > lam + 1e-8:
-        raise SolverStatusError(
-            f"Dantzig solution violates its constraint: {slack} > {lam} + 1e-8")
-    return DantzigSolution(beta, slack, float(np.abs(beta).sum()), "optimal")
+    C = X.transpose_matvec(Y)
+    zero, top = _zero_rows(C, lam)
+    A = None
+    out: list = []
+    for y, corr, settled, sup in zip(Y, C, zero.tolist(), top.tolist()):
+        if settled:
+            out.append(DantzigSolution(np.zeros(p), sup, 0.0, "optimal"))
+            continue
+        if A is None:
+            A = _dantzig_matrix(X)
+            cost = np.concatenate([np.ones(2 * p), np.zeros(2 * p)])
+        try:
+            res = lp_solve(LinearProgram(cost, A, np.concatenate([lam - corr, lam + corr])))
+            if res.status == "unbounded":
+                raise SolverStatusError("Dantzig LP cannot be unbounded: objective >= 0")
+            if res.status != "optimal":
+                raise SolverStatusError(f"Dantzig LP is {res.status}")
+            beta = res.x[:p] - res.x[p:2 * p]
+            slack = float(np.max(np.abs(X.transpose_matvec(y - X.matvec(beta)))))
+            if slack > lam + 1e-8:
+                raise SolverStatusError(
+                    f"Dantzig solution violates its constraint: {slack} > {lam} + 1e-8")
+        except SolverStatusError as exc:
+            out.append(exc)
+            continue
+        out.append(DantzigSolution(beta, slack, float(np.abs(beta).sum()), "optimal"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +381,31 @@ def _direction(X: DesignMatrix, active: list[int], signs: np.ndarray) -> np.ndar
     return np.linalg.solve(counts, signs) * float(X.d) ** 2
 
 
-def _l1_path(X: DesignMatrix, y: np.ndarray, t_stop: float,
+def _zero_rows(C: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows c = X^T y of C have the l1 estimate b = 0, and each
+    row's ||c||_inf: the estimate is zero exactly when ||c||_inf <= t.
+
+    That is the one zero rule of every estimator here. For the lasso
+    t = lam/2: b = 0 meets the KKT conditions of ||y - X b||^2 + lam ||b||_1
+    exactly when 2 ||X^T y||_inf <= lam, and the l1 path starts there
+    (Osborne, Presnell and Turlach 2000; El Ghaoui, Viallon and Rabbani's
+    lambda_max rule). For the Dantzig selector t = lam: b = 0 is then
+    feasible, and no other b has l1 norm 0. For basis pursuit t = 0."""
+    top = np.max(np.abs(C), axis=-1)
+    return top <= t, top
+
+
+def _l1_path(X: DesignMatrix, c: np.ndarray, t_stop: float,
              max_steps: int) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Follow the minimisers of ||y - X b||^2 + 2t ||b||_1 from
-    t = ||X^T y||_inf down to ``t_stop``.
+    t = ||X^T y||_inf down to ``t_stop``, given c = X^T y of a y that
+    ``_zero_rows`` did not settle (||c||_inf > t_stop). The path updates
+    a copy of c, never c itself.
 
     Returns (beta, steps, z): the coefficients at the last t reached, the
     number of segments taken, and z = X_A G_AA^{-1} s_A of the last
-    segment (zeros when the path has none), or None for z when
-    ``max_steps`` segments did not reach ``t_stop``.
+    segment, or None for z when ``max_steps`` segments did not reach
+    ``t_stop``.
 
     On a segment the active correlations stay at t s_A and the inactive
     ones c move by -gamma X^T z as t drops by gamma. Events within
@@ -364,12 +419,9 @@ def _l1_path(X: DesignMatrix, y: np.ndarray, t_stop: float,
     singular.
     """
     p = X.p
-    c = X.transpose_matvec(y)
+    c = c.copy()
     t = float(np.max(np.abs(c)))
     beta = np.zeros(p)
-    z = np.zeros(X.n)
-    if t <= t_stop:
-        return beta, 0, z
     tol = PATH_TOL * t
     first = int(np.argmax(np.abs(c) >= t - tol))
     active = [first]
@@ -418,24 +470,54 @@ def _l1_path(X: DesignMatrix, y: np.ndarray, t_stop: float,
 
 def lasso(X: DesignMatrix, y, lam: float, tol: float = 1e-8,
           max_iter: int = 100000) -> LassoSolution:
-    """Minimize ||y - X b||_2^2 + lam ||b||_1 along the l1 path.
+    """Minimize ||y - X b||_2^2 + lam ||b||_1 along the l1 path: the
+    one-row case of ``lasso_rows``."""
+    _check_penalty(lam)
+    return _solved(lasso_rows(X, _observations(X, y)[None], lam, tol, max_iter)[0])
+
+
+def lasso_rows(X: DesignMatrix, Y, lam: float, tol: float = 1e-8,
+               max_iter: int = 100000) -> list:
+    """The lasso of each row y of Y: one LassoSolution per row, or the
+    SolverStatusError that row's path raised, in its place.
 
     The path stops at t = lam/2; ``iterations`` counts its segments, at
     most ``max_iter``. Convergence is declared when the KKT residual
     max_j |2 X_j^T (y - X b) - lam sign(b_j)| (nonzero b_j) resp.
-    max(0, |2 X_j^T (y - X b)| - lam) (zero b_j), recomputed from the
-    returned b, is at most ``tol``.
+    max(0, |2 X_j^T (y - X b)| - lam) (zero b_j) is at most ``tol``.
+
+    C = X^T Y is one product. A row with 2 ||c||_inf <= lam
+    (``_zero_rows``) is settled from it with no path: b = 0, no segments,
+    KKT residual max_j (|2 c_j| - lam)_+ and objective y.y, which is what
+    the KKT products give at b = 0, where the residual is y and
+    2 X^T y is 2c. Every other row follows the path from its row of C,
+    and its KKT residual and objective are recomputed from the returned b.
     """
     _check_penalty(lam)
-    y = _observations(X, y)
-    beta, steps, _ = _l1_path(X, y, lam / 2.0, max_iter)
-    resid = y - X.matvec(beta)
-    corr = 2.0 * X.transpose_matvec(resid)
-    kkt = np.where(beta != 0.0, np.abs(corr - lam * np.sign(beta)),
-                   np.maximum(np.abs(corr) - lam, 0.0))
-    kkt_residual = float(kkt.max())
-    objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
-    return LassoSolution(beta, kkt_residual, steps, objective, kkt_residual <= tol)
+    Y = _observations(X, Y, ndim=2)
+    C = X.transpose_matvec(Y)
+    zero, _ = _zero_rows(C, lam / 2.0)
+    zero_kkt = np.maximum(np.abs(2.0 * C) - lam, 0.0).max(axis=1).tolist()
+    zeros = np.zeros((len(Y), X.p))
+    out: list = []
+    for r, (y, settled) in enumerate(zip(Y, zero.tolist())):
+        if settled:
+            out.append(LassoSolution(zeros[r], zero_kkt[r], 0, float(y @ y),
+                                     zero_kkt[r] <= tol))
+            continue
+        try:
+            beta, steps, _ = _l1_path(X, C[r], lam / 2.0, max_iter)
+        except SolverStatusError as exc:
+            out.append(exc)
+            continue
+        resid = y - X.matvec(beta)
+        corr = 2.0 * X.transpose_matvec(resid)
+        kkt = np.where(beta != 0.0, np.abs(corr - lam * np.sign(beta)),
+                       np.maximum(np.abs(corr) - lam, 0.0))
+        kkt_residual = float(kkt.max())
+        objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
+        out.append(LassoSolution(beta, kkt_residual, steps, objective, kkt_residual <= tol))
+    return out
 
 
 def basis_pursuit(X: DesignMatrix, y) -> np.ndarray:
@@ -449,7 +531,11 @@ def basis_pursuit(X: DesignMatrix, y) -> np.ndarray:
     b optimal, since ||b'||_1 >= z^T X b' = y^T z for every feasible b'.
     """
     y = _observations(X, y)
-    beta, _, z = _l1_path(X, y, 0.0, BP_MAX_STEPS)
+    c = X.transpose_matvec(y)
+    if _zero_rows(c, 0.0)[0]:
+        beta, z = np.zeros(X.p), np.zeros(X.n)
+    else:
+        beta, _, z = _l1_path(X, c, 0.0, BP_MAX_STEPS)
     if z is None:
         raise SolverStatusError(f"basis pursuit path exceeded {BP_MAX_STEPS} steps")
     scale = 1.0 + float(np.abs(y).max(initial=0.0))

@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from expander_cs import (DesignMatrix, NoiseModel, RecoveryInstance,
-                         matching_graph, mvse_sweep, ols_oracle_comparison,
-                         oracle_factors, run_dantzig_experiment,
+import mc_oracle
+from expander_cs import (GF, DesignMatrix, NoiseModel, RecoveryInstance,
+                         matching_graph, mvse_sweep, noise, ols_oracle_comparison,
+                         oracle_factors, pv_expander, run_dantzig_experiment,
                          run_lasso_experiment, run_recovery_experiment,
-                         thresholds)
+                         solve, thresholds)
+from expander_cs.cli import _experiment_text, dumps_17g
 from expander_cs.bench import (CheckResult, ExperimentReport, TrialRecord,
                                compressible_target, dantzig_prediction_bound,
                                dantzig_selection_bound, lasso_prediction_bound,
@@ -57,6 +60,65 @@ def test_compressible_target_is_the_stream_definition():
         rng = Stream(seed)
         want = np.array([rng.sign() * (i + 1) ** -2.0 for i in range(p)])
         assert compressible_target(p, 1, seed)[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["exact-sparse", "compressible"])
+def test_target_sparsity_must_lie_in_0_p(kind):
+    # a compressible support is range(s): past p it indexed out of bounds,
+    # and a negative s gave an empty support
+    X = DesignMatrix.from_graph(matching_graph(16))
+    for s in (-1, 17):
+        with pytest.raises(ValueError, match=f"^target sparsity s = {s} is outside"):
+            RecoveryInstance.build(X, kind, s, NoiseModel(16, 1.0), 6.0, seed=0)
+    for s in (0, 16):
+        assert len(RecoveryInstance.build(X, kind, s, NoiseModel(16, 1.0), 6.0, 0).support) == s
+
+
+# the per-block harness against the per-trial loops it replaced; sigma
+# 0.01 and below make the estimates leave zero on these designs
+BLOCK_DESIGNS = {"p40/d5/n60": lambda: random_left_regular(40, 5, 60, 3),
+                 "GF(5) l2 m1": lambda: pv_expander(GF(5), 2, 1, 2),
+                 "p64/d8/n1536": lambda: random_left_regular(64, 8, 1536, 1)}
+
+
+def _same_report(new, ref):
+    assert _experiment_text(new, "json") == _experiment_text(ref, "json")
+    assert repr(new.records) == repr(ref.records)
+
+
+@pytest.mark.parametrize("design,sigma", [
+    *itertools.product(["p40/d5/n60", "GF(5) l2 m1"], [1.0, 0.01, 0.001, 0.0]),
+    ("p64/d8/n1536", 1.0), ("p64/d8/n1536", 0.01)])
+def test_block_experiments_reproduce_the_per_trial_loops(design, sigma, monkeypatch):
+    X = DesignMatrix.from_graph(BLOCK_DESIGNS[design]())
+    paths, lps = [], []
+    path, lp = solve._l1_path, solve.lp_solve
+    monkeypatch.setattr(solve, "_l1_path", lambda *a: paths.append(1) or path(*a))
+    monkeypatch.setattr(solve, "lp_solve", lambda *a: lps.append(1) or lp(*a))
+    small = X.n < 1000
+    for model, target in itertools.product(
+            [NoiseModel(X.n, sigma), NoiseModel(X.n, sigma, "ar1", rho=0.5)],
+            ["exact-sparse", "compressible"]):
+        for multiple in (6.0, 7.5):
+            inst = RecoveryInstance.build(X, target, 2, model, multiple, seed=11)
+            trials = 6 if small else 12          # 12 rows of n = 1536 are two blocks
+            _same_report(run_lasso_experiment(inst, trials),
+                         mc_oracle.lasso_experiment(inst, trials))
+        if not small:
+            continue
+        for multiple in (1.0, 1.5):
+            inst = RecoveryInstance.build(X, target, 2, model, multiple, seed=11)
+            _same_report(run_dantzig_experiment(inst, 3), mc_oracle.dantzig_experiment(inst, 3))
+        inst = RecoveryInstance.build(X, target, 2, model, 6.0, seed=11)
+        assert dumps_17g(ols_oracle_comparison(inst, 3, include_estimators=True)) == \
+            dumps_17g(mc_oracle.ols_comparison(inst, 3, include_estimators=True))
+    assert (len(paths) > 0) == (sigma <= 0.01)
+    assert (len(lps) > 0) == (small and sigma <= 0.01)
+    if small and sigma == 1.0:                  # past one block, all of it screened
+        trials = noise._BLOCK // X.n + 2
+        inst = RecoveryInstance.build(X, "exact-sparse", 2, NoiseModel(X.n, sigma), 6.0, 12)
+        _same_report(run_lasso_experiment(inst, trials),
+                     mc_oracle.lasso_experiment(inst, trials))
 
 
 def test_lambda_policy_enforced():

@@ -513,6 +513,18 @@ def test_bench_config_field_types_exit_2(tmp_path, capsys, kind, config):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["lasso", "dantzig"])
+@pytest.mark.parametrize("s", [17, -1])
+def test_compressible_sparsity_outside_0_p_exits_2(tmp_path, capsys, kind, s):
+    # the support range(s) indexed past p = 16, and s = -1 gave an empty one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_bench_lasso_config(
+        design={"kind": "random", "p": 16, "d": 4, "n": 80, "seed": 2},
+        target={"kind": "compressible", "s": s})))
+    assert run(["bench", kind, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: target sparsity s = {s} is outside [0, p = 16]\n"
+
+
 AS_LIMIT = 768 << 20   # address space of the child: an oversized table cannot fit
 
 

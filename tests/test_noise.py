@@ -119,9 +119,11 @@ def test_block_rows_are_the_one_seed_draws():
         for row, seed in zip(rows, seeds):
             assert row.tobytes() == sample_noise(model, seed).tobytes()
         assert sample_noise_rows(model, []).shape == (0, 7)
-        for k, z in enumerate(trial_noise(model, 9, 5)):
+        for k, z in enumerate(np.concatenate(list(trial_noise(model, 9, 5)))):
             assert z.tobytes() == sample_noise(model, derive_seed(9, k)).tobytes()
         assert k == 4
+    # trial_noise yields the blocks whole: 2 rows of n = 7000 fit in one
+    assert [b.shape for b in trial_noise(NoiseModel(7000, 1.0), 9, 5)] == [(2, 7000)] * 2 + [(1, 7000)]
 
 
 def test_ar1_block_speculates_at_half_and_repairs_near_one():
@@ -147,7 +149,7 @@ def test_ar1_block_speculates_at_half_and_repairs_near_one():
 
 def test_ar1_marginal_variance_and_lag1_correlation():
     model = NoiseModel(8, 1.0, "ar1", rho=0.5)
-    draws = np.array(list(trial_noise(model, 3, 100000)))
+    draws = np.concatenate(list(trial_noise(model, 3, 100000)))
     var = draws.var(axis=0)
     assert np.all(np.abs(var - 1.0) <= 0.02)
     lag1 = [np.corrcoef(draws[:, i], draws[:, i + 1])[0, 1] for i in range(7)]
@@ -173,7 +175,7 @@ def test_explicit_matches_ar1_second_moments():
     n, rho = 6, 0.6
     corr = np.array([[rho ** abs(i - j) for j in range(n)] for i in range(n)])
     model = NoiseModel(n, 1.0, "explicit", corr=corr)
-    draws = np.array(list(trial_noise(model, 11, 20000)))
+    draws = np.concatenate(list(trial_noise(model, 11, 20000)))
     emp = np.corrcoef(draws.T)
     assert np.max(np.abs(emp - corr)) < 0.03
     assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.03)

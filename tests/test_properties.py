@@ -1,4 +1,5 @@
-"""Property tests (hypothesis): design products, the graph interchange
+"""Property tests (hypothesis): design products (stacked products against
+their rows), the graph interchange
 format and its file writer, the connected-subset expansion certificate
 (against the full scan and the ESU enumeration), the sampled expansion
 check (against the bitmask scan of its draws), the lasso's optimality
@@ -60,6 +61,29 @@ def test_matvec_and_transpose_matvec_are_adjoint(case):
     rhs = float(X.transpose_matvec(z) @ gamma)
     scale = max(1.0, float(np.abs(z).max()) * float(np.abs(gamma).sum()))
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+# signed zeros and magnitudes from 1e-300 to 1e300
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.builds(lambda m, e, sign: sign * m * 10.0**e, st.floats(1.0, 9.99),
+                              st.integers(-300, 299), st.sampled_from([-1.0, 1.0])))
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from([1, 7, 8, 9, 16, 33]), st.sampled_from([1, 2, 10]),
+                  st.integers(1, 12), st.integers(0, 9), st.integers(0, 2**32),
+                  st.data())
+def test_stack_products_are_the_row_products_bit_for_bit(d, k, p, extra, seed, data):
+    # d crosses numpy's 8-way pairwise summation blocks at 8, 16 and 33
+    X = DesignMatrix.from_graph(random_left_regular(p, d, d + extra, seed))
+    Z = np.array(data.draw(st.lists(ENTRIES, min_size=k * X.n, max_size=k * X.n))).reshape(k, X.n)
+    stack = X.transpose_matvec(Z)
+    assert stack.shape == (k, X.p)
+    for row, z in zip(stack, Z):
+        assert row.tobytes() == X.transpose_matvec(z).tobytes()
+    for bad in (np.zeros((k, X.n + 1)), np.zeros((1, k, X.n))):
+        with pytest.raises(ValueError, match=f"length {X.n}"):
+            X.transpose_matvec(bad)
 
 
 @SETTINGS
@@ -221,6 +245,6 @@ def test_ar1_block_rows_are_the_recurrence(n, past_block, rho, sigma, seed):
     # the trial count straddles one block, so the last block has 1 row or none
     model = NoiseModel(n, sigma, "ar1", rho=rho)
     trials = noise._BLOCK // n + past_block
-    for k, z in enumerate(trial_noise(model, seed, trials)):
+    for k, z in enumerate(np.concatenate(list(trial_noise(model, seed, trials)))):
         assert z.tobytes() == reference_ar1(model, derive_seed(seed, k)).tobytes()
     assert k == trials - 1

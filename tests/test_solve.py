@@ -13,6 +13,7 @@ from expander_cs.bench import sparse_target
 from expander_cs.errors import CapacityError, SolverStatusError
 from expander_cs.graphs import BipartiteGraph
 from expander_cs.rng import Stream, gaussians
+from mc_oracle import trial_dantzig, trial_lasso
 
 
 def soft(a, t):
@@ -452,6 +453,127 @@ def test_bp_step_limit_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(solve, "BP_MAX_STEPS", 1)
     with pytest.raises(SolverStatusError, match="exceeded 1 steps"):
         basis_pursuit(X, y)
+
+
+# -- the zero screen and the row solvers -------------------------------------------
+
+def _same_lasso(sol, ref):
+    assert sol.beta.tobytes() == ref.beta.tobytes()
+    assert (sol.kkt_residual, sol.iterations, sol.objective, sol.converged) == \
+        (ref.kkt_residual, ref.iterations, ref.objective, ref.converged)
+
+
+def _same_dantzig(sol, ref):
+    assert sol.beta.tobytes() == ref.beta.tobytes()
+    assert (sol.constraint_slack, sol.l1_norm, sol.status) == \
+        (ref.constraint_slack, ref.l1_norm, ref.status)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    fn = getattr(solve, name)
+    monkeypatch.setattr(solve, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
+def test_lasso_screen_boundary_matches_the_path(monkeypatch):
+    # 2 ||X^T y||_inf exactly lam is settled by the screen with no segment,
+    # as the path exits at its start; one ulp above lam takes the path
+    X = DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3))
+    paths = _counted(monkeypatch, "_l1_path")
+    for seed in range(4):
+        y = gaussians(300 + seed, 60)
+        lam = 2.0 * float(np.max(np.abs(X.transpose_matvec(y))))
+        sol, ref = lasso(X, y, lam), trial_lasso(X, y, lam)
+        _same_lasso(sol, ref)
+        assert sol.iterations == 0 and not sol.beta.any() and paths == []
+        below = float(np.nextafter(lam, 0.0))
+        sol, ref = lasso(X, y, below), trial_lasso(X, y, below)
+        _same_lasso(sol, ref)
+        assert sol.iterations == 1 and len(paths) == 2
+        paths.clear()
+    # lam/2 rounds up at 3 subnormal ulps: the screen settles ||X^T y||_inf
+    # = 2 ulps, where the KKT residual |2c| - lam is 1 ulp, not 0
+    X, y, lam = DesignMatrix.from_graph(matching_graph(2)), [1e-323, 0.0], 1.5e-323
+    _same_lasso(lasso(X, y, lam), trial_lasso(X, y, lam))
+    assert lasso(X, y, lam).kkt_residual == 5e-324 and paths == []
+
+
+def test_dantzig_screen_boundary_solves_no_lp(monkeypatch):
+    X = DesignMatrix.from_graph(random_left_regular(12, 3, 20, seed=5))
+    lps = _counted(monkeypatch, "lp_solve")
+    for seed in range(3):
+        y = gaussians(400 + seed, 20)
+        lam = float(np.max(np.abs(X.transpose_matvec(y))))
+        ref = trial_dantzig(X, y, lam)
+        _same_dantzig(dantzig(X, y, lam), ref)
+        assert lps == [] and not ref.beta.any()
+        below = float(np.nextafter(lam, 0.0))
+        ref = trial_dantzig(X, y, below)
+        _same_dantzig(dantzig(X, y, below), ref)
+        assert len(lps) == 1
+        lps.clear()
+
+
+def test_row_solvers_match_one_row_solves(certified):
+    # rows that are settled by the screen, rows that take the path or the
+    # LP, and scales that put a row on either side, in one stack
+    for X in (DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3)),
+              certified[1]):
+        y0 = X.matvec(sparse_target(X.p, 2, 6)[0])
+        Y = np.array([signal * y0 + sigma * gaussians(500 + r, X.n)
+                      for r, (signal, sigma) in enumerate(
+                          [(1, 0.01), (0, 0.01), (0, 0.0), (3, 0.0), (0, 0.5), (0, -0.0)])])
+        lam = 0.2
+        rows = solve.lasso_rows(X, Y, lam)
+        assert len(rows) == len(Y)
+        assert [s.iterations == 0 for s in rows] == [False, True, True, False, False, True]
+        for sol, y in zip(rows, Y):
+            _same_lasso(sol, trial_lasso(X, y, lam))
+            _same_lasso(sol, lasso(X, y, lam))
+        if X.p > 40:
+            continue
+        rows = solve.dantzig_rows(X, Y, lam / 6.0)
+        assert [s.beta.any() for s in rows] == [True, False, False, True, True, False]
+        for sol, y in zip(rows, Y):
+            _same_dantzig(sol, trial_dantzig(X, y, lam / 6.0))
+    with pytest.raises(ValueError, match="expected y of length 1536, got \\(2, 61\\)"):
+        solve.lasso_rows(X, np.zeros((2, 61)), 1.0)
+    with pytest.raises(ValueError, match="expected y of length 1536, got \\(1536,\\)"):
+        solve.dantzig_rows(X, np.zeros(1536), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        solve.lasso_rows(X, np.full((1, X.n), np.nan), 1.0)
+
+
+def test_a_failed_row_leaves_the_other_rows_standing(monkeypatch):
+    # the failure takes its row's place; the one-row solvers raise it
+    X = DesignMatrix.from_graph(random_left_regular(12, 3, 20, seed=5))
+    y = gaussians(401, 20)
+    top = float(np.max(np.abs(X.transpose_matvec(y))))
+    Y = np.array([y, 0.1 * y, y])
+
+    def fail(*args):
+        raise SolverStatusError("no pivot")
+
+    monkeypatch.setattr(solve, "lp_solve", fail)
+    monkeypatch.setattr(solve, "_l1_path", fail)
+    for rows, one in ((solve.dantzig_rows(X, Y, 0.5 * top), solve.dantzig),
+                      (solve.lasso_rows(X, Y, top), solve.lasso)):
+        assert [type(s).__name__ for s in rows] == \
+            ["SolverStatusError", rows[1].__class__.__name__, "SolverStatusError"]
+        assert not rows[1].beta.any()
+        with pytest.raises(SolverStatusError, match="no pivot"):
+            one(X, y, 0.5 * top if one is solve.dantzig else top)
+
+
+def test_the_path_works_on_a_copy_of_its_correlations():
+    X = DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3))
+    y = gaussians(77, 60)
+    c = X.transpose_matvec(y)
+    kept = c.copy()
+    beta, steps, _ = solve._l1_path(X, c, 0.1, 1000)
+    assert steps > 1 and beta.any()
+    assert c.tobytes() == kept.tobytes()
 
 
 # -- state kept per design ---------------------------------------------------------

@@ -9,7 +9,9 @@ per-inequality pass fractions. Trials whose solver did not converge are
 flagged and excluded from pass statistics, never silently dropped.
 
 The noisy experiments run one block of trials at a time, as
-``trial_noise`` draws them: one stack product gives every trial's
+``trial_noise`` draws them, at most the design's ``stack_rows`` rows, so
+a block's (rows, p) arrays stay bounded on wide designs: one stack
+product gives every trial's
 ||X^T z||_inf, and the solvers take the block's observations y = X b* + z
 once per penalty. At the penalties the bounds prescribe the estimate is
 mostly b = 0, which the solvers settle from one product per block; the
@@ -44,7 +46,7 @@ from .errors import CapacityError, SolverStatusError, read
 from .graphs import random_left_regular
 from .noise import NoiseModel, thresholds, trial_noise
 from .rng import Stream, _words, derive_seed
-from .solve import _solved, basis_pursuit, dantzig_rows, lasso_rows, ols_on_support
+from .solve import basis_pursuit, dantzig_rows, lasso_rows, ols_on_support, solved
 from .verify import VerificationReport, check_expansion_exhaustive
 
 SLACK = 1e-9
@@ -291,7 +293,7 @@ def _noisy_blocks(instance: RecoveryInstance, xb: np.ndarray, lam_noise: float,
     and ||X^T z||_inf, from one stack product."""
     X = instance.design
     k0 = 0
-    for Z in trial_noise(instance.noise, instance.seed, trials):
+    for Z in trial_noise(instance.noise, instance.seed, trials, X.stack_rows):
         sup = np.max(np.abs(X.transpose_matvec(Z)), axis=1)
         yield k0, xb + Z, (sup <= lam_noise + 1e-12).tolist(), sup.tolist()
         k0 += len(Z)
@@ -335,7 +337,7 @@ def run_lasso_experiment(instance: RecoveryInstance, trials: int) -> ExperimentR
     for k0, Y, events, _ in _noisy_blocks(instance, xb, lam_noise, trials):
         block = [lasso_rows(X, Y, lam) for lam in order]
         for r, event in enumerate(events):
-            sols = {lam: _solved(rows[r]) for lam, rows in zip(order, block)}
+            sols = {lam: solved(rows[r]) for lam, rows in zip(order, block)}
             converged = all(s.converged for s in sols.values())
 
             sol = sols[lam_main]
@@ -475,8 +477,8 @@ def ols_oracle_comparison(instance: RecoveryInstance, trials: int,
             b = ols_on_support(X, y, instance.support)
             ols_sum += _pred_error(X, xb, b) ** 2 / n
             if include_estimators:
-                lasso_sum += pred(_solved(lassos[r]).beta) ** 2 / n
-                dantzig_sum += pred(_solved(dantzigs[r]).beta) ** 2 / n
+                lasso_sum += pred(solved(lassos[r]).beta) ** 2 / n
+                dantzig_sum += pred(solved(dantzigs[r]).beta) ** 2 / n
     ols_mean = ols_sum / trials
     expected = sigma**2 * instance.s / n
     out = {

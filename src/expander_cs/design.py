@@ -10,7 +10,9 @@ Products accumulate over that view in ascending-index order (per output
 row for X gamma, per column for X^T z) and divide by d once, which keeps
 results independent of thread count and of how the matrix was built.
 X^T z also takes a stack of rows z, one per noise trial, in one product
-whose rows equal the one-row products bit for bit.
+whose rows equal the one-row products bit for bit. A stack is gathered
+``stack_rows`` rows at a time, at most STACK_ENTRIES entries, so on a
+wide design it gathers one row at a time, as the one-row product does.
 
 A design holds that table and nothing derived from it: no solver state is
 kept between calls. The dense n x p matrix is capped at MAX_TABLE entries.
@@ -21,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import BipartiteGraph, check_table
+
+STACK_ENTRIES = 1 << 20  # gathered entries of one slice of a stacked X^T product: 8 MB
 
 
 class DesignMatrix:
@@ -38,6 +42,12 @@ class DesignMatrix:
     def shape(self) -> tuple[int, int]:
         return self.n, self.p
 
+    @property
+    def stack_rows(self) -> int:
+        """Rows of a stack whose X^T product gathers at most STACK_ENTRIES
+        entries (one row when a single product passes it)."""
+        return max(1, STACK_ENTRIES // (self.p * self.d))
+
     def matvec(self, gamma) -> np.ndarray:
         """X gamma: for each output row, the sum of gamma over incident
         columns (ascending column order), divided by d."""
@@ -52,12 +62,20 @@ class DesignMatrix:
         """X^T z: per column, the sum of z over its rows (ascending),
         divided by d. Never amplifies the sup norm. z may be a stack of
         shape (k, n); row r of the (k, p) result is then, byte for byte,
-        the product of row r alone."""
+        the product of row r alone. A stack is gathered ``stack_rows``
+        rows at a time."""
         z = np.asarray(z, dtype=np.float64)
         if z.ndim not in (1, 2) or z.shape[-1] != self.n:
             raise ValueError(f"expected vector of length {self.n}, got {z.shape}")
-        acc = np.add.reduceat(z[..., self.rows.reshape(-1)], self._starts, axis=-1)
-        return acc / self.d
+        flat = self.rows.reshape(-1)
+        if z.ndim == 1:
+            return np.add.reduceat(z[flat], self._starts) / self.d
+        acc = np.empty((len(z), self.p))
+        step = self.stack_rows
+        for r in range(0, len(z), step):
+            np.add.reduceat(z[r:r + step, flat], self._starts, axis=1, out=acc[r:r + step])
+        acc /= self.d
+        return acc
 
     def to_dense(self) -> np.ndarray:
         check_table("dense design n*p", self.n, self.p)

@@ -24,7 +24,8 @@ eta_n = 1 / (sqrt(2 pi) n sqrt(log n)), and for t >= 1 the event
 1 - sqrt(2) / ((1+t) sqrt(pi log n) n^((1+t)^2/2 - 1)). Monte Carlo checks
 compare empirical frequencies against those bounds; ``trial_noise`` draws
 their noise in blocks of at most _BLOCK entries, one row per trial, and
-its consumers take each block's products in one stack product.
+its consumers take each block's products in one stack product (blocks of
+at most the design's ``stack_rows`` rows).
 """
 
 from __future__ import annotations
@@ -153,12 +154,16 @@ def sample_noise_rows(model: NoiseModel, seeds) -> np.ndarray:
     return z
 
 
-def trial_noise(model: NoiseModel, seed: int, trials: int):
+def trial_noise(model: NoiseModel, seed: int, trials: int, max_rows: int | None = None):
     """Yield the noise of trials 0 .. trials-1, trial k drawn from
     derive_seed(seed, k), in (rows, n) blocks of at most _BLOCK entries
-    (one row when n passes it): row r of a block is the trial that
-    follows the previous blocks' rows."""
+    (one row when n passes it) and at most ``max_rows`` rows: row r of a
+    block is the trial that follows the previous blocks' rows. Consumers
+    that stack a block's products pass the design's ``stack_rows``, which
+    bounds the (rows, p) arrays they hold."""
     rows = max(1, _BLOCK // model.n)
+    if max_rows is not None:
+        rows = max(1, min(rows, max_rows))
     for first in range(0, trials, rows):
         seeds = [derive_seed(seed, k) for k in range(first, min(first + rows, trials))]
         yield sample_noise_rows(model, seeds)
@@ -294,7 +299,7 @@ def empirical_noise_bound(X: DesignMatrix, model: NoiseModel, t: float,
     bound = th.high_prob_bound if model.sigma > 0 else 1.0
     hits = 0
     nonamp_ok = True
-    for z in trial_noise(model, seed, trials):
+    for z in trial_noise(model, seed, trials, X.stack_rows):
         xtz = np.max(np.abs(X.transpose_matvec(z)), axis=1)
         hits += int(np.count_nonzero(xtz <= th.lam_t))
         if np.any(xtz > np.max(np.abs(z), axis=1)):

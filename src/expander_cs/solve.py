@@ -44,7 +44,8 @@ infeasible.
 Every solver failure (phase 1 reported unbounded, a pivot or step limit,
 a singular active Gram matrix, a failed certificate) raises
 SolverStatusError; the row solvers put it in the failed row's place, so
-one row's failure leaves the others' solutions standing.
+one row's failure leaves the others' solutions standing, and ``solved``
+raises it from there.
 """
 
 from __future__ import annotations
@@ -285,9 +286,11 @@ def _dantzig_matrix(X: DesignMatrix) -> np.ndarray:
     return A
 
 
-def _solved(sol):
-    """A row's solution, or the SolverStatusError its solve put in its
-    place, raised."""
+def solved(sol):
+    """An entry of ``lasso_rows`` or ``dantzig_rows``: the row's solution,
+    or the SolverStatusError its solve put in the row's place, raised.
+    Callers that record a failed row instead test the entry with
+    isinstance(entry, SolverStatusError)."""
     if isinstance(sol, SolverStatusError):
         raise sol
     return sol
@@ -297,12 +300,13 @@ def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
     """min ||b||_1 subject to ||X^T (y - X b)||_inf <= lam: the one-row
     case of ``dantzig_rows``."""
     _check_penalty(lam)
-    return _solved(dantzig_rows(X, _observations(X, y)[None], lam)[0])
+    return solved(dantzig_rows(X, _observations(X, y)[None], lam)[0])
 
 
 def dantzig_rows(X: DesignMatrix, Y, lam: float) -> list:
     """The Dantzig selector of each row y of Y: one DantzigSolution per
-    row, or the SolverStatusError that row's LP raised, in its place.
+    row, or the SolverStatusError that row's LP raised, in its place
+    (``solved`` raises it).
 
     C = X^T Y is one product. b = 0 is the unique optimum when
     ||X^T y||_inf <= lam (``_zero_rows``), with slack ||X^T y||_inf, and
@@ -473,13 +477,14 @@ def lasso(X: DesignMatrix, y, lam: float, tol: float = 1e-8,
     """Minimize ||y - X b||_2^2 + lam ||b||_1 along the l1 path: the
     one-row case of ``lasso_rows``."""
     _check_penalty(lam)
-    return _solved(lasso_rows(X, _observations(X, y)[None], lam, tol, max_iter)[0])
+    return solved(lasso_rows(X, _observations(X, y)[None], lam, tol, max_iter)[0])
 
 
 def lasso_rows(X: DesignMatrix, Y, lam: float, tol: float = 1e-8,
                max_iter: int = 100000) -> list:
     """The lasso of each row y of Y: one LassoSolution per row, or the
-    SolverStatusError that row's path raised, in its place.
+    SolverStatusError that row's path raised, in its place (``solved``
+    raises it).
 
     The path stops at t = lam/2; ``iterations`` counts its segments, at
     most ``max_iter``. Convergence is declared when the KKT residual

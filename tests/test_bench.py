@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import mc_oracle
-from expander_cs import (GF, DesignMatrix, NoiseModel, RecoveryInstance,
-                         matching_graph, mvse_sweep, noise, ols_oracle_comparison,
+from expander_cs import (GF, DesignMatrix, NoiseModel, RecoveryInstance, design,
+                         empirical_noise_bound, matching_graph, mvse_sweep, noise, ols_oracle_comparison,
                          oracle_factors, pv_expander, run_dantzig_experiment,
                          run_lasso_experiment, run_recovery_experiment,
                          solve, thresholds)
@@ -119,6 +119,31 @@ def test_block_experiments_reproduce_the_per_trial_loops(design, sigma, monkeypa
         inst = RecoveryInstance.build(X, "exact-sparse", 2, NoiseModel(X.n, sigma), 6.0, 12)
         _same_report(run_lasso_experiment(inst, trials),
                      mc_oracle.lasso_experiment(inst, trials))
+
+
+def test_a_block_stacks_at_most_stack_rows_trials(monkeypatch):
+    # a block's (rows, p) arrays stay bounded on wide designs: three rows a
+    # block here, and the reports are those of the per-trial loops
+    X = DesignMatrix.from_graph(BLOCK_DESIGNS["p40/d5/n60"]())
+    heights = []
+    product = DesignMatrix.transpose_matvec
+
+    def recorded(self, z):
+        if np.ndim(z) == 2:
+            heights.append(len(z))
+        return product(self, z)
+
+    checks = [empirical_noise_bound(X, NoiseModel(X.n, 1.0), 1.0, 7, 5)]
+    monkeypatch.setattr(design, "STACK_ENTRIES", 4 * X.p * X.d - 1)
+    monkeypatch.setattr(DesignMatrix, "transpose_matvec", recorded)
+    checks.append(empirical_noise_bound(X, NoiseModel(X.n, 1.0), 1.0, 7, 5))
+    assert checks[0] == checks[1] and heights == [3, 3, 1]
+    for sigma in (1.0, 0.01):
+        inst = RecoveryInstance.build(X, "exact-sparse", 2, NoiseModel(X.n, sigma), 6.0, 11)
+        _same_report(run_lasso_experiment(inst, 7), mc_oracle.lasso_experiment(inst, 7))
+        inst = RecoveryInstance.build(X, "exact-sparse", 2, NoiseModel(X.n, sigma), 1.0, 11)
+        _same_report(run_dantzig_experiment(inst, 4), mc_oracle.dantzig_experiment(inst, 4))
+    assert max(heights) == 3
 
 
 def test_lambda_policy_enforced():

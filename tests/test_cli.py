@@ -16,8 +16,8 @@ import pytest
 import expander_cs
 from expander_cs.cli import _parser, dumps_17g, main
 from expander_cs.fields import GF
-from expander_cs.graphs import (matching_graph, pv_expander, random_left_regular,
-                                  save_graph)
+from expander_cs.graphs import (BipartiteGraph, matching_graph, pv_expander,
+                                random_left_regular, save_graph)
 
 
 def run(args):
@@ -590,6 +590,22 @@ def test_oversized_designs_exit_2_under_a_memory_cap(tmp_path):
                            tmp_path) == (0, "")
         report = json.loads((tmp_path / "r.json").read_text())
         assert (report["ok"], report["worst_ratio"]) == (True, 1.0)
+
+
+def test_wide_design_monte_carlo_runs_under_a_memory_cap(tmp_path):
+    # p = 2**20 columns on n = 16 rows: a noise block holds 1024 rows of n,
+    # and a whole block's stacked X^T product is (1024, p), 8 GB; the
+    # (128, p) and (40, p) stacks of these runs used to end in a MemoryError
+    # traceback
+    p = 1 << 20
+    save_graph(BipartiteGraph(p, 16, 1, (np.arange(p) % 16)[:, None], "wide"),
+               tmp_path / "wide.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"design": "wide.json", "target": {"s": 1}, "lambda_multiple": 6.0, "trials": 40}))
+    for args in (["noise-check", "--graph", "wide.json", "--n", 16, "--trials", 128],
+                 ["bench", "lasso", "--config", "cfg.json"]):
+        code, err = _run_capped([*args, "--out", "r.json"], tmp_path)
+        assert code == 0 and "Traceback" not in err
 
 
 def test_nonfinite_penalty_exits_2(tmp_path, capsys):

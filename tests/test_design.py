@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from expander_cs import design
 from expander_cs import (GF, BipartiteGraph, CapacityError, DesignMatrix, load_graph,
                          matching_graph, pv_expander, random_left_regular, save_graph)
 from expander_cs.rng import Stream, gaussians
@@ -157,3 +159,22 @@ def test_design_matches_reference_oracle(idx):
         np.testing.assert_allclose(XTz, dense.T @ z, rtol=0, atol=1e-15 * z_scale)
         assert abs(Xg @ z - gamma @ XTz) <= 1e-12 * g_scale * z_scale
         assert np.max(np.abs(XTz)) <= np.max(np.abs(z))
+
+
+def test_stack_product_is_gathered_a_slice_at_a_time(monkeypatch):
+    # two rows a slice: the (64, p*d) gather of the whole stack is never built
+    X = DesignMatrix.from_graph(random_left_regular(1024, 8, 32, seed=4))
+    monkeypatch.setattr(design, "STACK_ENTRIES", 2 * X.p * X.d + X.p * X.d - 1)
+    assert X.stack_rows == 2
+    Z = gaussians(list(range(65)), X.n)
+    tracemalloc.start()
+    stack = X.transpose_matvec(Z)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * stack.nbytes             # the whole gather is 8 stacks
+    for row, z in zip(stack, Z):
+        assert row.tobytes() == X.transpose_matvec(z).tobytes()
+    assert X.transpose_matvec(Z[:0]).shape == (0, X.p)
+    monkeypatch.setattr(design, "STACK_ENTRIES", 1)
+    assert X.stack_rows == 1
+    assert X.transpose_matvec(Z).tobytes() == stack.tobytes()

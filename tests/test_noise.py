@@ -124,6 +124,14 @@ def test_block_rows_are_the_one_seed_draws():
         assert k == 4
     # trial_noise yields the blocks whole: 2 rows of n = 7000 fit in one
     assert [b.shape for b in trial_noise(NoiseModel(7000, 1.0), 9, 5)] == [(2, 7000)] * 2 + [(1, 7000)]
+    # max_rows caps a block below _BLOCK; the rows stay the same draws
+    model = NoiseModel(7, 1.3, "ar1", rho=0.5)
+    for cap, shapes in ((2, [(2, 7)] * 2 + [(1, 7)]), (1, [(1, 7)] * 5), (0, [(1, 7)] * 5),
+                        (10**9, [(5, 7)])):
+        blocks = list(trial_noise(model, 9, 5, cap))
+        assert [b.shape for b in blocks] == shapes
+        assert np.concatenate(blocks).tobytes() == np.concatenate(
+            list(trial_noise(model, 9, 5))).tobytes()
 
 
 def test_ar1_block_speculates_at_half_and_repairs_near_one():

@@ -557,11 +557,14 @@ def test_a_failed_row_leaves_the_other_rows_standing(monkeypatch):
 
     monkeypatch.setattr(solve, "lp_solve", fail)
     monkeypatch.setattr(solve, "_l1_path", fail)
-    for rows, one in ((solve.dantzig_rows(X, Y, 0.5 * top), solve.dantzig),
-                      (solve.lasso_rows(X, Y, top), solve.lasso)):
-        assert [type(s).__name__ for s in rows] == \
-            ["SolverStatusError", rows[1].__class__.__name__, "SolverStatusError"]
+    for rows, one, kind in ((solve.dantzig_rows(X, Y, 0.5 * top), solve.dantzig,
+                             solve.DantzigSolution),
+                            (solve.lasso_rows(X, Y, top), solve.lasso, solve.LassoSolution)):
+        assert [type(s) for s in rows] == [SolverStatusError, kind, SolverStatusError]
         assert not rows[1].beta.any()
+        with pytest.raises(SolverStatusError, match="no pivot"):
+            solve.solved(rows[0])
+        assert solve.solved(rows[1]) is rows[1]
         with pytest.raises(SolverStatusError, match="no pivot"):
             one(X, y, 0.5 * top if one is solve.dantzig else top)
 

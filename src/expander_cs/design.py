@@ -13,6 +13,8 @@ X^T z also takes a stack of rows z, one per noise trial, in one product
 whose rows equal the one-row products bit for bit. A stack is gathered
 ``stack_rows`` rows at a time, at most STACK_ENTRIES entries, so on a
 wide design it gathers one row at a time, as the one-row product does.
+The gather is ``take`` along the row axis, the same copy as a 2-D fancy
+index and several times faster on wide rows.
 
 A design holds that table and nothing derived from it: no solver state is
 kept between calls. The dense n x p matrix is capped at MAX_TABLE entries.
@@ -73,7 +75,8 @@ class DesignMatrix:
         acc = np.empty((len(z), self.p))
         step = self.stack_rows
         for r in range(0, len(z), step):
-            np.add.reduceat(z[r:r + step, flat], self._starts, axis=1, out=acc[r:r + step])
+            np.add.reduceat(z[r:r + step].take(flat, axis=1), self._starts, axis=1,
+                            out=acc[r:r + step])
         acc /= self.d
         return acc
 

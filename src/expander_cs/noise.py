@@ -154,6 +154,13 @@ def sample_noise_rows(model: NoiseModel, seeds) -> np.ndarray:
     return z
 
 
+def block_rows(n: int, max_rows: int | None = None) -> int:
+    """Rows of a block of trials whose rows have n entries: at most _BLOCK
+    entries (one row when n passes it) and at most ``max_rows`` rows."""
+    rows = max(1, _BLOCK // n)
+    return rows if max_rows is None else max(1, min(rows, max_rows))
+
+
 def trial_noise(model: NoiseModel, seed: int, trials: int, max_rows: int | None = None):
     """Yield the noise of trials 0 .. trials-1, trial k drawn from
     derive_seed(seed, k), in (rows, n) blocks of at most _BLOCK entries
@@ -161,9 +168,7 @@ def trial_noise(model: NoiseModel, seed: int, trials: int, max_rows: int | None 
     block is the trial that follows the previous blocks' rows. Consumers
     that stack a block's products pass the design's ``stack_rows``, which
     bounds the (rows, p) arrays they hold."""
-    rows = max(1, _BLOCK // model.n)
-    if max_rows is not None:
-        rows = max(1, min(rows, max_rows))
+    rows = block_rows(model.n, max_rows)
     for first in range(0, trials, rows):
         seeds = [derive_seed(seed, k) for k in range(first, min(first + rows, trials))]
         yield sample_noise_rows(model, seeds)

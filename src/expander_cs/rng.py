@@ -19,9 +19,13 @@ Derived values:
 
 ``Stream`` consumes words one by one; ``gaussians`` and
 ``Stream.samples_without_replacement`` compute the same words in bulk with
-numpy. All walk the identical counter sequence. ``gaussians``, ``uniforms``
-and ``_words`` also take a sequence of seeds and return one row per seed,
-each row word for word the call with that seed alone.
+numpy. All walk the identical counter sequence. ``gaussians``,
+``uniforms`` and ``_words`` also take a sequence of seeds and return one
+row per seed, each row word for word the call with that seed alone. A bulk
+draw of subsets turns its words into Python integers (the Fisher-Yates
+step takes them mod n - i) in blocks of at most _DRAW_WORDS words and
+writes the subsets into one int64 array, so its peak is that array plus
+one block, however many subsets it draws.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_DRAW_WORDS = 1 << 16  # words one bulk draw of subsets turns into Python integers at once
 
 
 def mix64(x: int) -> int:
@@ -92,14 +97,23 @@ class Stream:
             raise ValueError(f"cannot draw {k} from {n}")
         return _fisher_yates(n, [self.next_u64() for _ in range(k)])
 
-    def samples_without_replacement(self, n: int, k: int, count: int) -> list[list[int]]:
-        """``count`` successive ``sample_without_replacement(n, k)`` draws,
-        with the words computed in bulk."""
+    def samples_without_replacement(self, n: int, k: int, count: int) -> np.ndarray:
+        """``count`` successive ``sample_without_replacement(n, k)`` draws
+        as the rows of a (count, k) int64 array, with the words computed in
+        bulk: whole draws at a time, at most _DRAW_WORDS words (one draw
+        when k passes it), so a draw of many rows never holds all its
+        words as Python integers at once."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} from {n}")
-        words = _words(self._seed, self._i, count * k).tolist()
-        self._i += count * k
-        return [_fisher_yates(n, words[c * k:(c + 1) * k]) for c in range(count)]
+        out = np.empty((count, k), dtype=np.int64)
+        rows = max(1, _DRAW_WORDS // max(k, 1))
+        for c in range(0, count, rows):
+            block = min(rows, count - c)
+            words = _words(self._seed, self._i, block * k).tolist()
+            self._i += block * k
+            out[c:c + block] = [_fisher_yates(n, words[r * k:(r + 1) * k])
+                                for r in range(block)]
+        return out
 
 
 def _fisher_yates(n: int, words: list[int]) -> list[int]:

@@ -6,26 +6,31 @@ scaling the solution is identically zero exactly when
 lam >= 2 ||X^T y||_inf; most library lassos scale differently, which is
 why the solvers live here.
 
-The lasso and the Dantzig selector solve a stack of observation rows Y
-at once (``lasso_rows``, ``dantzig_rows``; ``lasso`` and ``dantzig`` are
-their one-row cases). C = X^T Y is one product, and ``_zero_rows``, the
-one statement of the zero rule, settles every row whose estimate is
-b = 0 from it, with no path and no LP. A Monte Carlo at the penalties
-the oracle inequalities prescribe is mostly such rows.
+Every estimator solves a stack of observation rows Y at once
+(``lasso_rows``, ``dantzig_rows``, ``basis_pursuit_rows``; ``lasso``,
+``dantzig`` and ``basis_pursuit`` are their one-row cases). C = X^T Y is
+one product, and ``_zero_rows``, the one statement of the zero rule,
+settles every row whose estimate is b = 0 from it, with no path and no
+LP. A Monte Carlo at the penalties the oracle inequalities prescribe is
+mostly such rows.
 
 The lasso and basis pursuit are one path solver, ``_l1_path``: the
 piecewise-linear lasso path of Osborne, Presnell and Turlach (IMA J.
-Numer. Anal. 2000), followed in t = lam/2 from ||X^T y||_inf down to
-lam/2 for the lasso and to 0 for basis pursuit. Each segment solves the
-active Gram system, with entries |N(i) ∩ N(j)| / d^2 counted from
-``X.rows``, and moves t to the next event: an inactive column's
-correlation reaching the boundary (a join) or an active coefficient
-reaching zero (a drop). Under the conditions of Donoho and Tsaig (IEEE
-Trans. Inf. Theory 2008) an s-sparse target is reached in s + 1 segments,
-and the end point is exact, not iterated to a tolerance. Basis pursuit is certified on the way out: its residual
-must vanish, and z = X_A G_AA^{-1} s_A of the last segment must be a dual
-certificate, ||X^T z||_inf <= 1 and y^T z = ||b||_1. Both checks cost
-O(nnz). No n x p array is built.
+Numer. Anal. 2000), followed in t = lam/2 from ||X^T y||_inf down to lam/2
+for the lasso and to 0 for basis pursuit. Each segment solves the active
+Gram system, with entries |N(i) ∩ N(j)| / d^2 counted from ``X.rows``, and
+moves t to the next event: an inactive column's correlation reaching the
+boundary (a join) or an active coefficient reaching zero (a drop); the
+first segment's system is the 1 x 1 count [d], whose direction is known
+without a solve. Under the conditions of Donoho and Tsaig (IEEE Trans.
+Inf. Theory 2008) an s-sparse target is reached in s + 1 segments, and the
+end point is exact, not iterated to a tolerance. The path follows all the
+unsettled rows of a stack in lockstep, one segment of every row at a time,
+so the fixed cost of a segment's numpy calls is shared; each row stays bit
+for bit what its path alone gives. Basis pursuit is certified row by row
+on the way out: its residual must vanish, and z = X_A G_AA^{-1} s_A of the
+last segment must be a dual certificate, ||X^T z||_inf <= 1 and y^T z =
+||b||_1. Both checks cost O(nnz). No n x p array is built.
 
 The Dantzig selector and the nullspace-property oracle solve linear
 programs by a dense two-phase simplex with Bland's smallest-index
@@ -355,6 +360,8 @@ def dantzig_rows(X: DesignMatrix, Y, lam: float) -> list:
 PATH_TOL = 1e-10        # event tolerance, relative to the path's start t
 GRAM_TOL = 1e-10        # smallest squared Cholesky pivot of the overlap counts, per unit of d
 BP_MAX_STEPS = 100000   # basis pursuit's path step limit
+_COMPARED = 1 << 20     # table-entry pairs one overlap count compares at once: 1 MB of bools
+_SIDES = np.array([1.0, -1.0])[:, None, None]   # the boundary's two signs, stacked
 
 
 @dataclass
@@ -366,23 +373,57 @@ class LassoSolution:
     converged: bool
 
 
-def _direction(X: DesignMatrix, active: list[int], signs: np.ndarray) -> np.ndarray:
-    """G_AA^{-1} s_A, the active coefficients' change per unit decrease of t.
+def _smallest_pivots(counts: np.ndarray) -> np.ndarray:
+    """Per (a, a) system of a stack, its smallest Cholesky pivot, or 0.0
+    where the factorization fails. Each system is factored as it would be
+    alone; a stack that holds a failing system is factored one at a time."""
+    try:
+        return np.minimum.reduce(np.linalg.cholesky(counts).diagonal(0, 1, 2), axis=1)
+    except np.linalg.LinAlgError:
+        if len(counts) == 1:
+            return np.zeros(1)
+        return np.concatenate([_smallest_pivots(m[None]) for m in counts])
+
+
+def _directions(X: DesignMatrix, idx: np.ndarray, signs: np.ndarray
+                ) -> tuple[np.ndarray, list[int]]:
+    """G_AA^{-1} s_A, the active coefficients' change per unit decrease of
+    t, for a group of path rows with equally many active columns: row g's
+    active columns idx[g] in the order they joined, and their signs
+    signs[g]. Returns the directions and the rows whose Gram matrix is
+    singular; a singular row's direction means nothing.
 
     G_AA = C / d^2, where C counts the rows two active columns share (an
-    exact integer in floating point). A singular C shows as a vanishing
-    Cholesky pivot and raises SolverStatusError."""
-    incidence = np.zeros((len(active), X.n))
-    incidence[np.arange(len(active))[:, None], X.rows[active]] = 1.0
-    counts = incidence @ incidence.T
-    try:
-        smallest = float(np.diag(np.linalg.cholesky(counts)).min())
-    except np.linalg.LinAlgError:
-        smallest = 0.0
-    if smallest**2 <= GRAM_TOL * X.d:
-        raise SolverStatusError(
-            f"the Gram matrix of the {len(active)} active columns is singular")
-    return np.linalg.solve(counts, signs) * float(X.d) ** 2
+    exact integer in floating point), compared from their table rows,
+    O(a^2 d^2) per row. Each system is factored and solved as it would be
+    alone, so a row's direction does not depend on the other rows. A
+    singular C shows as a vanishing Cholesky pivot, and is replaced by the
+    identity before the solve."""
+    counts = _overlaps(X.rows.take(idx, axis=0))
+    least = GRAM_TOL * X.d
+    failed = [g for g, pivot in enumerate(_smallest_pivots(counts).tolist())
+              if pivot * pivot <= least]
+    if failed:
+        counts[failed] = np.eye(idx.shape[1])
+    return np.linalg.solve(counts, signs[:, :, None])[:, :, 0] * float(X.d) ** 2, failed
+
+
+def _overlaps(R: np.ndarray) -> np.ndarray:
+    """|N(i) ∩ N(j)| as floats for the (g, a, d) table rows R of g groups
+    of a columns: a neighbor list holds no repeat, so the count of equal
+    entry pairs. At most about _COMPARED entry pairs are compared at once:
+    whole systems while they fit, else one system a block of its columns
+    i at a time (at least one column, a d^2 pairs)."""
+    g, a, d = R.shape
+    cols = max(1, _COMPARED // (a * d * d))
+    per = max(1, cols // a)
+    counts = np.empty((g, a, a))
+    for s in range(0, g, per):
+        for i in range(0, a, cols):
+            np.add.reduce(R[s:s + per, i:i + cols, None, :, None]
+                          == R[s:s + per, None, :, None, :],
+                          axis=(3, 4), out=counts[s:s + per, i:i + cols])
+    return counts
 
 
 def _zero_rows(C: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -395,21 +436,22 @@ def _zero_rows(C: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     (Osborne, Presnell and Turlach 2000; El Ghaoui, Viallon and Rabbani's
     lambda_max rule). For the Dantzig selector t = lam: b = 0 is then
     feasible, and no other b has l1 norm 0. For basis pursuit t = 0."""
-    top = np.max(np.abs(C), axis=-1)
+    top = np.abs(C).max(axis=-1)
     return top <= t, top
 
 
-def _l1_path(X: DesignMatrix, c: np.ndarray, t_stop: float,
-             max_steps: int) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """Follow the minimisers of ||y - X b||^2 + 2t ||b||_1 from
-    t = ||X^T y||_inf down to ``t_stop``, given c = X^T y of a y that
-    ``_zero_rows`` did not settle (||c||_inf > t_stop). The path updates
-    a copy of c, never c itself.
+def _l1_path(X: DesignMatrix, C: np.ndarray, t_stop: float, max_steps: int) -> list:
+    """For each row c = X^T y of C, follow the minimisers of
+    ||y - X b||^2 + 2t ||b||_1 from t = ||c||_inf down to ``t_stop``; the
+    rows are ones ``_zero_rows`` did not settle (||c||_inf > t_stop). The
+    path never writes C.
 
-    Returns (beta, steps, z): the coefficients at the last t reached, the
-    number of segments taken, and z = X_A G_AA^{-1} s_A of the last
-    segment, or None for z when ``max_steps`` segments did not reach
-    ``t_stop``.
+    Returns one entry per row: (beta, steps, z, X^T z), the coefficients
+    at the last t reached, the number of segments taken, and
+    z = X_A G_AA^{-1} s_A of the last segment with its product X^T z (the
+    segment's rates), or None for both when ``max_steps`` segments did not
+    reach ``t_stop``; or, in the row's place, the SolverStatusError of a
+    singular active Gram matrix.
 
     On a segment the active correlations stay at t s_A and the inactive
     ones c move by -gamma X^T z as t drops by gamma. Events within
@@ -421,55 +463,141 @@ def _l1_path(X: DesignMatrix, c: np.ndarray, t_stop: float,
     every inactive correlation reaches 0 together with t when y is fit
     exactly, and joining there moves nothing but can make the Gram matrix
     singular.
+
+    The rows follow their paths in lockstep, one segment of every live row
+    at a time: one stacked product gives the rates, and the event scans and
+    the updates of beta, c and t are array operations over the stack. Every
+    operation a row sees is the one its path alone would apply, so each
+    row's entry is bit for bit that of a stack of one. A row leaves the
+    stack when it reaches ``t_stop`` or fails; its entry holds rows of the
+    stack's arrays, which the path no longer writes. z = X_A d_A is built
+    from the active columns' table rows alone, in ascending column order,
+    as ``X.matvec`` sums them: a bincount bin starts at +0.0, so the
+    columns off the support, whose weight is 0, would change no bit.
+
+    A segment's directions are solved at the end of the segment before,
+    once its joins and drops are known; the first segment's need no solve.
+    Its Gram system is the 1 x 1 count [d] of the one column on the
+    boundary: LAPACK's solve of it returns s / d, exact for s = +-1 whether
+    it divides or multiplies by 1/d, and its Cholesky pivot sqrt(d) passes
+    the GRAM_TOL check (which needs GRAM_TOL < 1). So the direction
+    s / d * d^2 is the bits ``_directions`` would return, at no Cholesky and
+    no solve for the one segment every path has.
     """
-    p = X.p
-    c = c.copy()
-    t = float(np.max(np.abs(c)))
-    beta = np.zeros(p)
+    k, p = C.shape
+    n, d = X.n, X.d
+    out: list = [None] * k
+    if not k:
+        return out
+    size = np.abs(C)
+    t = np.maximum.reduce(size, axis=1, keepdims=True)     # t and tol are (rows, 1) columns
     tol = PATH_TOL * t
-    first = int(np.argmax(np.abs(c) >= t - tol))
-    active = [first]
-    signs = [math.copysign(1.0, c[first])]
+    first = (size >= t - tol).argmax(axis=1)
+    at = np.arange(k)
+    live = at.tolist()
+    active = [[j] for j in first.tolist()]
+    lead = [math.copysign(1.0, v) for v in C[at, first].tolist()]
+    signs = [[s] for s in lead]
+    mask = np.zeros((k, p), dtype=bool)
+    mask[at, first] = True
+    # D holds each row's direction, zero off its active columns; the first
+    # segment's is s / d * d^2, as the solve of [d] rounds it (see above)
+    D = np.zeros((k, p))
+    D[at, first] = [s / d * float(d) ** 2 for s in lead]
+    c, beta, joins = C, np.zeros((k, p)), np.empty((2, k, p))
     for step in range(1, max_steps + 1):
-        d_active = _direction(X, active, np.array(signs))
-        direction = np.zeros(p)
-        direction[active] = d_active
-        z = X.matvec(direction)
+        rows = len(live)
+        # z = X_A d_A over the support in ascending column order, row r's
+        # bins offset by r n, then X^T z
+        on, cols = mask.nonzero()
+        on *= n
+        bins = X.rows.take(cols, axis=0)
+        bins += on[:, None]
+        z = np.bincount(bins.reshape(-1), weights=D[mask].repeat(d),
+                        minlength=rows * n).reshape(rows, n)
+        z /= d
         rate = X.transpose_matvec(z)
 
-        inactive = np.ones(p, dtype=bool)
-        inactive[active] = False
-        joins = []
-        for sign in (1.0, -1.0):
-            closing = 1.0 - sign * rate
-            moving = inactive & (closing > PATH_TOL)
-            slack = t - sign * c[moving]
-            slack[slack <= tol] = 0.0
-            gap = np.full(p, math.inf)
-            gap[moving] = slack / closing[moving]
-            joins.append(gap)
-        gap = np.minimum(*joins)
-        idx = np.array(active)
-        shrinking = beta[idx] * d_active < 0.0
-        gap[idx[shrinking]] = -beta[idx[shrinking]] / d_active[shrinking]
+        # per sign (+1 then -1), the t at which each inactive column reaches
+        # the boundary; the t at which each shrinking active coefficient
+        # reaches zero. -1 * x is exact, so 1 - (-rate) and t - (-c) are the
+        # floats 1 + rate and t + c. For bools, a > b is a and not b.
+        closing = 1.0 - _SIDES * rate
+        slack = t - _SIDES * c
+        slack[slack <= tol] = 0.0
+        sides = joins[:, :rows]
+        sides.fill(math.inf)
+        np.divide(slack, closing, out=sides, where=(closing > PATH_TOL) > mask)
+        gap = np.minimum.reduce(sides)
+        np.divide(-beta, D, out=gap, where=beta * D < 0.0)
 
         remaining = t - t_stop
-        nearest = float(gap.min())
-        if nearest >= remaining - tol:
-            beta[active] += remaining * d_active
-            return beta, step, z
-        j = int(np.argmax(gap <= nearest + tol))
-        beta[active] += gap[j] * d_active
-        c -= gap[j] * rate
-        t -= float(gap[j])
-        if inactive[j]:
-            active.append(j)
-            signs.append(1.0 if joins[0][j] <= joins[1][j] else -1.0)
-        else:
-            k = active.index(j)
-            del active[k], signs[k]
-            beta[j] = 0.0
-    return beta, max_steps, None
+        nearest = np.minimum.reduce(gap, axis=1, keepdims=True)
+        done = nearest >= remaining - tol
+        j = (gap <= nearest + tol).argmax(axis=1)
+        move = np.where(done, remaining, gap[at, j, None])
+        beta += move * D
+
+        finished = []
+        for r, jr, end in zip(range(rows), j.tolist(), done.ravel().tolist()):
+            if end:
+                out[live[r]] = (beta[r], step, z[r], rate[r])
+                finished.append(r)
+            elif mask[r, jr]:
+                i = active[r].index(jr)
+                del active[r][i], signs[r][i]
+                beta[r, jr] = 0.0
+                mask[r, jr] = False
+            else:
+                active[r].append(jr)
+                signs[r].append(1.0 if sides[0, r, jr] <= sides[1, r, jr] else -1.0)
+                mask[r, jr] = True
+        if len(finished) == rows:
+            return out
+        t = t - move
+        c = c - move * rate
+        if finished:
+            (c, t, tol, beta, mask), (live, active, signs) = _drop_rows(
+                finished, (c, t, tol, beta, mask), (live, active, signs))
+            rows = len(live)
+            at = at[:rows]
+        if step == max_steps:
+            break
+
+        # the next segment's directions, the Gram systems solved in groups
+        # of one size
+        D = np.zeros((rows, p))
+        groups: dict[int, list[int]] = {}
+        for r, cols in enumerate(active):
+            groups.setdefault(len(cols), []).append(r)
+        failed = []
+        for members in groups.values():
+            idx = np.array([active[r] for r in members])
+            d_active, singular = _directions(X, idx, np.array([signs[r] for r in members]))
+            D[at[members, None], idx] = d_active
+            failed += [members[g] for g in singular]
+        if failed:
+            for r in failed:
+                out[live[r]] = SolverStatusError(
+                    f"the Gram matrix of the {len(active[r])} active columns is singular")
+            if len(failed) == rows:
+                return out
+            (c, t, tol, beta, mask, D), (live, active, signs) = _drop_rows(
+                failed, (c, t, tol, beta, mask, D), (live, active, signs))
+            at = at[:len(live)]
+    for r, row in enumerate(live):
+        out[row] = (beta[r], max_steps, None, None)
+    return out
+
+
+def _drop_rows(gone: list[int], arrays: tuple, lists: tuple) -> tuple[tuple, tuple]:
+    """``arrays`` and ``lists``, whose rows are the path's live rows, without
+    the rows ``gone``."""
+    keep = np.ones(len(lists[0]), dtype=bool)
+    keep[gone] = False
+    flags = keep.tolist()
+    return (tuple(a[keep] for a in arrays),
+            tuple([v for v, kept in zip(seq, flags) if kept] for seq in lists))
 
 
 def lasso(X: DesignMatrix, y, lam: float, tol: float = 1e-8,
@@ -495,8 +623,9 @@ def lasso_rows(X: DesignMatrix, Y, lam: float, tol: float = 1e-8,
     (``_zero_rows``) is settled from it with no path: b = 0, no segments,
     KKT residual max_j (|2 c_j| - lam)_+ and objective y.y, which is what
     the KKT products give at b = 0, where the residual is y and
-    2 X^T y is 2c. Every other row follows the path from its row of C,
-    and its KKT residual and objective are recomputed from the returned b.
+    2 X^T y is 2c. Every other row follows the path from its row of C, all
+    of them in one lockstep call, and its KKT residual and objective are
+    recomputed from the returned b.
     """
     _check_penalty(lam)
     Y = _observations(X, Y, ndim=2)
@@ -504,17 +633,18 @@ def lasso_rows(X: DesignMatrix, Y, lam: float, tol: float = 1e-8,
     zero, _ = _zero_rows(C, lam / 2.0)
     zero_kkt = np.maximum(np.abs(2.0 * C) - lam, 0.0).max(axis=1).tolist()
     zeros = np.zeros((len(Y), X.p))
+    paths = iter(_l1_path(X, C[~zero], lam / 2.0, max_iter))
     out: list = []
     for r, (y, settled) in enumerate(zip(Y, zero.tolist())):
         if settled:
             out.append(LassoSolution(zeros[r], zero_kkt[r], 0, float(y @ y),
                                      zero_kkt[r] <= tol))
             continue
-        try:
-            beta, steps, _ = _l1_path(X, C[r], lam / 2.0, max_iter)
-        except SolverStatusError as exc:
-            out.append(exc)
+        path = next(paths)
+        if isinstance(path, SolverStatusError):
+            out.append(path)
             continue
+        beta, steps = path[:2]
         resid = y - X.matvec(beta)
         corr = 2.0 * X.transpose_matvec(resid)
         kkt = np.where(beta != 0.0, np.abs(corr - lam * np.sign(beta)),
@@ -526,33 +656,61 @@ def lasso_rows(X: DesignMatrix, Y, lam: float, tol: float = 1e-8,
 
 
 def basis_pursuit(X: DesignMatrix, y) -> np.ndarray:
-    """min ||b||_1 subject to X b = y: the l1 path followed down to t = 0.
+    """min ||b||_1 subject to X b = y: the one-row case of
+    ``basis_pursuit_rows``."""
+    return solved(_basis_pursuit(X, _observations(X, y)[None])[0])
 
-    Raises SolverStatusError when y is not in the range of X (the residual
-    at t = 0 exceeds 1e-8 (1 + ||y||_inf)), when the active Gram matrix is
+
+def basis_pursuit_rows(X: DesignMatrix, Y) -> list:
+    """min ||b||_1 subject to X b = y for each row y of Y: one coefficient
+    vector per row, or the SolverStatusError of that row in its place
+    (``solved`` raises it). Every row that ``_zero_rows`` does not settle
+    at t = 0 follows the l1 path down to t = 0, all of them in one
+    lockstep call.
+
+    A row fails when y is not in the range of X (the residual at t = 0
+    exceeds 1e-8 (1 + ||y||_inf)), when the active Gram matrix is
     singular, when the path takes more than BP_MAX_STEPS segments, and
     when the last segment's z = X_A G_AA^{-1} s_A is no dual certificate:
     ||X^T z||_inf <= 1 + 1e-9 and y^T z = ||b||_1 to 1e-9 relative prove
     b optimal, since ||b'||_1 >= z^T X b' = y^T z for every feasible b'.
+    Each row is certified on its own.
     """
-    y = _observations(X, y)
-    c = X.transpose_matvec(y)
-    if _zero_rows(c, 0.0)[0]:
-        beta, z = np.zeros(X.p), np.zeros(X.n)
-    else:
-        beta, _, z = _l1_path(X, c, 0.0, BP_MAX_STEPS)
+    return _basis_pursuit(X, _observations(X, Y, ndim=2))
+
+
+def _basis_pursuit(X: DesignMatrix, Y: np.ndarray) -> list:
+    """``basis_pursuit_rows`` of a stack Y that ``_observations`` passed."""
+    C = X.transpose_matvec(Y)
+    zero, _ = _zero_rows(C, 0.0)
+    paths = iter(_l1_path(X, C[~zero], 0.0, BP_MAX_STEPS))
+    out: list = []
+    for y, settled in zip(Y, zero.tolist()):
+        path = (np.zeros(X.p), 0, np.zeros(X.n), np.zeros(X.p)) if settled else next(paths)
+        if isinstance(path, SolverStatusError):
+            out.append(path)
+            continue
+        beta, _, z, xtz = path
+        out.append(_bp_failure(X, y, beta, z, xtz) or beta)
+    return out
+
+
+def _bp_failure(X: DesignMatrix, y: np.ndarray, beta: np.ndarray, z: np.ndarray | None,
+                xtz: np.ndarray | None) -> SolverStatusError | None:
+    """Why ``beta``, with the last segment's z and X^T z, is not proved
+    the basis pursuit solution of y, or None when it is."""
     if z is None:
-        raise SolverStatusError(f"basis pursuit path exceeded {BP_MAX_STEPS} steps")
+        return SolverStatusError(f"basis pursuit path exceeded {BP_MAX_STEPS} steps")
     scale = 1.0 + float(np.abs(y).max(initial=0.0))
-    if float(np.max(np.abs(X.matvec(beta) - y))) > 1e-8 * scale:
-        raise SolverStatusError("basis pursuit is infeasible: y is not in the range of X")
+    if float(np.abs(X.matvec(beta) - y).max()) > 1e-8 * scale:
+        return SolverStatusError("basis pursuit is infeasible: y is not in the range of X")
     l1 = float(np.abs(beta).sum())
-    dual_norm = float(np.max(np.abs(X.transpose_matvec(z))))
+    dual_norm = float(np.abs(xtz).max())
     if dual_norm > 1.0 + 1e-9 or abs(float(y @ z) - l1) > 1e-9 * l1:
-        raise SolverStatusError(
+        return SolverStatusError(
             f"basis pursuit's dual certificate fails: ||X^T z||_inf = {dual_norm}, "
             f"y^T z = {float(y @ z)}, ||b||_1 = {l1}")
-    return beta
+    return None
 
 
 def ols_on_support(X: DesignMatrix, y, support) -> np.ndarray:

@@ -93,7 +93,8 @@ def test_block_experiments_reproduce_the_per_trial_loops(design, sigma, monkeypa
     X = DesignMatrix.from_graph(BLOCK_DESIGNS[design]())
     paths, lps = [], []
     path, lp = solve._l1_path, solve.lp_solve
-    monkeypatch.setattr(solve, "_l1_path", lambda *a: paths.append(1) or path(*a))
+    monkeypatch.setattr(solve, "_l1_path",
+                        lambda X, C, *a: paths.extend([1] * len(C)) or path(X, C, *a))
     monkeypatch.setattr(solve, "lp_solve", lambda *a: lps.append(1) or lp(*a))
     small = X.n < 1000
     for model, target in itertools.product(
@@ -332,3 +333,18 @@ def test_mvse_sweep_skips_a_row_past_the_budget_after_one_seed(monkeypatch):
 def test_mvse_sweep_marks_impossible_rows():
     rows = mvse_sweep([4], [4], 1.0, trials=2, seed=10, n=64)
     assert rows[0]["skipped"]
+
+
+def test_recovery_blocks_reproduce_the_per_trial_loop(certified, monkeypatch):
+    # 23 trials of n = 1536 are three blocks of at most 10; past the step
+    # limit every trial fails and is recorded as not converged
+    _, X, cert = certified
+    assert noise.block_rows(X.n, X.stack_rows) == 10
+    for s, trials in ((2, 23), (1, 4), (0, 2)):
+        _same_report(run_recovery_experiment(X, s, trials, 5, cert),
+                     mc_oracle.recovery_experiment(X, s, trials, 5, cert))
+    monkeypatch.setattr(solve, "BP_MAX_STEPS", 1)
+    monkeypatch.setattr(mc_oracle, "BP_MAX_STEPS", 1)
+    rep = run_recovery_experiment(X, 2, 12, 5, cert)
+    assert rep.flagged == 12
+    _same_report(rep, mc_oracle.recovery_experiment(X, 2, 12, 5, cert))

@@ -3,8 +3,9 @@ their rows), the graph interchange
 format and its file writer, the connected-subset expansion certificate
 (against the full scan and the ESU enumeration), the sampled expansion
 check (against the bitmask scan of its draws), the lasso's optimality
-conditions, basis pursuit's dual certificate and the AR(1) noise blocks
-(against the recurrence on numpy scalars)."""
+conditions, basis pursuit's dual certificate, the AR(1) noise blocks
+(against the recurrence on numpy scalars) and the lockstep l1 path
+(against the one-row path, row by row)."""
 
 import itertools
 import json
@@ -21,11 +22,14 @@ from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
                          random_left_regular, save_graph)
 from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,  # noqa: E402
                                 graph_to_json_text)
-from expander_cs import NoiseModel, connected, noise, trial_noise, verify  # noqa: E402
+from expander_cs import NoiseModel, connected, noise, solve, trial_noise, verify  # noqa: E402
+from expander_cs.bench import sparse_target  # noqa: E402
 from expander_cs.errors import CapacityError  # noqa: E402
-from expander_cs.rng import Stream, derive_seed  # noqa: E402
+from expander_cs.rng import Stream, derive_seed, gaussians  # noqa: E402
+import mc_oracle  # noqa: E402
 from esu_oracle import _connected_subsets, _expansion_scan, esu_check  # noqa: E402
 from test_noise import reference_ar1  # noqa: E402
+from test_solve import _path_design, _same_path_rows  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
                                database=None)
@@ -248,3 +252,45 @@ def test_ar1_block_rows_are_the_recurrence(n, past_block, rho, sigma, seed):
     for k, z in enumerate(np.concatenate(list(trial_noise(model, seed, trials)))):
         assert z.tobytes() == reference_ar1(model, derive_seed(seed, k)).tobytes()
     assert k == trials - 1
+
+
+# -- the lockstep l1 path against the one-row path ---------------------------------
+
+@st.composite
+def path_cases(draw):
+    d = draw(st.sampled_from([1, 3, 8, 9, 25]))
+    n = draw(st.integers(d, max(d + 1, 3 * d)))
+    p = draw(st.integers(2, 40))
+    twins = draw(st.integers(0, 2)) if p > 4 else 0
+    X = _path_design(p, d, n, draw(st.integers(0, 1000)), twins)
+    k = draw(st.sampled_from([1, 2, 5, 17]))
+    seed = draw(st.integers(0, 10**6))
+    Y = []
+    for r in range(k):
+        kind = draw(st.sampled_from(["sparse", "noise", "mixed"]))
+        s = draw(st.integers(1, min(p, 4)))
+        signal = X.matvec(sparse_target(p, s, seed + r)[0])
+        noise = gaussians(seed + 100 + r, n)
+        Y.append({"sparse": signal, "noise": noise, "mixed": signal + 0.1 * noise}[kind])
+    C = X.transpose_matvec(np.array(Y))
+    top = np.abs(C).max(axis=1)
+    t_stop = draw(st.sampled_from([0.0, 0.02, 0.2, 0.6])) * float(top.max())
+    max_steps = draw(st.sampled_from([1, 2, 3, 1000]))
+    loose = draw(st.booleans())
+    return X, C[top > t_stop], t_stop, max_steps, loose
+
+
+@SETTINGS
+@hypothesis.given(path_cases())
+def test_lockstep_path_equals_the_one_row_path(case):
+    # loose: GRAM_TOL at which an active pair sharing a row is singular
+    # (smallest squared pivot d - o^2/d) and a disjoint one is not, so
+    # rows fail amid good rows
+    X, C, t_stop, max_steps, loose = case
+    kept = solve.GRAM_TOL
+    try:
+        if loose:
+            solve.GRAM_TOL = mc_oracle.GRAM_TOL = 1.0 - 0.5 / X.d**2
+        _same_path_rows(X, C, t_stop, max_steps)
+    finally:
+        solve.GRAM_TOL = mc_oracle.GRAM_TOL = kept

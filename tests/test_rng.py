@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
 
-from expander_cs.rng import Stream, _words, derive_seed, gaussians, mix64, uniforms
+from expander_cs import rng
+from expander_cs.graphs import BipartiteGraph, graph_to_json_text, random_left_regular
+from expander_cs.rng import (Stream, _fisher_yates, _words, derive_seed, gaussians, mix64,
+                             uniforms)
 
 
 def test_scalar_vector_streams_agree():
@@ -90,6 +94,40 @@ def test_draws_match_list_based_fisher_yates():
         ref, one, bulk = Stream(seed), Stream(seed), Stream(seed)
         want = [_reference_sample(ref, n, k) for _ in range(count)]
         assert [one.sample_without_replacement(n, k) for _ in range(count)] == want
-        assert bulk.samples_without_replacement(n, k, count) == want
+        drawn = bulk.samples_without_replacement(n, k, count)
+        assert drawn.dtype == np.int64 and drawn.shape == (count, k)
+        assert drawn.tolist() == want
         # the stream goes on from the same position
         assert one.next_u64() == bulk.next_u64() == ref.next_u64()
+
+
+def _one_block_draws(seed, n, k, count):
+    """Every word of a bulk draw taken in one call, as the draw did before
+    it worked a block at a time."""
+    words = _words(seed, 0, count * k).tolist()
+    return [_fisher_yates(n, words[c * k:(c + 1) * k]) for c in range(count)]
+
+
+@pytest.mark.parametrize("p,d,n,seed", [(4096, 8, 1536, 3), (9000, 16, 64, 5),
+                                        (20000, 4, 30, 11), (37, 25, 25, 2)])
+def test_random_graph_files_are_those_of_one_block_draws(p, d, n, seed):
+    # 4096*8 words fit one block; 9000*16 and 20000*4 words take three and
+    # two blocks (the last one partial); a draw of all 25 of 25 is a permutation
+    g = random_left_regular(p, d, n, seed)
+    ref = BipartiteGraph(p, n, d, _one_block_draws(seed, n, d, p), g.provenance)
+    assert graph_to_json_text(g) == graph_to_json_text(ref)
+
+
+def test_bulk_draws_take_their_words_a_block_at_a_time(monkeypatch):
+    calls = []
+    words = rng._words
+    monkeypatch.setattr(rng, "_words", lambda *a: calls.append(a[2]) or words(*a))
+    for k, count in ((16, 9000), (7, 20000), (1 << 17, 2), (0, 5)):
+        drawn = Stream(9).samples_without_replacement(max(k, 1) * 2, k, count)
+        want = _one_block_draws(9, max(k, 1) * 2, k, count)
+        assert drawn.tolist() == want
+        # whole draws per block: at most _DRAW_WORDS words, or one draw of k > _DRAW_WORDS
+        assert sum(calls) == k * count
+        assert max(calls) <= max(rng._DRAW_WORDS, k)
+        assert all(c % k == 0 for c in calls) if k else True
+        calls.clear()

@@ -13,6 +13,7 @@ from expander_cs.bench import sparse_target
 from expander_cs.errors import CapacityError, SolverStatusError
 from expander_cs.graphs import BipartiteGraph
 from expander_cs.rng import Stream, gaussians
+import mc_oracle
 from mc_oracle import trial_dantzig, trial_lasso
 
 
@@ -436,13 +437,61 @@ def test_singular_active_gram_is_a_solver_error():
     # two identical columns: their overlap counts form a singular matrix
     X = DesignMatrix.from_graph(BipartiteGraph(3, 4, 2, ((0, 1), (0, 1), (2, 3)), "dup"))
     with pytest.raises(SolverStatusError, match="singular"):
-        solve._direction(X, [0, 1], np.ones(2))
+        mc_oracle.direction(X, [0, 1], np.ones(2))
+    # in a group, the singular row is flagged and the others are solved
+    d_active, singular = solve._directions(X, np.array([[0, 2], [0, 1], [2, 0]]),
+                                           np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    assert singular == [1]
+    assert d_active[0].tobytes() == mc_oracle.direction(X, [0, 2], np.array([1.0, -1.0])).tobytes()
+    assert d_active[2].tobytes() == mc_oracle.direction(X, [2, 0], np.array([-1.0, 1.0])).tobytes()
     # the path never lets the twin of an active column join: it stays on
     # the boundary, so basis pursuit still solves
     y = X.matvec([1.0, 0.0, -2.0])
     est = basis_pursuit(X, y)
     assert np.abs(est).sum() == pytest.approx(3.0, abs=1e-12)
     np.testing.assert_allclose(X.matvec(est), y, atol=1e-12)
+
+
+def test_overlap_counts_are_compared_in_bounded_blocks(monkeypatch):
+    # one column at a time, column blocks of one system, blocks of whole
+    # systems and the default all give the one-row directions bit for bit
+    X = DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3))
+    idx = np.array([[3, 17, 8, 30], [0, 1, 2, 3], [39, 20, 5, 11]])
+    signs = np.array([[1.0, -1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, 1.0]])
+    ref = [mc_oracle.direction(X, list(cols), s) for cols, s in zip(idx.tolist(), signs)]
+    a, d = idx.shape[1], X.d
+    for compared in (1, 2 * a * d * d, 2 * a * a * d * d, solve._COMPARED):
+        monkeypatch.setattr(solve, "_COMPARED", compared)
+        d_active, singular = solve._directions(X, idx, signs)
+        assert singular == []
+        assert [row.tobytes() for row in d_active] == [r.tobytes() for r in ref]
+    monkeypatch.undo()
+    # a wide active set: 400 columns of d = 16 would compare 41 MB of entry
+    # pairs at once; the counts are the incidence products all the same
+    X = DesignMatrix.from_graph(random_left_regular(600, 16, 4096, seed=1))
+    R = X.rows[None, :400]
+    tracemalloc.start()
+    try:
+        counts = solve._overlaps(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    incidence = np.zeros((400, X.n))
+    incidence[np.arange(400)[:, None], R[0]] = 1.0
+    assert counts[0].tobytes() == (incidence @ incidence.T).tobytes()
+
+
+def test_the_first_direction_is_the_solve_of_one_count():
+    # the path starts from s / d * d^2 without a solve; s * d differs from
+    # it at d = 49, 93, 98, ... and the solve gives s / d at every d
+    for d in (1, 2, 3, 9, 25, 49, 93, 98, 99, 103):
+        X = DesignMatrix.from_graph(random_left_regular(6, d, d + 5, seed=d))
+        C = X.transpose_matvec(np.array([gaussians(d, X.n), -gaussians(d, X.n)]))
+        for s in (1.0, -1.0):
+            assert mc_oracle.direction(X, [0], np.array([s])).tobytes() == \
+                np.array([s / d * float(d) ** 2]).tobytes()
+        _same_path_rows(X, C, 0.0, 1)
 
 
 def test_bp_step_limit_is_a_solver_error(monkeypatch):
@@ -476,11 +525,20 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _path_rows(monkeypatch):
+    """The rows entering ``_l1_path``, one entry per row."""
+    rows = []
+    path = solve._l1_path
+    monkeypatch.setattr(solve, "_l1_path",
+                        lambda X, C, *a: rows.extend([1] * len(C)) or path(X, C, *a))
+    return rows
+
+
 def test_lasso_screen_boundary_matches_the_path(monkeypatch):
     # 2 ||X^T y||_inf exactly lam is settled by the screen with no segment,
     # as the path exits at its start; one ulp above lam takes the path
     X = DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3))
-    paths = _counted(monkeypatch, "_l1_path")
+    paths = _path_rows(monkeypatch)
     for seed in range(4):
         y = gaussians(300 + seed, 60)
         lam = 2.0 * float(np.max(np.abs(X.transpose_matvec(y))))
@@ -490,7 +548,7 @@ def test_lasso_screen_boundary_matches_the_path(monkeypatch):
         below = float(np.nextafter(lam, 0.0))
         sol, ref = lasso(X, y, below), trial_lasso(X, y, below)
         _same_lasso(sol, ref)
-        assert sol.iterations == 1 and len(paths) == 2
+        assert sol.iterations == 1 and len(paths) == 1
         paths.clear()
     # lam/2 rounds up at 3 subnormal ulps: the screen settles ||X^T y||_inf
     # = 2 ulps, where the KKT residual |2c| - lam is 1 ulp, not 0
@@ -556,7 +614,8 @@ def test_a_failed_row_leaves_the_other_rows_standing(monkeypatch):
         raise SolverStatusError("no pivot")
 
     monkeypatch.setattr(solve, "lp_solve", fail)
-    monkeypatch.setattr(solve, "_l1_path", fail)
+    monkeypatch.setattr(solve, "_l1_path",
+                        lambda X, C, *a: [SolverStatusError("no pivot") for _ in C])
     for rows, one, kind in ((solve.dantzig_rows(X, Y, 0.5 * top), solve.dantzig,
                              solve.DantzigSolution),
                             (solve.lasso_rows(X, Y, top), solve.lasso, solve.LassoSolution)):
@@ -572,11 +631,11 @@ def test_a_failed_row_leaves_the_other_rows_standing(monkeypatch):
 def test_the_path_works_on_a_copy_of_its_correlations():
     X = DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3))
     y = gaussians(77, 60)
-    c = X.transpose_matvec(y)
-    kept = c.copy()
-    beta, steps, _ = solve._l1_path(X, c, 0.1, 1000)
-    assert steps > 1 and beta.any()
-    assert c.tobytes() == kept.tobytes()
+    C = X.transpose_matvec(np.array([y, -y]))
+    kept = C.copy()
+    for beta, steps, *_ in solve._l1_path(X, C, 0.1, 1000):
+        assert steps > 1 and beta.any()
+    assert C.tobytes() == kept.tobytes()
 
 
 # -- state kept per design ---------------------------------------------------------
@@ -634,3 +693,96 @@ def test_ols_rejects_bad_observations(y):
     X = DesignMatrix.from_graph(matching_graph(2))
     with pytest.raises(ValueError):
         ols_on_support(X, y, [0])
+
+
+# -- the lockstep path against the one-row path -------------------------------------
+
+def _same_path_rows(X, C, t_stop, max_steps):
+    """Each row of the lockstep path is the one-row path's, bit for bit:
+    beta, steps, z (and X^T z), or the error of a failed row."""
+    rows = solve._l1_path(X, C, t_stop, max_steps)
+    assert len(rows) == len(C)
+    ends = []
+    for c, row in zip(C, rows):
+        try:
+            beta, steps, z = mc_oracle.l1_path(X, c, t_stop, max_steps)
+        except SolverStatusError as exc:
+            assert type(row) is SolverStatusError and str(row) == str(exc)
+            ends.append("failed")
+            continue
+        assert not isinstance(row, SolverStatusError), row
+        assert row[0].tobytes() == beta.tobytes() and row[1] == steps
+        if z is None:
+            assert row[2] is None and row[3] is None
+        else:
+            assert row[2].tobytes() == z.tobytes()
+            assert row[3].tobytes() == X.transpose_matvec(z).tobytes()
+        ends.append(steps if z is not None else "cut")
+    return ends
+
+
+def _path_design(p, d, n, seed, twins):
+    """A random design whose columns 1, 3, ... (up to ``twins`` of them)
+    repeat the column before them: a pair of them active together has a
+    singular Gram matrix."""
+    table = random_left_regular(p, d, n, seed).neighbors.copy()
+    table[1:2 * twins:2] = table[0:2 * twins:2]
+    return DesignMatrix.from_graph(BipartiteGraph(p, n, d, table, "twins"))
+
+
+def test_lockstep_rows_end_apart_fail_and_are_cut_as_alone(monkeypatch):
+    X = _path_design(30, 3, 12, 4, 1)
+    Y = np.array([X.matvec(sparse_target(30, s, 40 + s)[0]) for s in (1, 2, 3)]
+                 + [gaussians(41 + r, 12) for r in range(4)])
+    C = X.transpose_matvec(Y)
+    ends = _same_path_rows(X, C, 0.0, 1000)
+    assert len(set(ends)) > 2
+    ends = _same_path_rows(X, C, 0.0, 2)
+    assert "cut" in ends and 1 in ends
+    lam_ends = _same_path_rows(X, C, 0.05 * float(np.abs(C).max()), 1000)
+    assert len(set(lam_ends)) > 1
+    for module in (solve, mc_oracle):
+        monkeypatch.setattr(module, "GRAM_TOL", 1.0 - 0.5 / X.d**2)
+    ends = _same_path_rows(X, C, 0.0, 1000)
+    assert "failed" in ends and any(e != "failed" for e in ends)
+
+
+def test_bp_rows_equal_one_row_solves(certified):
+    # stacks of basis pursuit rows: certified, compressive and wide designs;
+    # out-of-range rows and zero rows among them
+    designs = [certified[1], DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0)),
+               DesignMatrix.from_graph(random_left_regular(16, 3, 10, 5))]
+    for X in designs:
+        Y = [X.matvec(sparse_target(X.p, s, 60 + s)[0]) for s in (1, 2, 3, 2)]
+        Y += [np.zeros(X.n), gaussians(61, X.n)]
+        for row, y in zip(solve.basis_pursuit_rows(X, np.array(Y)), Y):
+            try:
+                want = mc_oracle.basis_pursuit(X, y)
+            except SolverStatusError as exc:
+                assert type(row) is SolverStatusError and str(row) == str(exc)
+                continue
+            assert row.tobytes() == want.tobytes()
+            assert basis_pursuit(X, y).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="expected y of length"):
+        solve.basis_pursuit_rows(X, np.zeros(X.n))
+
+
+def test_bp_certificate_is_read_row_by_row(certified, monkeypatch):
+    # a z that is no dual certificate: each row's message carries its own
+    # y^T z, a BLAS dot of that row alone
+    _, X, _ = certified
+    Y = np.array([X.matvec(sparse_target(X.p, 2, 70 + r)[0]) for r in range(5)])
+    path = solve._l1_path
+    scaled = {}
+
+    def wrong_z(X, C, *a):
+        rows = path(X, C, *a)
+        for r, (beta, steps, z, xtz) in enumerate(rows):
+            scaled[r] = 1.5 * z
+            rows[r] = (beta, steps, scaled[r], 1.5 * xtz)
+        return rows
+
+    monkeypatch.setattr(solve, "_l1_path", wrong_z)
+    for r, (row, y) in enumerate(zip(solve.basis_pursuit_rows(X, Y), Y)):
+        assert isinstance(row, SolverStatusError)
+        assert f"y^T z = {float(y @ scaled[r])}," in str(row)

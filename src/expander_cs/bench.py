@@ -437,9 +437,9 @@ def run_recovery_experiment(X: DesignMatrix, s: int, trials: int, seed: int,
 
     Trial k's target comes from (seed, k). The trials run one block at a
     time, as many as a noise block holds and at most the design's
-    ``stack_rows``: the block's observations y = X b* are solved in one
-    ``basis_pursuit_rows`` call, and a trial whose solve failed is
-    recorded as not converged."""
+    ``stack_rows``: the block's observations y = X b* and prediction
+    errors are one stacked product each, its solves one
+    ``basis_pursuit_rows`` call. A failed solve is recorded as not converged."""
     require_expander_certificate(X, s, certificate)
     report = ExperimentReport("recovery", {
         "estimator": "basis_pursuit", "p": X.p, "n": X.n, "d": X.d, "s": s,
@@ -449,8 +449,10 @@ def run_recovery_experiment(X: DesignMatrix, s: int, trials: int, seed: int,
     for k0 in range(0, trials, rows):
         block = range(k0, min(k0 + rows, trials))
         targets = [sparse_target(X.p, s, derive_seed(seed, k)) for k in block]
-        Y = np.array([X.matvec(beta) for beta, _ in targets])
-        for k, (beta, support), est in zip(block, targets, basis_pursuit_rows(X, Y)):
+        ests = basis_pursuit_rows(X, X.matvec([beta for beta, _ in targets]))
+        errors = X.matvec([np.zeros(X.p) if isinstance(est, SolverStatusError) else est - beta
+                           for est, (beta, _) in zip(ests, targets)])
+        for k, (beta, support), est, error in zip(block, targets, ests, errors):
             if isinstance(est, SolverStatusError):
                 report.records.append(TrialRecord(k, True, False, math.nan, math.nan, []))
                 continue
@@ -458,8 +460,7 @@ def run_recovery_experiment(X: DesignMatrix, s: int, trials: int, seed: int,
             err = float(np.abs(est - beta).sum())
             rel = err / denom if denom > 0 else err
             report.records.append(TrialRecord(
-                k, True, True,
-                float(np.linalg.norm(X.matvec(est - beta))),
+                k, True, True, float(np.linalg.norm(error)),
                 _offsupport_mass(est, support),
                 [_check("exact_recovery", rel, 1e-6, 0.0)]))
     return report
@@ -481,9 +482,9 @@ def ols_oracle_comparison(instance: RecoveryInstance, trials: int,
         if include_estimators:
             lassos = lasso_rows(X, Y, 6.0 * lam_noise)
             dantzigs = dantzig_rows(X, Y, lam_noise)
-        for r, y in enumerate(Y):
-            b = ols_on_support(X, y, instance.support)
-            ols_sum += _pred_error(X, xb, b) ** 2 / n
+        fits = X.matvec([ols_on_support(X, y, instance.support) for y in Y])
+        for r, fit in enumerate(fits):
+            ols_sum += float(np.linalg.norm(xb - fit)) ** 2 / n
             if include_estimators:
                 lasso_sum += pred(solved(lassos[r]).beta) ** 2 / n
                 dantzig_sum += pred(solved(dantzigs[r]).beta) ** 2 / n
@@ -566,7 +567,7 @@ def mvse_sweep(ps, s_values, alpha: float, trials: int, seed: int, *,
         if row["graph_seed"] is None:
             rows.append(row)
             continue
-        X = DesignMatrix.from_graph(graph)
+        X = DesignMatrix(graph)
         model = NoiseModel(X.n, sigma)
         inst = RecoveryInstance.build(X, "exact-sparse", s, model, 7.0,
                                       derive_seed(seed, idx))

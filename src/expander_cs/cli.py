@@ -201,7 +201,7 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
     elif args.check == "expansion":
         report = check_expansion_sampled(g, args.s, args.eps, args.trials, args.seed)
     else:
-        X = DesignMatrix.from_graph(g)
+        X = DesignMatrix(g)
         if args.check == "rip1":
             report = check_rip1_sampled(X, args.s, args.eps, args.trials, args.seed)
         elif args.check == "up2":
@@ -226,7 +226,7 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
 def _cmd_solve(args) -> tuple[str, dict, int]:
     problem = load_object(args.problem)
     estimator = read(problem, "estimator", str)
-    X = DesignMatrix.from_graph(_graph_from_spec(
+    X = DesignMatrix(_graph_from_spec(
         read(problem, "graph", str | dict | None, None) or read(problem, "graph_path", str),
         args.seed))
     y = np.asarray(read(problem, "y", list[float]), dtype=np.float64)
@@ -312,7 +312,7 @@ def _cmd_bench(args) -> tuple[str, dict, int]:
         return text, params, 0 if all(not r["skipped"] for r in rows) else 1
 
     graph = _graph_from_spec(read(config, "design", str | dict), seed)
-    X = DesignMatrix.from_graph(graph)
+    X = DesignMatrix(graph)
 
     if args.kind == "ols":
         inst = RecoveryInstance.build(X, "exact-sparse", read(config, "s", int, 2),
@@ -350,13 +350,13 @@ def _cmd_bench(args) -> tuple[str, dict, int]:
 
 def _cmd_noise_check(args) -> tuple[str, dict, int]:
     if args.graph:
-        X = DesignMatrix.from_graph(load_graph(args.graph))
+        X = DesignMatrix(load_graph(args.graph))
         if X.n != args.n:
             raise ValueError(f"graph has {X.n} rows, --n says {args.n}")
     else:
         # identity permutation design: ||X^T z||_inf equals ||z||_inf, the
         # extremal case that non-amplification permits
-        X = DesignMatrix.from_graph(matching_graph(args.n))
+        X = DesignMatrix(matching_graph(args.n))
     model = _parse_noise_model(args.n, args.sigma, args.model)
     check = empirical_noise_bound(X, model, args.t, args.trials, args.seed)
     params = {"n": args.n, "sigma": args.sigma, "t": args.t, "trials": args.trials,

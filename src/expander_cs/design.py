@@ -9,12 +9,17 @@ order, and its flat view is the column-major gather/scatter layout.
 Products accumulate over that view in ascending-index order (per output
 row for X gamma, per column for X^T z) and divide by d once, which keeps
 results independent of thread count and of how the matrix was built.
-X^T z also takes a stack of rows z, one per noise trial, in one product
-whose rows equal the one-row products bit for bit. A stack is gathered
-``stack_rows`` rows at a time, at most STACK_ENTRIES entries, so on a
-wide design it gathers one row at a time, as the one-row product does.
-The gather is ``take`` along the row axis, the same copy as a 2-D fancy
-index and several times faster on wide rows.
+X gamma, the package's one X product, gathers the table rows of gamma's
+nonzero entries alone: it costs what the support costs (Berinde et al.,
+Allerton 2008) and changes no bit, since a sum starts at +0.0, no
+addition makes it -0.0, and x + (+-0.0) = x for every other x. NaN and
+infinite entries are nonzero. Both products take a stack of rows (one
+per noise trial or path row) whose rows equal the one-row products bit
+for bit; row r of X gamma sums into bins offset by r n. A stack is
+gathered ``stack_rows`` rows at a time, at most STACK_ENTRIES entries, so
+on a wide design it gathers one row at a time, as the one-row product
+does. The X^T gather is ``take`` along the row axis, the same copy as a
+2-D fancy index and several times faster on wide rows.
 
 A design holds that table and nothing derived from it: no solver state is
 kept between calls. The dense n x p matrix is capped at MAX_TABLE entries.
@@ -26,7 +31,7 @@ import numpy as np
 
 from .graphs import BipartiteGraph, check_table
 
-STACK_ENTRIES = 1 << 20  # gathered entries of one slice of a stacked X^T product: 8 MB
+STACK_ENTRIES = 1 << 20  # gathered entries of one slice of a stacked product: 8 MB
 
 
 class DesignMatrix:
@@ -36,36 +41,41 @@ class DesignMatrix:
         self.p, self.n, self.d, self.rows = g.p, g.n, g.d, g.neighbors
         self._starts = np.arange(0, g.p * g.d, g.d, dtype=np.int64)
 
-    @classmethod
-    def from_graph(cls, g: BipartiteGraph) -> "DesignMatrix":
-        return cls(g)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.n, self.p
 
     @property
     def stack_rows(self) -> int:
-        """Rows of a stack whose X^T product gathers at most STACK_ENTRIES
+        """Rows of a stack whose product gathers at most STACK_ENTRIES
         entries (one row when a single product passes it)."""
         return max(1, STACK_ENTRIES // (self.p * self.d))
 
     def matvec(self, gamma) -> np.ndarray:
-        """X gamma: for each output row, the sum of gamma over incident
-        columns (ascending column order), divided by d."""
+        """X gamma, of a vector of length p or of each row of a (k, p)
+        stack; only gamma's nonzero entries are gathered."""
         gamma = np.asarray(gamma, dtype=np.float64)
-        if gamma.shape != (self.p,):
+        if gamma.ndim not in (1, 2) or gamma.shape[-1] != self.p:
             raise ValueError(f"expected vector of length {self.p}, got {gamma.shape}")
-        acc = np.bincount(self.rows.reshape(-1), weights=np.repeat(gamma, self.d),
-                          minlength=self.n)
-        return acc / self.d
+        stack = gamma.reshape(-1, self.p)
+        acc = np.empty((len(stack), self.n))
+        step = self.stack_rows
+        for r in range(0, len(stack), step):
+            block = stack[r:r + step]
+            nonzero = block != 0.0
+            on, cols = nonzero.nonzero()
+            on *= self.n
+            bins = self.rows.take(cols, axis=0)
+            bins += on[:, None]
+            out = acc[r:r + step].reshape(-1)
+            # bincount of no entries is int64, weights or not: the division casts it
+            np.divide(np.bincount(bins.reshape(-1), block[nonzero].repeat(self.d), out.size),
+                      self.d, out=out)
+        return acc.reshape(gamma.shape[:-1] + (self.n,))
 
     def transpose_matvec(self, z) -> np.ndarray:
-        """X^T z: per column, the sum of z over its rows (ascending),
-        divided by d. Never amplifies the sup norm. z may be a stack of
-        shape (k, n); row r of the (k, p) result is then, byte for byte,
-        the product of row r alone. A stack is gathered ``stack_rows``
-        rows at a time."""
+        """X^T z, of a vector of length n or of each row of a (k, n) stack.
+        Never amplifies the sup norm."""
         z = np.asarray(z, dtype=np.float64)
         if z.ndim not in (1, 2) or z.shape[-1] != self.n:
             raise ValueError(f"expected vector of length {self.n}, got {z.shape}")

@@ -8,11 +8,13 @@ why the solvers live here.
 
 Every estimator solves a stack of observation rows Y at once
 (``lasso_rows``, ``dantzig_rows``, ``basis_pursuit_rows``; ``lasso``,
-``dantzig`` and ``basis_pursuit`` are their one-row cases). C = X^T Y is
-one product, and ``_zero_rows``, the one statement of the zero rule,
-settles every row whose estimate is b = 0 from it, with no path and no
-LP. A Monte Carlo at the penalties the oracle inequalities prescribe is
-mostly such rows.
+``dantzig`` and ``basis_pursuit`` are their one-row cases, validated by
+the row function alone). C = X^T Y is one product, and ``_zero_rows``,
+the one statement of the zero rule, settles every row whose estimate is
+b = 0 from it, with no path and no LP. A Monte Carlo at the penalties the
+oracle inequalities prescribe is mostly such rows. The other rows' fits
+X b and residual correlations are one ``X.matvec`` and one
+``X.transpose_matvec`` of the stack; no product is written here.
 
 The lasso and basis pursuit are one path solver, ``_l1_path``: the
 piecewise-linear lasso path of Osborne, Presnell and Turlach (IMA J.
@@ -304,8 +306,7 @@ def solved(sol):
 def dantzig(X: DesignMatrix, y, lam: float) -> DantzigSolution:
     """min ||b||_1 subject to ||X^T (y - X b)||_inf <= lam: the one-row
     case of ``dantzig_rows``."""
-    _check_penalty(lam)
-    return solved(dantzig_rows(X, _observations(X, y)[None], lam)[0])
+    return solved(dantzig_rows(X, np.asarray(y, dtype=np.float64)[None], lam)[0])
 
 
 def dantzig_rows(X: DesignMatrix, Y, lam: float) -> list:
@@ -326,30 +327,32 @@ def dantzig_rows(X: DesignMatrix, Y, lam: float) -> list:
     p = X.p
     C = X.transpose_matvec(Y)
     zero, top = _zero_rows(C, lam)
-    A = None
-    out: list = []
-    for y, corr, settled, sup in zip(Y, C, zero.tolist(), top.tolist()):
-        if settled:
-            out.append(DantzigSolution(np.zeros(p), sup, 0.0, "optimal"))
-            continue
-        if A is None:
-            A = _dantzig_matrix(X)
-            cost = np.concatenate([np.ones(2 * p), np.zeros(2 * p)])
+    out: list = [DantzigSolution(np.zeros(p), sup, 0.0, "optimal") if settled else None
+                 for settled, sup in zip(zero.tolist(), top.tolist())]
+    lp_rows = np.flatnonzero(~zero).tolist()
+    if not lp_rows:
+        return out
+    A, cost = _dantzig_matrix(X), np.repeat([1.0, 0.0], 2 * p)
+    B = np.zeros((len(lp_rows), p))
+    for beta, r in zip(B, lp_rows):
         try:
-            res = lp_solve(LinearProgram(cost, A, np.concatenate([lam - corr, lam + corr])))
+            res = lp_solve(LinearProgram(cost, A, np.concatenate([lam - C[r], lam + C[r]])))
             if res.status == "unbounded":
                 raise SolverStatusError("Dantzig LP cannot be unbounded: objective >= 0")
             if res.status != "optimal":
                 raise SolverStatusError(f"Dantzig LP is {res.status}")
-            beta = res.x[:p] - res.x[p:2 * p]
-            slack = float(np.max(np.abs(X.transpose_matvec(y - X.matvec(beta)))))
-            if slack > lam + 1e-8:
-                raise SolverStatusError(
-                    f"Dantzig solution violates its constraint: {slack} > {lam} + 1e-8")
         except SolverStatusError as exc:
-            out.append(exc)
+            out[r] = exc
             continue
-        out.append(DantzigSolution(beta, slack, float(np.abs(beta).sum()), "optimal"))
+        beta[:] = res.x[:p] - res.x[p:2 * p]
+    residual_corr = X.transpose_matvec(Y[lp_rows] - X.matvec(B))
+    for beta, r, corr in zip(B, lp_rows, residual_corr):
+        if out[r] is not None:
+            continue
+        slack = float(np.max(np.abs(corr)))
+        out[r] = (DantzigSolution(beta, slack, float(np.abs(beta).sum()), "optimal")
+                  if slack <= lam + 1e-8 else SolverStatusError(
+                      f"Dantzig solution violates its constraint: {slack} > {lam} + 1e-8"))
     return out
 
 
@@ -470,10 +473,7 @@ def _l1_path(X: DesignMatrix, C: np.ndarray, t_stop: float, max_steps: int) -> l
     operation a row sees is the one its path alone would apply, so each
     row's entry is bit for bit that of a stack of one. A row leaves the
     stack when it reaches ``t_stop`` or fails; its entry holds rows of the
-    stack's arrays, which the path no longer writes. z = X_A d_A is built
-    from the active columns' table rows alone, in ascending column order,
-    as ``X.matvec`` sums them: a bincount bin starts at +0.0, so the
-    columns off the support, whose weight is 0, would change no bit.
+    stack's arrays, which the path no longer writes.
 
     A segment's directions are solved at the end of the segment before,
     once its joins and drops are known; the first segment's need no solve.
@@ -485,7 +485,6 @@ def _l1_path(X: DesignMatrix, C: np.ndarray, t_stop: float, max_steps: int) -> l
     no solve for the one segment every path has.
     """
     k, p = C.shape
-    n, d = X.n, X.d
     out: list = [None] * k
     if not k:
         return out
@@ -503,19 +502,11 @@ def _l1_path(X: DesignMatrix, C: np.ndarray, t_stop: float, max_steps: int) -> l
     # D holds each row's direction, zero off its active columns; the first
     # segment's is s / d * d^2, as the solve of [d] rounds it (see above)
     D = np.zeros((k, p))
-    D[at, first] = [s / d * float(d) ** 2 for s in lead]
+    D[at, first] = [s / X.d * float(X.d) ** 2 for s in lead]
     c, beta, joins = C, np.zeros((k, p)), np.empty((2, k, p))
     for step in range(1, max_steps + 1):
         rows = len(live)
-        # z = X_A d_A over the support in ascending column order, row r's
-        # bins offset by r n, then X^T z
-        on, cols = mask.nonzero()
-        on *= n
-        bins = X.rows.take(cols, axis=0)
-        bins += on[:, None]
-        z = np.bincount(bins.reshape(-1), weights=D[mask].repeat(d),
-                        minlength=rows * n).reshape(rows, n)
-        z /= d
+        z = X.matvec(D)             # X_A d_A: D is zero off the active columns
         rate = X.transpose_matvec(z)
 
         # per sign (+1 then -1), the t at which each inactive column reaches
@@ -604,8 +595,7 @@ def lasso(X: DesignMatrix, y, lam: float, tol: float = 1e-8,
           max_iter: int = 100000) -> LassoSolution:
     """Minimize ||y - X b||_2^2 + lam ||b||_1 along the l1 path: the
     one-row case of ``lasso_rows``."""
-    _check_penalty(lam)
-    return solved(lasso_rows(X, _observations(X, y)[None], lam, tol, max_iter)[0])
+    return solved(lasso_rows(X, np.asarray(y, dtype=np.float64)[None], lam, tol, max_iter)[0])
 
 
 def lasso_rows(X: DesignMatrix, Y, lam: float, tol: float = 1e-8,
@@ -633,32 +623,37 @@ def lasso_rows(X: DesignMatrix, Y, lam: float, tol: float = 1e-8,
     zero, _ = _zero_rows(C, lam / 2.0)
     zero_kkt = np.maximum(np.abs(2.0 * C) - lam, 0.0).max(axis=1).tolist()
     zeros = np.zeros((len(Y), X.p))
-    paths = iter(_l1_path(X, C[~zero], lam / 2.0, max_iter))
-    out: list = []
-    for r, (y, settled) in enumerate(zip(Y, zero.tolist())):
-        if settled:
-            out.append(LassoSolution(zeros[r], zero_kkt[r], 0, float(y @ y),
-                                     zero_kkt[r] <= tol))
-            continue
-        path = next(paths)
+    out: list = [LassoSolution(zeros[r], zero_kkt[r], 0, float(y @ y), zero_kkt[r] <= tol)
+                 if settled else None for r, (y, settled) in enumerate(zip(Y, zero.tolist()))]
+    path_rows = np.flatnonzero(~zero).tolist()
+    if not path_rows:
+        return out
+    paths = _l1_path(X, C[path_rows], lam / 2.0, max_iter)
+    resids = Y[path_rows] - X.matvec(_estimates(paths, X.p))
+    corrs = 2.0 * X.transpose_matvec(resids)
+    for r, path, resid, corr in zip(path_rows, paths, resids, corrs):
         if isinstance(path, SolverStatusError):
-            out.append(path)
+            out[r] = path
             continue
         beta, steps = path[:2]
-        resid = y - X.matvec(beta)
-        corr = 2.0 * X.transpose_matvec(resid)
         kkt = np.where(beta != 0.0, np.abs(corr - lam * np.sign(beta)),
                        np.maximum(np.abs(corr) - lam, 0.0))
         kkt_residual = float(kkt.max())
         objective = float(resid @ resid) + lam * float(np.abs(beta).sum())
-        out.append(LassoSolution(beta, kkt_residual, steps, objective, kkt_residual <= tol))
+        out[r] = LassoSolution(beta, kkt_residual, steps, objective, kkt_residual <= tol)
     return out
+
+
+def _estimates(entries: list, p: int) -> np.ndarray:
+    """The (k, p) stack of ``_l1_path`` entries' coefficients, zero for a failed row."""
+    return np.array([np.zeros(p) if isinstance(entry, SolverStatusError) else entry[0]
+                     for entry in entries]).reshape(-1, p)
 
 
 def basis_pursuit(X: DesignMatrix, y) -> np.ndarray:
     """min ||b||_1 subject to X b = y: the one-row case of
     ``basis_pursuit_rows``."""
-    return solved(_basis_pursuit(X, _observations(X, y)[None])[0])
+    return solved(basis_pursuit_rows(X, np.asarray(y, dtype=np.float64)[None])[0])
 
 
 def basis_pursuit_rows(X: DesignMatrix, Y) -> list:
@@ -676,33 +671,25 @@ def basis_pursuit_rows(X: DesignMatrix, Y) -> list:
     b optimal, since ||b'||_1 >= z^T X b' = y^T z for every feasible b'.
     Each row is certified on its own.
     """
-    return _basis_pursuit(X, _observations(X, Y, ndim=2))
-
-
-def _basis_pursuit(X: DesignMatrix, Y: np.ndarray) -> list:
-    """``basis_pursuit_rows`` of a stack Y that ``_observations`` passed."""
+    Y = _observations(X, Y, ndim=2)
     C = X.transpose_matvec(Y)
     zero, _ = _zero_rows(C, 0.0)
     paths = iter(_l1_path(X, C[~zero], 0.0, BP_MAX_STEPS))
-    out: list = []
-    for y, settled in zip(Y, zero.tolist()):
-        path = (np.zeros(X.p), 0, np.zeros(X.n), np.zeros(X.p)) if settled else next(paths)
-        if isinstance(path, SolverStatusError):
-            out.append(path)
-            continue
-        beta, _, z, xtz = path
-        out.append(_bp_failure(X, y, beta, z, xtz) or beta)
-    return out
+    entries = [(np.zeros(X.p), 0, np.zeros(X.n), np.zeros(X.p)) if settled else next(paths)
+               for settled in zero.tolist()]
+    return [entry if isinstance(entry, SolverStatusError) else _bp_certified(y, fit, *entry)
+            for y, fit, entry in zip(Y, X.matvec(_estimates(entries, X.p)), entries)]
 
 
-def _bp_failure(X: DesignMatrix, y: np.ndarray, beta: np.ndarray, z: np.ndarray | None,
-                xtz: np.ndarray | None) -> SolverStatusError | None:
-    """Why ``beta``, with the last segment's z and X^T z, is not proved
-    the basis pursuit solution of y, or None when it is."""
+def _bp_certified(y: np.ndarray, fit: np.ndarray, beta: np.ndarray, steps: int,
+                  z: np.ndarray | None, xtz: np.ndarray | None) -> np.ndarray | SolverStatusError:
+    """``beta``, the path's end for y after ``steps`` segments, when its fit
+    X b and the last segment's z and X^T z prove it the basis pursuit
+    solution of y; else the SolverStatusError that says why not."""
     if z is None:
-        return SolverStatusError(f"basis pursuit path exceeded {BP_MAX_STEPS} steps")
+        return SolverStatusError(f"basis pursuit path exceeded {steps} steps")
     scale = 1.0 + float(np.abs(y).max(initial=0.0))
-    if float(np.abs(X.matvec(beta) - y).max()) > 1e-8 * scale:
+    if float(np.abs(fit - y).max()) > 1e-8 * scale:
         return SolverStatusError("basis pursuit is infeasible: y is not in the range of X")
     l1 = float(np.abs(beta).sum())
     dual_norm = float(np.abs(xtz).max())
@@ -710,7 +697,7 @@ def _bp_failure(X: DesignMatrix, y: np.ndarray, beta: np.ndarray, z: np.ndarray 
         return SolverStatusError(
             f"basis pursuit's dual certificate fails: ||X^T z||_inf = {dual_norm}, "
             f"y^T z = {float(y @ z)}, ||b||_1 = {l1}")
-    return None
+    return beta
 
 
 def ols_on_support(X: DesignMatrix, y, support) -> np.ndarray:

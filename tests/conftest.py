@@ -15,4 +15,4 @@ def certified():
     graph, report, attempts = search_certified_graph(
         CERT_P, CERT_D, [CERT_N], CERT_S, CERT_EPS, max_seeds=50)
     assert graph is not None, "certified instance search failed"
-    return graph, DesignMatrix.from_graph(graph), report
+    return graph, DesignMatrix(graph), report

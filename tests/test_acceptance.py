@@ -197,8 +197,8 @@ def test_criterion_07_dantzig_bounds(capsys, certified):
 
 def test_criterion_08_noise_bounds(capsys):
     t0 = time.perf_counter()
-    Xm = DesignMatrix.from_graph(matching_graph(100))
-    Xr = DesignMatrix.from_graph(random_left_regular(200, 8, 100, seed=801))
+    Xm = DesignMatrix(matching_graph(100))
+    Xr = DesignMatrix(random_left_regular(200, 8, 100, seed=801))
     models = {"iid": NoiseModel(100, 1.0),
               "ar1(0.5)": NoiseModel(100, 1.0, "ar1", rho=0.5)}
     results = {}
@@ -260,7 +260,7 @@ def test_criterion_10_lp_vertex_enumeration(capsys):
 
 def test_criterion_11_identity_closed_forms(capsys):
     t0 = time.perf_counter()
-    X = DesignMatrix.from_graph(matching_graph(6))
+    X = DesignMatrix(matching_graph(6))
     rng = Stream(1111)
     worst = 0.0
     for t in range(100):
@@ -304,7 +304,7 @@ def test_criterion_12_nsp_oracle_consistency(capsys):
     checked = recovered = 0
     consistent = True
     for g in instances:
-        X = DesignMatrix.from_graph(g)
+        X = DesignMatrix(g)
         for s in (1, 2):
             nsp = nullspace_property_oracle(X, s)
             if not nsp.ok:
@@ -326,7 +326,7 @@ def test_criterion_12_nsp_oracle_consistency(capsys):
                 else:
                     consistent = False
     dup = BipartiteGraph(3, 4, 2, ((0, 1), (0, 1), (2, 3)), "dup")
-    dup_fails = not nullspace_property_oracle(DesignMatrix.from_graph(dup), 1).ok
+    dup_fails = not nullspace_property_oracle(DesignMatrix(dup), 1).ok
     elapsed = time.perf_counter() - t0
     ok = consistent and dup_fails and checked >= 5
     report(capsys, 12, ok,

@@ -66,7 +66,7 @@ def test_compressible_target_is_the_stream_definition():
 def test_target_sparsity_must_lie_in_0_p(kind):
     # a compressible support is range(s): past p it indexed out of bounds,
     # and a negative s gave an empty support
-    X = DesignMatrix.from_graph(matching_graph(16))
+    X = DesignMatrix(matching_graph(16))
     for s in (-1, 17):
         with pytest.raises(ValueError, match=f"^target sparsity s = {s} is outside"):
             RecoveryInstance.build(X, kind, s, NoiseModel(16, 1.0), 6.0, seed=0)
@@ -90,7 +90,7 @@ def _same_report(new, ref):
     *itertools.product(["p40/d5/n60", "GF(5) l2 m1"], [1.0, 0.01, 0.001, 0.0]),
     ("p64/d8/n1536", 1.0), ("p64/d8/n1536", 0.01)])
 def test_block_experiments_reproduce_the_per_trial_loops(design, sigma, monkeypatch):
-    X = DesignMatrix.from_graph(BLOCK_DESIGNS[design]())
+    X = DesignMatrix(BLOCK_DESIGNS[design]())
     paths, lps = [], []
     path, lp = solve._l1_path, solve.lp_solve
     monkeypatch.setattr(solve, "_l1_path",
@@ -125,7 +125,7 @@ def test_block_experiments_reproduce_the_per_trial_loops(design, sigma, monkeypa
 def test_a_block_stacks_at_most_stack_rows_trials(monkeypatch):
     # a block's (rows, p) arrays stay bounded on wide designs: three rows a
     # block here, and the reports are those of the per-trial loops
-    X = DesignMatrix.from_graph(BLOCK_DESIGNS["p40/d5/n60"]())
+    X = DesignMatrix(BLOCK_DESIGNS["p40/d5/n60"]())
     heights = []
     product = DesignMatrix.transpose_matvec
 
@@ -148,7 +148,7 @@ def test_a_block_stacks_at_most_stack_rows_trials(monkeypatch):
 
 
 def test_lambda_policy_enforced():
-    X = DesignMatrix.from_graph(matching_graph(4))
+    X = DesignMatrix(matching_graph(4))
     model = NoiseModel(4, 1.0)
     inst = RecoveryInstance.build(X, "exact-sparse", 1, model, 5.0, seed=0)
     with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ def test_lambda_policy_enforced():
 def test_noiseless_lasso_experiment():
     # sigma = 0: the event holds trivially and the inequality collapses to
     # ||X gamma||^2 <= 0 at lam = 0, met by the exact unpenalized fit
-    X = DesignMatrix.from_graph(matching_graph(5))
+    X = DesignMatrix(matching_graph(5))
     inst = RecoveryInstance.build(X, "exact-sparse", 2, NoiseModel(5, 0.0), 6.0, seed=1)
     rep = run_lasso_experiment(inst, 5)
     assert rep.event_frequency == 1.0
@@ -215,7 +215,7 @@ def test_dantzig_experiment_compressible(certified):
 def test_dantzig_zero_solution_case():
     # lam >= ||X^T y||_inf: the selector returns 0 and the inequalities
     # hold with prediction error ||X beta*||
-    X = DesignMatrix.from_graph(matching_graph(6))
+    X = DesignMatrix(matching_graph(6))
     inst = RecoveryInstance.build(X, "exact-sparse", 1, NoiseModel(6, 0.1), 40.0, seed=5)
     rep = run_dantzig_experiment(inst, 5)
     assert rep.all_event_checks_hold()
@@ -227,7 +227,7 @@ def test_dantzig_zero_solution_case():
 def test_recovery_requires_certificate(certified):
     graph, X, cert = certified
     dup = BipartiteGraph(3, 4, 2, ((0, 1), (0, 1), (2, 3)), "dup")
-    Xdup = DesignMatrix.from_graph(dup)
+    Xdup = DesignMatrix(dup)
     with pytest.raises(ValueError):
         run_recovery_experiment(Xdup, 1, 3, 0, cert)     # mismatched design
     weak = check_expansion_exhaustive(graph, 2, 0.125)   # order too low for s=2
@@ -240,7 +240,7 @@ def test_recovery_requires_certificate(certified):
     subset = cert.witness["subset"]
     assert len(neighbor_set(other, subset)) != cert.witness["neighbor_count"]
     with pytest.raises(ValueError, match="does not match this design"):
-        run_recovery_experiment(DesignMatrix.from_graph(other), 2, 3, 0, cert)
+        run_recovery_experiment(DesignMatrix(other), 2, 3, 0, cert)
 
 
 def test_recovery_zero_sparsity(certified):
@@ -250,7 +250,7 @@ def test_recovery_zero_sparsity(certified):
 
 
 def test_ols_comparison_small():
-    X = DesignMatrix.from_graph(matching_graph(30))
+    X = DesignMatrix(matching_graph(30))
     inst = RecoveryInstance.build(X, "exact-sparse", 3, NoiseModel(30, 2.0), 6.0, seed=6)
     out = ols_oracle_comparison(inst, 3000)
     assert out["expected"] == pytest.approx(4.0 * 3 / 30, rel=1e-12)
@@ -259,7 +259,7 @@ def test_ols_comparison_small():
 
 
 def test_ols_comparison_estimator_ratios():
-    X = DesignMatrix.from_graph(matching_graph(12))
+    X = DesignMatrix(matching_graph(12))
     inst = RecoveryInstance.build(X, "exact-sparse", 2, NoiseModel(12, 1.0), 6.0, seed=7)
     out = ols_oracle_comparison(inst, 30, include_estimators=True)
     assert math.isfinite(out["lasso_over_ols"])

@@ -845,7 +845,7 @@ def test_nsp_lp_status_is_a_solver_error_not_an_assertion(tall_graph, tmp_path,
 
     monkeypatch.setattr(verify, "lp_solve",
                         lambda lp: LpResult("iteration_limit", None, None, 0))
-    X = DesignMatrix.from_graph(load_graph(tall_graph))
+    X = DesignMatrix(load_graph(tall_graph))
     with pytest.raises(SolverStatusError, match="iteration_limit"):
         verify.nullspace_property_oracle(X, 2)
     capsys.readouterr()

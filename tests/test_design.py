@@ -1,4 +1,5 @@
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from expander_cs.rng import Stream, gaussians
 
 def test_entry_value_and_column_norms():
     g = random_left_regular(10, 2, 6, seed=1)
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     dense = X.to_dense()
     values = set(np.unique(dense))
     assert values == {0.0, 0.5}                       # d = 2 stores 1/2
@@ -22,7 +23,7 @@ def test_entry_value_and_column_norms():
 
 
 def test_matching_design_is_identity():
-    X = DesignMatrix.from_graph(matching_graph(4))
+    X = DesignMatrix(matching_graph(4))
     np.testing.assert_array_equal(X.to_dense(), np.eye(4))
     v = np.array([3.0, -1.0, 0.5, 2.0])
     np.testing.assert_array_equal(X.matvec(v), v)
@@ -31,7 +32,7 @@ def test_matching_design_is_identity():
 
 def test_matvec_of_basis_vector_is_indicator():
     g = random_left_regular(5, 3, 7, seed=2)
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     e2 = np.zeros(5)
     e2[2] = 1.0
     out = X.matvec(e2)
@@ -43,13 +44,13 @@ def test_matvec_of_basis_vector_is_indicator():
 def test_transpose_all_ones_gives_ones():
     for d in (2, 3, 8, 12):
         g = random_left_regular(6, d, 20, seed=d)
-        X = DesignMatrix.from_graph(g)
+        X = DesignMatrix(g)
         np.testing.assert_array_equal(X.transpose_matvec(np.ones(20)), np.ones(6))
 
 
 def test_adjoint_identity():
     g = random_left_regular(12, 4, 9, seed=3)
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     for t in range(20):
         gamma = gaussians(100 + t, 12)
         z = gaussians(200 + t, 9)
@@ -58,7 +59,7 @@ def test_adjoint_identity():
 
 def test_l1_contraction_and_cauchy_schwarz():
     g = random_left_regular(15, 5, 11, seed=4)
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     for t in range(50):
         gamma = gaussians(300 + t, 15)
         img = X.matvec(gamma)
@@ -68,7 +69,7 @@ def test_l1_contraction_and_cauchy_schwarz():
 
 def test_nonamplification_exact():
     g = random_left_regular(30, 6, 18, seed=5)
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     for t in range(200):
         z = gaussians(400 + t, 18)
         assert np.max(np.abs(X.transpose_matvec(z))) <= np.max(np.abs(z))
@@ -78,12 +79,12 @@ def test_rows_are_read_only_and_copied():
     # state derived from the rows is kept on the design, so they cannot change
     base = np.array(random_left_regular(6, 2, 8, seed=3).neighbors)
     owned = base.copy()
-    X = DesignMatrix.from_graph(BipartiteGraph(6, 8, 2, base[:, :], "view"))
+    X = DesignMatrix(BipartiteGraph(6, 8, 2, base[:, :], "view"))
     with pytest.raises(ValueError):
         X.rows[0, 0] = 7
     base[0, 0] = 7                                    # the caller's array stays writable
     assert X.rows[0, 0] != 7
-    X = DesignMatrix.from_graph(BipartiteGraph(6, 8, 2, owned, "owned"))
+    X = DesignMatrix(BipartiteGraph(6, 8, 2, owned, "owned"))
     with pytest.raises(ValueError):                   # an owned table is kept, and frozen
         owned[0, 0] = 7
     assert X.rows is owned and X.rows[0, 0] != 7
@@ -94,20 +95,21 @@ def test_rows_are_the_graph_table(tmp_path):
     save_graph(random_left_regular(9, 3, 11, seed=4), path)
     for g in (pv_expander(GF(3), 2, 2, 2), random_left_regular(6, 2, 8, seed=3),
               load_graph(path), matching_graph(4)):
-        X = DesignMatrix.from_graph(g)
+        X = DesignMatrix(g)
         assert X.rows is g.neighbors and (X.p, X.n, X.d) == (g.p, g.n, g.d)
 
 
 def test_shape_mismatch_errors():
-    X = DesignMatrix.from_graph(matching_graph(3))
-    with pytest.raises(ValueError):
-        X.matvec(np.ones(4))
+    X = DesignMatrix(matching_graph(3))
+    for bad in (np.ones(4), np.ones((2, 4)), np.ones((1, 2, 3))):
+        with pytest.raises(ValueError, match=r"length 3, got \("):
+            X.matvec(bad)
     with pytest.raises(ValueError):
         X.transpose_matvec(np.ones(2))
 
 
 def test_dense_export_is_capped_at_the_boundary(monkeypatch):
-    X = DesignMatrix.from_graph(random_left_regular(4, 3, 5, seed=6))
+    X = DesignMatrix(random_left_regular(4, 3, 5, seed=6))
     monkeypatch.setattr("expander_cs.graphs.MAX_TABLE", 20)
     assert X.to_dense().shape == (5, 4)
     monkeypatch.setattr("expander_cs.graphs.MAX_TABLE", 19)
@@ -145,7 +147,7 @@ ORACLE_GRAPHS = _oracle_graphs()
 @pytest.mark.parametrize("idx", range(len(ORACLE_GRAPHS)))
 def test_design_matches_reference_oracle(idx):
     g = ORACLE_GRAPHS[idx]
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     dense = reference_dense(g)
     np.testing.assert_array_equal(X.to_dense(), dense)
     for t in range(3):
@@ -161,20 +163,42 @@ def test_design_matches_reference_oracle(idx):
         assert np.max(np.abs(XTz)) <= np.max(np.abs(z))
 
 
+def _peak_bytes(product, stack):
+    """product(stack) and the peak of the memory it traced."""
+    tracemalloc.start()
+    out = product(stack)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return out, peak
+
+
 def test_stack_product_is_gathered_a_slice_at_a_time(monkeypatch):
-    # two rows a slice: the (64, p*d) gather of the whole stack is never built
-    X = DesignMatrix.from_graph(random_left_regular(1024, 8, 32, seed=4))
+    # two rows a slice on a wide design: the (64, p*d) gather of the whole
+    # stack is never built, for X^T Z nor for X G of a dense G
+    X = DesignMatrix(random_left_regular(1024, 8, 32, seed=4))
     monkeypatch.setattr(design, "STACK_ENTRIES", 2 * X.p * X.d + X.p * X.d - 1)
     assert X.stack_rows == 2
     Z = gaussians(list(range(65)), X.n)
-    tracemalloc.start()
-    stack = X.transpose_matvec(Z)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    G = gaussians(list(range(65)), X.p)
+    stack, peak = _peak_bytes(X.transpose_matvec, Z)
     assert peak < 2 * stack.nbytes             # the whole gather is 8 stacks
+    fits, peak = _peak_bytes(X.matvec, G)
+    assert peak < 2 * G.nbytes                 # the whole gather is 16 stacks
     for row, z in zip(stack, Z):
         assert row.tobytes() == X.transpose_matvec(z).tobytes()
+    for row, gamma in zip(fits, G):
+        assert row.tobytes() == X.matvec(gamma).tobytes()
     assert X.transpose_matvec(Z[:0]).shape == (0, X.p)
+    assert X.matvec(G[:0]).shape == (0, X.n)
     monkeypatch.setattr(design, "STACK_ENTRIES", 1)
     assert X.stack_rows == 1
     assert X.transpose_matvec(Z).tobytes() == stack.tobytes()
+    assert X.matvec(G).tobytes() == fits.tobytes()
+
+
+def test_matvec_is_the_one_x_product():
+    # a second X product written elsewhere in the package is a fork of
+    # matvec's summation contract
+    package = pathlib.Path(design.__file__).parent
+    users = sorted(f.name for f in package.glob("*.py") if "bincount" in f.read_text())
+    assert users == ["design.py"]

@@ -271,7 +271,7 @@ def test_solve_outputs(tmp_path, case):
 def _unique_dense():
     spec = UNIQUE_GRAPH
     graph = random_left_regular(spec["p"], spec["d"], spec["n"], seed=spec["seed"])
-    return DesignMatrix.from_graph(graph).to_dense()
+    return DesignMatrix(graph).to_dense()
 
 
 def test_unique_solve_design_has_distinct_columns():
@@ -317,7 +317,7 @@ def test_noise_check_with_graph(graphs, tmp_path):
 
 def test_recheck_margins(graphs):
     """Margins of the standalone re-check on failing sampled reports."""
-    X = DesignMatrix.from_graph(load_graph(graphs["wide"]))
+    X = DesignMatrix(load_graph(graphs["wide"]))
     reports = [check_rip1_sampled(X, 3, 0.05, 200, 3),
                check_up2_sampled(X, 6, 100, 4),
                check_kernel_concentration(X, 2, 100, 5),

@@ -114,7 +114,7 @@ def test_lp_solve_matches_highs_on_nsp_lps(monkeypatch):
         return lp_solve(lp)
 
     monkeypatch.setattr(verify, "lp_solve", recording)
-    X = DesignMatrix.from_graph(random_left_regular(12, 4, 80, 2))
+    X = DesignMatrix(random_left_regular(12, 4, 80, 2))
     assert verify.nullspace_property_oracle(X, 2).ok
     assert len(lps) == 66 * 4
     for lp in lps:

@@ -190,13 +190,13 @@ def test_explicit_matches_ar1_second_moments():
 
 
 def test_noise_bound_sigma_zero():
-    X = DesignMatrix.from_graph(matching_graph(10))
+    X = DesignMatrix(matching_graph(10))
     chk = empirical_noise_bound(X, NoiseModel(10, 0.0), 1.0, 50, seed=0)
     assert chk.frequency == 1.0 and chk.passed
 
 
 def test_noise_bound_nonamplification_every_draw():
-    X = DesignMatrix.from_graph(random_left_regular(40, 4, 20, seed=1))
+    X = DesignMatrix(random_left_regular(40, 4, 20, seed=1))
     chk = empirical_noise_bound(X, NoiseModel(20, 1.0), 1.0, 2000, seed=2)
     assert chk.nonamp_ok
     assert chk.passed
@@ -205,7 +205,7 @@ def test_noise_bound_nonamplification_every_draw():
 def test_noise_bound_matching_design_near_tight():
     # the identity permutation design attains ||X^T z||_inf = ||z||_inf,
     # the worst case, so the frequency sits closest to the bound
-    X = DesignMatrix.from_graph(matching_graph(100))
+    X = DesignMatrix(matching_graph(100))
     chk = empirical_noise_bound(X, NoiseModel(100, 1.0), 1.0, 2000, seed=3)
     assert chk.passed and chk.nonamp_ok
     assert chk.frequency >= chk.bound - 3.0 * math.sqrt(
@@ -213,7 +213,7 @@ def test_noise_bound_matching_design_near_tight():
 
 
 def test_noise_bound_higher_t_closer_to_one():
-    X = DesignMatrix.from_graph(matching_graph(100))
+    X = DesignMatrix(matching_graph(100))
     c1 = empirical_noise_bound(X, NoiseModel(100, 1.0), 1.0, 2000, seed=4)
     c2 = empirical_noise_bound(X, NoiseModel(100, 1.0), 2.0, 2000, seed=4)
     assert c2.frequency >= c1.frequency
@@ -221,6 +221,6 @@ def test_noise_bound_higher_t_closer_to_one():
 
 
 def test_noise_bound_rejects_length_mismatch():
-    X = DesignMatrix.from_graph(matching_graph(5))
+    X = DesignMatrix(matching_graph(5))
     with pytest.raises(ValueError):
         empirical_noise_bound(X, NoiseModel(6, 1.0), 1.0, 10, seed=0)

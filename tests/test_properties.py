@@ -1,5 +1,5 @@
 """Property tests (hypothesis): design products (stacked products against
-their rows), the graph interchange
+their rows, the support-sized X gamma against the full table), the graph interchange
 format and its file writer, the connected-subset expansion certificate
 (against the full scan and the ESU enumeration), the sampled expansion
 check (against the bitmask scan of its draws), the lasso's optimality
@@ -9,6 +9,7 @@ conditions, basis pursuit's dual certificate, the AR(1) noise blocks
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from expander_cs import (BipartiteGraph, DesignMatrix,  # noqa: E402
                          random_left_regular, save_graph)
 from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,  # noqa: E402
                                 graph_to_json_text)
-from expander_cs import NoiseModel, connected, noise, solve, trial_noise, verify  # noqa: E402
+from expander_cs import (NoiseModel, connected, design, noise, solve,  # noqa: E402
+                         trial_noise, verify)
 from expander_cs.bench import sparse_target  # noqa: E402
 from expander_cs.errors import CapacityError  # noqa: E402
 from expander_cs.rng import Stream, derive_seed, gaussians  # noqa: E402
@@ -51,7 +53,7 @@ def graphs(draw, max_p=12, max_n=24, max_d=5):
 
 @st.composite
 def design_and_vectors(draw):
-    X = DesignMatrix.from_graph(draw(graphs()))
+    X = DesignMatrix(draw(graphs()))
     gamma = np.array(draw(st.lists(VALUES, min_size=X.p, max_size=X.p)))
     z = np.array(draw(st.lists(VALUES, min_size=X.n, max_size=X.n)))
     return X, gamma, z
@@ -79,7 +81,7 @@ ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
                   st.data())
 def test_stack_products_are_the_row_products_bit_for_bit(d, k, p, extra, seed, data):
     # d crosses numpy's 8-way pairwise summation blocks at 8, 16 and 33
-    X = DesignMatrix.from_graph(random_left_regular(p, d, d + extra, seed))
+    X = DesignMatrix(random_left_regular(p, d, d + extra, seed))
     Z = np.array(data.draw(st.lists(ENTRIES, min_size=k * X.n, max_size=k * X.n))).reshape(k, X.n)
     stack = X.transpose_matvec(Z)
     assert stack.shape == (k, X.p)
@@ -88,6 +90,47 @@ def test_stack_products_are_the_row_products_bit_for_bit(d, k, p, extra, seed, d
     for bad in (np.zeros((k, X.n + 1)), np.zeros((1, k, X.n))):
         with pytest.raises(ValueError, match=f"length {X.n}"):
             X.transpose_matvec(bad)
+
+
+def full_table_product(X, gamma):
+    """X gamma summed over every column of the table, zeros included: the
+    oracle for the support-sized ``matvec``."""
+    return np.bincount(X.rows.reshape(-1), weights=np.repeat(gamma, X.d), minlength=X.n) / X.d
+
+
+SPECIALS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 40), st.integers(1, 9), st.integers(0, 30), st.integers(1, 17),
+                  st.floats(0.0, 1.0), st.integers(0, 2**32), st.data())
+def test_support_sized_matvec_is_the_full_table_sum_bit_for_bit(p, d, extra, k, density,
+                                                                seed, data):
+    # zeros are skipped, signed or not; NaN and +-inf are summed, zero rows
+    # sit inside the stack, and a slice of the stack may hold one row
+    X = DesignMatrix(random_left_regular(p, d, d + extra, seed))
+    G = np.array(data.draw(st.lists(st.one_of(ENTRIES, SPECIALS), min_size=k * p,
+                                    max_size=k * p))).reshape(k, p)
+    dropped = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * p,
+                                          max_size=k * p))).reshape(k, p) >= density
+    G[dropped] = np.copysign(0.0, G[dropped])
+    G[data.draw(st.lists(st.integers(0, k - 1), max_size=k))] = -0.0
+    want = np.array([full_table_product(X, g) for g in G])
+    default = design.STACK_ENTRIES
+    design.STACK_ENTRIES = data.draw(st.integers(1, k + 1)) * p * d
+    try:
+        stack = X.matvec(G)
+    finally:
+        design.STACK_ENTRIES = default
+    assert stack.dtype == np.float64 and stack.shape == (k, X.n)
+    assert (stack.view(np.uint64) == want.view(np.uint64)).all()
+    for row, g in zip(stack, G):
+        assert (X.matvec(g).view(np.uint64) == row.view(np.uint64)).all()
+    for zeros in (np.zeros((k, p)), np.full((k, p), -0.0), np.zeros(p)):
+        # bincount of no entries is int64: the product must still be +0.0 floats
+        out = X.matvec(zeros)
+        assert out.dtype == np.float64 and out.shape == zeros.shape[:-1] + (X.n,)
+        assert not out.view(np.uint64).any()
 
 
 @SETTINGS

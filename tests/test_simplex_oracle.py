@@ -387,7 +387,7 @@ def test_certified_instance_lps_take_the_reference_pivots(certified, fast_bases)
 def test_compressive_basis_pursuit_lp_fails_the_same_way(fast_bases):
     # p > n: the phase-1 tableau loses accuracy on both paths at the same
     # pivot (basis_pursuit itself solves this instance on the l1 path)
-    X = DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0))
+    X = DesignMatrix(random_left_regular(96, 8, 64, 0))
     lp = basis_pursuit_lp(X, X.matvec(sparse_target(96, 2, 7)[0]))
     assert assert_same_pivots(lp, fast_bases) == "error"
 

@@ -115,21 +115,21 @@ def test_lp_degenerate_redundant_rows():
 # -- lasso ---------------------------------------------------------------------
 
 def test_lasso_identity_hand_example():
-    X = DesignMatrix.from_graph(matching_graph(2))
+    X = DesignMatrix(matching_graph(2))
     sol = lasso(X, [3.0, 0.1], 1.0)
     np.testing.assert_allclose(sol.beta, [2.5, 0.0], atol=1e-12)
     assert sol.converged and sol.kkt_residual <= 1e-8
 
 
 def test_lasso_unpenalized_identity():
-    X = DesignMatrix.from_graph(matching_graph(3))
+    X = DesignMatrix(matching_graph(3))
     y = [3.0, -0.5, 0.1]
     sol = lasso(X, y, 0.0)
     np.testing.assert_allclose(sol.beta, y, atol=1e-12)
 
 
 def test_lasso_zero_threshold():
-    X = DesignMatrix.from_graph(matching_graph(2))
+    X = DesignMatrix(matching_graph(2))
     y = np.array([3.0, 0.1])
     for lam in (6.0, 6.5, 50.0):          # any lam >= 2 ||X^T y||_inf = 6
         sol = lasso(X, y, lam)
@@ -137,7 +137,7 @@ def test_lasso_zero_threshold():
 
 
 def test_lasso_identity_soft_threshold_random():
-    X = DesignMatrix.from_graph(matching_graph(7))
+    X = DesignMatrix(matching_graph(7))
     rng = Stream(5)
     for t in range(100):
         y = 3.0 * gaussians(1000 + t, 7)
@@ -148,7 +148,7 @@ def test_lasso_identity_soft_threshold_random():
 
 
 def test_lasso_objective_dominates_reference_points():
-    X = DesignMatrix.from_graph(random_left_regular(10, 3, 8, seed=3))
+    X = DesignMatrix(random_left_regular(10, 3, 8, seed=3))
     beta_star = np.zeros(10)
     beta_star[[1, 6]] = [1.5, -2.0]
     y = X.matvec(beta_star) + 0.1 * gaussians(9, 8)
@@ -166,7 +166,7 @@ def test_lasso_objective_dominates_reference_points():
 
 
 def test_lasso_nonconvergence_flagged():
-    X = DesignMatrix.from_graph(random_left_regular(12, 4, 6, seed=4))
+    X = DesignMatrix(random_left_regular(12, 4, 6, seed=4))
     y = gaussians(77, 6)
     sol = lasso(X, y, 0.0, tol=1e-12, max_iter=1)
     assert not sol.converged and sol.iterations == 1
@@ -176,7 +176,7 @@ def test_lasso_nonconvergence_flagged():
 def test_lasso_matches_coordinate_descent(certified, compressive):
     # the certified p64/n1536 instance, and a p256/n128 design
     if compressive:
-        X, s = DesignMatrix.from_graph(random_left_regular(256, 8, 128, 3)), 4
+        X, s = DesignMatrix(random_left_regular(256, 8, 128, 3)), 4
     else:
         X, s = certified[1], 2
     sigma = 0.01
@@ -192,7 +192,7 @@ def test_lasso_matches_coordinate_descent(certified, compressive):
 
 
 def test_lasso_rejects_negative_lambda():
-    X = DesignMatrix.from_graph(matching_graph(2))
+    X = DesignMatrix(matching_graph(2))
     with pytest.raises(ValueError):
         lasso(X, [1.0, 1.0], -0.5)
 
@@ -200,7 +200,7 @@ def test_lasso_rejects_negative_lambda():
 def test_lasso_rejects_nan_observations():
     # a NaN residual never beats the running KKT maximum, so without the
     # input check the solver reports converged after one sweep
-    X = DesignMatrix.from_graph(random_left_regular(8, 3, 10, seed=2))
+    X = DesignMatrix(random_left_regular(8, 3, 10, seed=2))
     y = gaussians(5, 10)
     y[3] = math.nan
     with pytest.raises(ValueError, match="finite"):
@@ -208,14 +208,14 @@ def test_lasso_rejects_nan_observations():
 
 
 def test_lasso_rejects_nan_lambda():
-    X = DesignMatrix.from_graph(random_left_regular(8, 3, 10, seed=2))
+    X = DesignMatrix(random_left_regular(8, 3, 10, seed=2))
     for lam in (math.nan, math.inf):
         with pytest.raises(ValueError, match="lam"):
             lasso(X, gaussians(5, 10), lam)
 
 
 def test_dantzig_and_bp_reject_nonfinite_observations():
-    X = DesignMatrix.from_graph(matching_graph(3))
+    X = DesignMatrix(matching_graph(3))
     with pytest.raises(ValueError, match="finite"):
         dantzig(X, [1.0, math.inf, 0.0], 0.5)
     for lam in (math.nan, math.inf):
@@ -228,14 +228,14 @@ def test_dantzig_and_bp_reject_nonfinite_observations():
 # -- Dantzig selector ------------------------------------------------------------
 
 def test_dantzig_identity_hand_example():
-    X = DesignMatrix.from_graph(matching_graph(2))
+    X = DesignMatrix(matching_graph(2))
     sol = dantzig(X, [3.0, 0.1], 1.0)
     np.testing.assert_allclose(sol.beta, [2.0, 0.0], atol=1e-9)
     assert sol.constraint_slack <= 1.0 + 1e-8
 
 
 def test_dantzig_zero_above_correlation():
-    X = DesignMatrix.from_graph(matching_graph(2))
+    X = DesignMatrix(matching_graph(2))
     sol = dantzig(X, [3.0, 0.1], 3.0)     # lam >= ||X^T y||_inf
     np.testing.assert_allclose(sol.beta, [0.0, 0.0], atol=1e-12)
     assert sol.l1_norm == 0.0
@@ -255,7 +255,7 @@ def lp_dantzig(X, y, lam):
 
 
 def zero_feasible_problems(certified):
-    X = DesignMatrix.from_graph(random_left_regular(8, 3, 6, seed=7))
+    X = DesignMatrix(random_left_regular(8, 3, 6, seed=7))
     y = gaussians(55, 6)
     yield X, y, float(np.max(np.abs(X.transpose_matvec(y))))   # on the boundary
     yield X, np.zeros(6), 0.0
@@ -281,7 +281,7 @@ def test_dantzig_zero_exit_returns_the_simplex_bytes(certified, monkeypatch):
 
 
 def test_dantzig_builds_its_lp_per_call_and_keeps_nothing(monkeypatch):
-    X = DesignMatrix.from_graph(random_left_regular(8, 3, 6, seed=7))
+    X = DesignMatrix(random_left_regular(8, 3, 6, seed=7))
     y = gaussians(55, 6)
     builds = []
     build = solve._dantzig_matrix
@@ -294,7 +294,7 @@ def test_dantzig_builds_its_lp_per_call_and_keeps_nothing(monkeypatch):
 
 def test_dantzig_matrix_is_capped_before_it_is_built():
     # 8 p^2 > MAX_TABLE at p = 1449; the design itself is tiny
-    X = DesignMatrix.from_graph(matching_graph(1449))
+    X = DesignMatrix(matching_graph(1449))
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError,
@@ -308,7 +308,7 @@ def test_dantzig_matrix_is_capped_before_it_is_built():
 
 
 def test_dantzig_identity_soft_threshold_random():
-    X = DesignMatrix.from_graph(matching_graph(5))
+    X = DesignMatrix(matching_graph(5))
     rng = Stream(6)
     for t in range(100):
         y = 3.0 * gaussians(2000 + t, 5)
@@ -319,7 +319,7 @@ def test_dantzig_identity_soft_threshold_random():
 
 
 def test_dantzig_l1_nonincreasing_in_lambda():
-    X = DesignMatrix.from_graph(random_left_regular(8, 3, 6, seed=7))
+    X = DesignMatrix(random_left_regular(8, 3, 6, seed=7))
     y = gaussians(55, 6)
     lams = [0.0, 0.05, 0.1, 0.2, 0.5, 1.0]
     norms = [dantzig(X, y, lam).l1_norm for lam in lams]
@@ -329,7 +329,7 @@ def test_dantzig_l1_nonincreasing_in_lambda():
 
 def test_dantzig_feasible_target_bounds_l1():
     # whenever the target itself is feasible the optimum cannot exceed it
-    X = DesignMatrix.from_graph(random_left_regular(6, 2, 5, seed=8))
+    X = DesignMatrix(random_left_regular(6, 2, 5, seed=8))
     beta_star = np.zeros(6)
     beta_star[[0, 4]] = [2.0, -1.0]
     y = X.matvec(beta_star)
@@ -339,7 +339,7 @@ def test_dantzig_feasible_target_bounds_l1():
 
 def test_dantzig_matches_vertex_enumeration_tiny():
     # p = 1: the LP has 4 variables, small enough to enumerate exactly
-    X = DesignMatrix.from_graph(matching_graph(1))
+    X = DesignMatrix(matching_graph(1))
     for y0, lam in [(2.0, 0.5), (-1.0, 0.25), (0.3, 1.0)]:
         y = np.array([y0])
         gram = X.to_dense().T @ X.to_dense()
@@ -356,7 +356,7 @@ def test_dantzig_matches_vertex_enumeration_tiny():
 # -- basis pursuit ---------------------------------------------------------------
 
 def test_bp_trivial_cases():
-    X = DesignMatrix.from_graph(matching_graph(3))
+    X = DesignMatrix(matching_graph(3))
     np.testing.assert_array_equal(basis_pursuit(X, np.zeros(3)), np.zeros(3))
     y = np.array([2.0, -1.0, 0.5])
     np.testing.assert_allclose(basis_pursuit(X, y), y, atol=1e-10)
@@ -365,7 +365,7 @@ def test_bp_trivial_cases():
 def test_bp_infeasible_raises():
     # 2 columns hitting only rows {0,1}: y with mass on row 2 is unreachable
     g = BipartiteGraph(2, 3, 2, ((0, 1), (0, 1)), "flat")
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     with pytest.raises(SolverStatusError):
         basis_pursuit(X, np.array([0.0, 0.0, 1.0]))
 
@@ -373,7 +373,7 @@ def test_bp_infeasible_raises():
 def test_bp_matches_vertex_enumeration_tiny():
     # full-row-rank 3x3 instance so every vertex is a genuine basis
     g = random_left_regular(3, 2, 3, seed=5)
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     assert np.linalg.matrix_rank(X.to_dense()) == 3
     beta_star = np.array([1.0, 0.0, -0.5])
     y = X.matvec(beta_star)
@@ -387,7 +387,7 @@ def test_bp_matches_vertex_enumeration_tiny():
 def test_bp_redundant_rows_reduced():
     # n > p with heavily redundant equality rows still solves
     g = random_left_regular(4, 3, 40, seed=10)
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     beta_star = np.array([0.0, 2.0, 0.0, -1.0])
     y = X.matvec(beta_star)
     est = basis_pursuit(X, y)
@@ -398,7 +398,7 @@ def test_bp_redundant_rows_reduced():
 def test_bp_range_check_on_nonzero_rows_agrees_with_full_matrix(p, d, n, seed):
     # the residual at the end of the path decides range membership as
     # least squares on the full matrix does
-    X = DesignMatrix.from_graph(random_left_regular(p, d, n, seed))
+    X = DesignMatrix(random_left_regular(p, d, n, seed))
     dense = X.to_dense()
     for t in range(6):
         y = X.matvec(gaussians(400 + t, p)) if t % 2 else gaussians(400 + t, n)
@@ -413,7 +413,7 @@ def test_bp_range_check_on_nonzero_rows_agrees_with_full_matrix(p, d, n, seed):
 
 def test_bp_recovers_a_sparse_target_on_a_compressive_design():
     # p > n, where the dense simplex lost accuracy in phase 1 and failed
-    X = DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0))
+    X = DesignMatrix(random_left_regular(96, 8, 64, 0))
     beta = sparse_target(96, 2, 7)[0]
     np.testing.assert_allclose(basis_pursuit(X, X.matvec(beta)), beta, atol=1e-12)
 
@@ -422,7 +422,7 @@ def test_bp_recovers_a_sparse_target_on_a_compressive_design():
 def test_bp_l1_value_matches_highs_on_compressive_designs(p, n):
     linprog = pytest.importorskip("scipy.optimize").linprog
     for seed, s in ((0, 2), (1, 4), (2, 8)):
-        X = DesignMatrix.from_graph(random_left_regular(p, 8, n, seed))
+        X = DesignMatrix(random_left_regular(p, 8, n, seed))
         y = X.matvec(sparse_target(p, s, 50 + seed)[0])
         dense = X.to_dense()
         ref = linprog(np.ones(2 * p), A_eq=np.concatenate([dense, -dense], axis=1),
@@ -435,7 +435,7 @@ def test_bp_l1_value_matches_highs_on_compressive_designs(p, n):
 
 def test_singular_active_gram_is_a_solver_error():
     # two identical columns: their overlap counts form a singular matrix
-    X = DesignMatrix.from_graph(BipartiteGraph(3, 4, 2, ((0, 1), (0, 1), (2, 3)), "dup"))
+    X = DesignMatrix(BipartiteGraph(3, 4, 2, ((0, 1), (0, 1), (2, 3)), "dup"))
     with pytest.raises(SolverStatusError, match="singular"):
         mc_oracle.direction(X, [0, 1], np.ones(2))
     # in a group, the singular row is flagged and the others are solved
@@ -455,7 +455,7 @@ def test_singular_active_gram_is_a_solver_error():
 def test_overlap_counts_are_compared_in_bounded_blocks(monkeypatch):
     # one column at a time, column blocks of one system, blocks of whole
     # systems and the default all give the one-row directions bit for bit
-    X = DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3))
+    X = DesignMatrix(random_left_regular(40, 5, 60, seed=3))
     idx = np.array([[3, 17, 8, 30], [0, 1, 2, 3], [39, 20, 5, 11]])
     signs = np.array([[1.0, -1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, 1.0]])
     ref = [mc_oracle.direction(X, list(cols), s) for cols, s in zip(idx.tolist(), signs)]
@@ -468,7 +468,7 @@ def test_overlap_counts_are_compared_in_bounded_blocks(monkeypatch):
     monkeypatch.undo()
     # a wide active set: 400 columns of d = 16 would compare 41 MB of entry
     # pairs at once; the counts are the incidence products all the same
-    X = DesignMatrix.from_graph(random_left_regular(600, 16, 4096, seed=1))
+    X = DesignMatrix(random_left_regular(600, 16, 4096, seed=1))
     R = X.rows[None, :400]
     tracemalloc.start()
     try:
@@ -486,7 +486,7 @@ def test_the_first_direction_is_the_solve_of_one_count():
     # the path starts from s / d * d^2 without a solve; s * d differs from
     # it at d = 49, 93, 98, ... and the solve gives s / d at every d
     for d in (1, 2, 3, 9, 25, 49, 93, 98, 99, 103):
-        X = DesignMatrix.from_graph(random_left_regular(6, d, d + 5, seed=d))
+        X = DesignMatrix(random_left_regular(6, d, d + 5, seed=d))
         C = X.transpose_matvec(np.array([gaussians(d, X.n), -gaussians(d, X.n)]))
         for s in (1.0, -1.0):
             assert mc_oracle.direction(X, [0], np.array([s])).tobytes() == \
@@ -496,7 +496,7 @@ def test_the_first_direction_is_the_solve_of_one_count():
 
 def test_bp_step_limit_is_a_solver_error(monkeypatch):
     # the lasso's counterpart, converged=False, is test_lasso_nonconvergence_flagged
-    X = DesignMatrix.from_graph(random_left_regular(12, 4, 6, seed=4))
+    X = DesignMatrix(random_left_regular(12, 4, 6, seed=4))
     y = X.matvec(sparse_target(12, 3, 1)[0])
     basis_pursuit(X, y)
     monkeypatch.setattr(solve, "BP_MAX_STEPS", 1)
@@ -537,7 +537,7 @@ def _path_rows(monkeypatch):
 def test_lasso_screen_boundary_matches_the_path(monkeypatch):
     # 2 ||X^T y||_inf exactly lam is settled by the screen with no segment,
     # as the path exits at its start; one ulp above lam takes the path
-    X = DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3))
+    X = DesignMatrix(random_left_regular(40, 5, 60, seed=3))
     paths = _path_rows(monkeypatch)
     for seed in range(4):
         y = gaussians(300 + seed, 60)
@@ -552,13 +552,13 @@ def test_lasso_screen_boundary_matches_the_path(monkeypatch):
         paths.clear()
     # lam/2 rounds up at 3 subnormal ulps: the screen settles ||X^T y||_inf
     # = 2 ulps, where the KKT residual |2c| - lam is 1 ulp, not 0
-    X, y, lam = DesignMatrix.from_graph(matching_graph(2)), [1e-323, 0.0], 1.5e-323
+    X, y, lam = DesignMatrix(matching_graph(2)), [1e-323, 0.0], 1.5e-323
     _same_lasso(lasso(X, y, lam), trial_lasso(X, y, lam))
     assert lasso(X, y, lam).kkt_residual == 5e-324 and paths == []
 
 
 def test_dantzig_screen_boundary_solves_no_lp(monkeypatch):
-    X = DesignMatrix.from_graph(random_left_regular(12, 3, 20, seed=5))
+    X = DesignMatrix(random_left_regular(12, 3, 20, seed=5))
     lps = _counted(monkeypatch, "lp_solve")
     for seed in range(3):
         y = gaussians(400 + seed, 20)
@@ -576,7 +576,7 @@ def test_dantzig_screen_boundary_solves_no_lp(monkeypatch):
 def test_row_solvers_match_one_row_solves(certified):
     # rows that are settled by the screen, rows that take the path or the
     # LP, and scales that put a row on either side, in one stack
-    for X in (DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3)),
+    for X in (DesignMatrix(random_left_regular(40, 5, 60, seed=3)),
               certified[1]):
         y0 = X.matvec(sparse_target(X.p, 2, 6)[0])
         Y = np.array([signal * y0 + sigma * gaussians(500 + r, X.n)
@@ -605,7 +605,7 @@ def test_row_solvers_match_one_row_solves(certified):
 
 def test_a_failed_row_leaves_the_other_rows_standing(monkeypatch):
     # the failure takes its row's place; the one-row solvers raise it
-    X = DesignMatrix.from_graph(random_left_regular(12, 3, 20, seed=5))
+    X = DesignMatrix(random_left_regular(12, 3, 20, seed=5))
     y = gaussians(401, 20)
     top = float(np.max(np.abs(X.transpose_matvec(y))))
     Y = np.array([y, 0.1 * y, y])
@@ -629,7 +629,7 @@ def test_a_failed_row_leaves_the_other_rows_standing(monkeypatch):
 
 
 def test_the_path_works_on_a_copy_of_its_correlations():
-    X = DesignMatrix.from_graph(random_left_regular(40, 5, 60, seed=3))
+    X = DesignMatrix(random_left_regular(40, 5, 60, seed=3))
     y = gaussians(77, 60)
     C = X.transpose_matvec(np.array([y, -y]))
     kept = C.copy()
@@ -642,7 +642,7 @@ def test_the_path_works_on_a_copy_of_its_correlations():
 
 def test_repeated_solves_on_one_design_match_fresh_designs(certified):
     graph, _, _ = certified
-    X = DesignMatrix.from_graph(graph)
+    X = DesignMatrix(graph)
     lam = 0.02
     calls = []
     for seed in range(3):
@@ -658,20 +658,20 @@ def test_repeated_solves_on_one_design_match_fresh_designs(certified):
         return sol.beta.tobytes(), sol.constraint_slack, sol.l1_norm
 
     for kind, y in calls:
-        assert solve(X, kind, y) == solve(DesignMatrix.from_graph(graph), kind, y)
+        assert solve(X, kind, y) == solve(DesignMatrix(graph), kind, y)
 
 
 # -- least squares on a support ---------------------------------------------------
 
 def test_ols_identity():
-    X = DesignMatrix.from_graph(matching_graph(3))
+    X = DesignMatrix(matching_graph(3))
     b = ols_on_support(X, [3.0, 1.0, -2.0], [0])
     np.testing.assert_array_equal(b, [3.0, 0.0, 0.0])
 
 
 def test_ols_duplicate_columns_split_evenly():
     g = BipartiteGraph(2, 2, 2, ((0, 1), (0, 1)), "dup")
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     y = np.array([1.0, 1.0])
     b = ols_on_support(X, y, [0, 1])
     # pseudoinverse splits the coefficient between identical columns
@@ -680,7 +680,7 @@ def test_ols_duplicate_columns_split_evenly():
 
 
 def test_ols_empty_and_bad_support():
-    X = DesignMatrix.from_graph(matching_graph(2))
+    X = DesignMatrix(matching_graph(2))
     np.testing.assert_array_equal(ols_on_support(X, [1.0, 2.0], []), np.zeros(2))
     with pytest.raises(ValueError):
         ols_on_support(X, [1.0, 2.0], [5])
@@ -690,7 +690,7 @@ def test_ols_empty_and_bad_support():
 def test_ols_rejects_bad_observations(y):
     # y is read as the other solvers read it: a NaN or infinite entry, or
     # the wrong length, is an input error, not a NaN coefficient vector
-    X = DesignMatrix.from_graph(matching_graph(2))
+    X = DesignMatrix(matching_graph(2))
     with pytest.raises(ValueError):
         ols_on_support(X, y, [0])
 
@@ -727,7 +727,7 @@ def _path_design(p, d, n, seed, twins):
     singular Gram matrix."""
     table = random_left_regular(p, d, n, seed).neighbors.copy()
     table[1:2 * twins:2] = table[0:2 * twins:2]
-    return DesignMatrix.from_graph(BipartiteGraph(p, n, d, table, "twins"))
+    return DesignMatrix(BipartiteGraph(p, n, d, table, "twins"))
 
 
 def test_lockstep_rows_end_apart_fail_and_are_cut_as_alone(monkeypatch):
@@ -750,8 +750,8 @@ def test_lockstep_rows_end_apart_fail_and_are_cut_as_alone(monkeypatch):
 def test_bp_rows_equal_one_row_solves(certified):
     # stacks of basis pursuit rows: certified, compressive and wide designs;
     # out-of-range rows and zero rows among them
-    designs = [certified[1], DesignMatrix.from_graph(random_left_regular(96, 8, 64, 0)),
-               DesignMatrix.from_graph(random_left_regular(16, 3, 10, 5))]
+    designs = [certified[1], DesignMatrix(random_left_regular(96, 8, 64, 0)),
+               DesignMatrix(random_left_regular(16, 3, 10, 5))]
     for X in designs:
         Y = [X.matvec(sparse_target(X.p, s, 60 + s)[0]) for s in (1, 2, 3, 2)]
         Y += [np.zeros(X.n), gaussians(61, X.n)]

@@ -128,7 +128,7 @@ def test_both_expansion_checks_certify_a_wide_matching():
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 1.5, 1.0, 0.0, -1.0])
 def test_checks_reject_eps_outside_the_unit_interval(eps):
     g = random_left_regular(12, 3, 8, seed=0)
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     for check in (lambda: check_expansion_exhaustive(g, 2, eps),
                   lambda: check_expansion_sampled(g, 2, eps, trials=10, seed=0),
                   lambda: check_rip1_sampled(X, 2, eps, trials=10, seed=0)):
@@ -207,7 +207,7 @@ def test_recheck_refuses_witnesses_that_do_not_fit_the_design(condition, field, 
     # a witness index that wraps, passes p or repeats, or a vector of the
     # wrong length, is a ValueError naming the field, never a confirmation
     g = BipartiteGraph(2, 2, 2, ((0, 1), (0, 1)), "overlap")
-    X = DesignMatrix.from_graph(random_left_regular(12, 3, 8, seed=0))
+    X = DesignMatrix(random_left_regular(12, 3, 8, seed=0))
     rep = {"expansion": lambda: check_expansion_sampled(g, 2, 0.125, 50, 0),
            "rip1": lambda: check_rip1_sampled(X, 3, 0.125, 200, 0),
            "kernel": lambda: check_kernel_concentration(X, 3, 50, 0)}[condition]()
@@ -243,14 +243,14 @@ def test_sampled_passes_certified_instance(certified):
 # -- RIP-1 --------------------------------------------------------------------
 
 def test_rip1_matching_ratio_one():
-    X = DesignMatrix.from_graph(matching_graph(5))
+    X = DesignMatrix(matching_graph(5))
     rep = check_rip1_sampled(X, 2, 0.125, 200, seed=1)
     assert rep.ok and rep.worst_ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rip1_upper_bound_always_holds():
     # l1 contraction gives the upper inequality on any l1-normalized design
-    X = DesignMatrix.from_graph(random_left_regular(20, 4, 10, seed=2))
+    X = DesignMatrix(random_left_regular(20, 4, 10, seed=2))
     rep = check_rip1_sampled(X, 5, 0.5, 500, seed=3)   # eps huge: lower is easy
     assert rep.ok
 
@@ -258,7 +258,7 @@ def test_rip1_upper_bound_always_holds():
 def test_rip1_detects_weak_design():
     # p=2,n=2,d=2 with full overlap: X gamma_S cancels sign-mixed pairs
     g = BipartiteGraph(2, 2, 2, ((0, 1), (0, 1)), "overlap")
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     rep = check_rip1_sampled(X, 2, 0.125, 500, seed=4)
     assert not rep.ok
     assert recheck_violation(rep, X=X) > 0
@@ -267,7 +267,7 @@ def test_rip1_detects_weak_design():
 # -- UP2 ----------------------------------------------------------------------
 
 def test_up2_matching_holds_with_slack():
-    X = DesignMatrix.from_graph(matching_graph(6))
+    X = DesignMatrix(matching_graph(6))
     rep = check_up2_sampled(X, 2, 300, seed=5)
     assert rep.ok and rep.worst_ratio < 1.0
 
@@ -281,7 +281,7 @@ def test_up2_zero_column_violated():
 
 
 def test_up2_worst_subset_reduction():
-    X = DesignMatrix.from_graph(random_left_regular(10, 3, 8, seed=7))
+    X = DesignMatrix(random_left_regular(10, 3, 8, seed=7))
     rng = Stream(11)
     for t in range(20):
         gamma = gaussians(derive_seed(8, t), 10)
@@ -315,13 +315,13 @@ def test_up2_implies_h_condition_on_samples(certified):
 # -- kernel concentration ------------------------------------------------------
 
 def test_kernel_trivial_is_vacuous():
-    X = DesignMatrix.from_graph(matching_graph(5))
+    X = DesignMatrix(matching_graph(5))
     rep = check_kernel_concentration(X, 2, 100, seed=8)
     assert rep.ok and rep.witness["kernel_dim"] == 0
 
 
 def test_kernel_duplicate_columns_violate():
-    X = DesignMatrix.from_graph(duplicate_column_graph())
+    X = DesignMatrix(duplicate_column_graph())
     rep = check_kernel_concentration(X, 1, 50, seed=9)
     assert not rep.ok
     assert recheck_violation(rep, X=X) > 0
@@ -329,7 +329,7 @@ def test_kernel_duplicate_columns_violate():
 
 def test_kernel_spread_on_underdetermined_design():
     # wide design whose kernel mass stays spread at the sampled supports
-    X = DesignMatrix.from_graph(random_left_regular(24, 8, 16, seed=12))
+    X = DesignMatrix(random_left_regular(24, 8, 16, seed=12))
     rep = check_kernel_concentration(X, 1, 200, seed=10)
     assert rep.witness["kernel_dim"] >= 24 - 16
     assert rep.ok
@@ -338,20 +338,20 @@ def test_kernel_spread_on_underdetermined_design():
 # -- nullspace property --------------------------------------------------------
 
 def test_nsp_injective_design_passes():
-    X = DesignMatrix.from_graph(matching_graph(4))
+    X = DesignMatrix(matching_graph(4))
     rep = nullspace_property_oracle(X, 1)
     assert rep.ok and rep.worst_ratio == pytest.approx(0.0, abs=1e-9)
 
 
 def test_nsp_duplicate_columns_fail_at_s1():
-    X = DesignMatrix.from_graph(duplicate_column_graph())
+    X = DesignMatrix(duplicate_column_graph())
     rep = nullspace_property_oracle(X, 1)
     assert not rep.ok
     assert recheck_violation(rep, X=X) >= 0
 
 
 def test_nsp_rank_deficient_support_unbounded():
-    X = DesignMatrix.from_graph(duplicate_column_graph())
+    X = DesignMatrix(duplicate_column_graph())
     rep = nullspace_property_oracle(X, 2)       # both duplicates inside S
     assert not rep.ok
     assert rep.worst_ratio == math.inf
@@ -359,7 +359,7 @@ def test_nsp_rank_deficient_support_unbounded():
 
 
 def test_nsp_budget():
-    X = DesignMatrix.from_graph(matching_graph(30))
+    X = DesignMatrix(matching_graph(30))
     with pytest.raises(CapacityError):
         nullspace_property_oracle(X, 4, budget=100)
 
@@ -377,7 +377,7 @@ def test_report_json_fields():
 def test_violation_recheck_margin_tolerance():
     # the witnessed violation must reproduce standalone, well past 1e-12
     g = BipartiteGraph(2, 3, 2, ((0, 1), (0, 1)), "overlap")
-    X = DesignMatrix.from_graph(g)
+    X = DesignMatrix(g)
     rep = check_rip1_sampled(X, 2, 0.125, 500, seed=13)
     assert not rep.ok
     assert recheck_violation(rep, X=X) > 1e-12

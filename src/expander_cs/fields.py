@@ -8,12 +8,14 @@ polynomial-basis representative, lowest degree first. Codes are the whole
 API. Each ``GF`` instance builds, once and in O(q^2) vectorised work, four
 public read-only numpy tables indexed by code: ``add[a, b]``,
 ``mul[a, b]``, ``neg[a]`` and ``inv[a]`` (``inv[0]`` is a placeholder 0).
-A prime field's tables are arithmetic mod r. An extension field's
-``modulus`` is the monic irreducible polynomial of degree k over GF(r)
-that comes first in the base-r counting order of its non-leading
+A prime field's tables are arithmetic mod r, by formula: ``add`` is
+(a + b) mod r and ``mul`` is a b mod r, one broadcast each. An extension
+field's ``modulus`` is the monic irreducible polynomial of degree k over
+GF(r) that comes first in the base-r counting order of its non-leading
 coefficients, so identical parameters always give identical arithmetic;
-it is found, and the tables built, by this module's polynomial routines
-running over GF(r). For k = 1 the modulus is the placeholder ``x``.
+it is found, and the tables built column by column, by this module's
+polynomial routines running over GF(r). For k = 1 the modulus is the
+placeholder ``x``.
 
 A polynomial over GF(q) is an integer array of codes, lowest degree first
 along the last axis. It has a fixed width and is never trimmed, so the
@@ -65,37 +67,42 @@ class GF:
             raise ValueError(f"characteristic {r} is not prime")
         self.r, self.k, self.q = r, k, q
         codes = np.arange(q)
-        weights = r ** np.arange(k)
-        digits = codes[:, None] // weights % r
-        # scale[c, a]: the code of c a for c in GF(r)
-        scale = np.arange(r)[:, None, None] * digits % r @ weights
         self.modulus = [0, 1]
-        times_x = codes                             # times_x[a]: the code of x a
-        if k > 1:
+        if k == 1:
+            # a prime field's tables are arithmetic mod r, one broadcast each
+            add = (codes[:, None] + codes) % r
+            mul = codes[:, None] * codes % r
+            self.neg = -codes % r
+        else:
+            weights = r ** np.arange(k)
+            digits = codes[:, None] // weights % r
+            # scale[c, a]: the code of c a for c in GF(r)
+            scale = np.arange(r)[:, None, None] * digits % r @ weights
             prime = GF(r)                           # the field the modulus lives over
             self.modulus = find_irreducible(prime, k)
             shifted = np.zeros((q, k + 1), dtype=np.intp)
             shifted[:, 1:] = digits
+            # times_x[a]: the code of x a
             times_x = _poly_rem(prime, shifted, prime.neg[self.modulus[:-1]]) @ weights
-        # Column b = low + c r^j of either table follows from column low:
-        # a + b = (a + low) + c x^j and a b = a low + c (a x^j). Each column
-        # is built once from an earlier one, so a table costs O(q^2).
-        add = np.zeros((q, q), dtype=np.intp)
-        add[:, 0] = codes
-        for j in range(k):
-            w = r**j
-            for c in range(1, r):
-                plus = codes + ((digits[:, j] + c) % r - digits[:, j]) * w
-                add[:, c * w:(c + 1) * w] = plus[add[:, :w]]
-        mul = np.zeros((q, q), dtype=np.intp)
-        power = codes                               # a x^j for every a
-        for j in range(k):
-            w = r**j
-            for c in range(1, r):
-                mul[:, c * w:(c + 1) * w] = add[mul[:, :w], scale[c, power][:, None]]
-            power = times_x[power]
+            # Column b = low + c r^j of either table follows from column low:
+            # a + b = (a + low) + c x^j and a b = a low + c (a x^j). Each
+            # column is built once from an earlier one, so a table costs O(q^2).
+            add = np.zeros((q, q), dtype=np.intp)
+            add[:, 0] = codes
+            for j in range(k):
+                w = r**j
+                for c in range(1, r):
+                    plus = codes + ((digits[:, j] + c) % r - digits[:, j]) * w
+                    add[:, c * w:(c + 1) * w] = plus[add[:, :w]]
+            mul = np.zeros((q, q), dtype=np.intp)
+            power = codes                           # a x^j for every a
+            for j in range(k):
+                w = r**j
+                for c in range(1, r):
+                    mul[:, c * w:(c + 1) * w] = add[mul[:, :w], scale[c, power][:, None]]
+                power = times_x[power]
+            self.neg = -digits % r @ weights
         self.add, self.mul = add, mul
-        self.neg = -digits % r @ weights
         self.inv = np.argmax(mul == 1, axis=1)
         for table in (add, mul, self.neg, self.inv):
             table.flags.writeable = False

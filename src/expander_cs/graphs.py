@@ -7,7 +7,10 @@ at MAX_TABLE entries. The JSON interchange form is an object with integer
 fields ``p``, ``n``, ``d``, text field ``provenance`` and ``neighbors``, an
 array of p arrays of d ascending integers. Its text is json's indent-2
 layout, rendered from one row template by :func:`graph_to_json_text` and
-written by ``errors.write_text``.
+written by ``errors.write_text``. :func:`load_graph` decodes a file in
+exactly that layout on arrays, matched against the same template, and
+any other file by ``errors.load_object``; every graph it returns and every
+error it raises is the json path's.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import re
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +219,21 @@ def graph_to_json_dict(g: BipartiteGraph) -> dict:
     }
 
 
+def _row_template(d: int) -> str:
+    """One neighbor row of the graph file: d ``%d`` slots in json's indent-2
+    layout. The writer formats it and the reader matches against it."""
+    return "    [\n" + ",\n".join(["      %d"] * d) + "\n    ]"
+
+
+def _file_head(p: int, n: int, d: int, provenance: str) -> str:
+    """The graph file's text before its first neighbor row."""
+    return (f'{{\n  "p": {p},\n  "n": {n},\n  "d": {d},\n'
+            f'  "provenance": {json.dumps(provenance)},\n  "neighbors": [\n')
+
+
+_FILE_TAIL = "\n  ]\n}"
+
+
 def graph_to_json_text(g: BipartiteGraph) -> str:
     """The graph file's text: ``json.dumps(graph_to_json_dict(g), indent=2)``.
 
@@ -222,7 +243,7 @@ def graph_to_json_text(g: BipartiteGraph) -> str:
     last rows, so the table's Python ints exist one block at a time. The
     head and tail of the object join the first and last blocks, so the
     whole text is copied once, by the final join."""
-    row = "    [\n" + ",\n".join(["      %d"] * g.d) + "\n    ]"
+    row = _row_template(g.d)
     rows = min(g.p, max(1, _BLOCK_ENTRIES // g.d))
     block, step = ",\n".join([row] * rows), rows * g.d
     flat = g.neighbors.reshape(-1)
@@ -230,10 +251,8 @@ def graph_to_json_text(g: BipartiteGraph) -> str:
     parts = [block % tuple(flat[k:k + step].tolist()) for k in range(0, full * step, step)]
     if last:
         parts.append(",\n".join([row] * last) % tuple(flat[full * step:].tolist()))
-    parts[0] = (f'{{\n  "p": {g.p},\n  "n": {g.n},\n  "d": {g.d},\n'
-                f'  "provenance": {json.dumps(g.provenance)},\n'
-                f'  "neighbors": [\n{parts[0]}')
-    parts[-1] += "\n  ]\n}"
+    parts[0] = _file_head(g.p, g.n, g.d, g.provenance) + parts[0]
+    parts[-1] += _FILE_TAIL
     return ",\n".join(parts)
 
 
@@ -257,5 +276,120 @@ def save_graph(g: BipartiteGraph, path) -> None:
     write_text(path, graph_to_json_text(g) + "\n")
 
 
+# The head's four values, matched loosely; the head must then equal _file_head's.
+_HEAD_VALUES = re.compile(rb'[^\n]*\n[^:\n]*: (\d{1,8}),\n[^:\n]*: (\d{1,8}),\n'
+                          rb'[^:\n]*: (\d{1,8}),\n[^:\n]*: ("[^\n]*),\n[^\n]*\n')
+_MAX_DIGITS = len(str(MAX_SIDE))                # an index below n <= MAX_SIDE: 7 digits
+# an index is read from the 8 bytes that end with its last digit: its digits
+# after spaces (a byte's low 4 bits: the digit, or 0 for a space), and one
+# more byte of any value, weighted 0. The weights are floats so that the
+# product runs on BLAS; every sum is an integer below 2**53, so exact.
+_DIGIT_WEIGHTS = np.array([0.0, *10.0 ** np.arange(_MAX_DIGITS - 1, -1, -1)])
+
+
 def load_graph(path) -> BipartiteGraph:
-    return graph_from_json_dict(load_object(path))
+    """The graph in the file at ``path``.
+
+    A regular file whose text is exactly what :func:`save_graph` writes
+    (the head of ``_file_head``, rows of ``_row_template`` holding indices
+    of 1 to 7 digits without leading zeros, the tail and one newline) is
+    decoded on arrays, a window of rows at a time. Any other file, and
+    anything that is not a regular file, is decoded by ``load_object`` and
+    :func:`graph_from_json_dict`. Both paths end in the same
+    ``BipartiteGraph`` checks and the array path raises nothing of its
+    own, so every graph and every error is the json path's."""
+    try:                                        # a pipe could not be read a second time
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        regular = False
+    g = None
+    if regular:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        g = _graph_from_text(data)
+    return graph_from_json_dict(load_object(path)) if g is None else g
+
+
+def _graph_from_text(data: bytes) -> BipartiteGraph | None:
+    """The graph of a file's bytes in ``save_graph``'s layout, or None when
+    the bytes differ from that layout anywhere."""
+    head = _HEAD_VALUES.match(data)
+    tail = (_FILE_TAIL + "\n").encode()
+    if head is None or not data.endswith(tail):
+        return None
+    p, n, d = map(int, head.group(1, 2, 3))
+    try:
+        provenance = json.loads(head[4])
+    except ValueError:
+        return None
+    if not isinstance(provenance, str) or head[0] != _file_head(p, n, d, provenance).encode():
+        return None
+    table = _table_from_rows(data, head.end(), len(data) - len(tail), p, d)
+    return None if table is None else BipartiteGraph(p, n, d, table, provenance)
+
+
+def _table_from_rows(data: bytes, start: int, stop: int, p: int, d: int) -> np.ndarray | None:
+    """The (p, d) table whose rows, each but the last followed by a comma
+    and a newline, are ``data[start:stop]``, or None.
+
+    The header's p and d are checked against the text's length, which
+    must fit p rows of 1 to 7 digit indices, before anything sized by them
+    is built. The text is then decoded in windows of about 8 bytes per
+    ``_BLOCK_ENTRIES`` entry, each ending after a row, so temporaries stay
+    a window's size."""
+    if not 1 <= p * d <= min(MAX_TABLE, stop - start):     # a byte an index at least
+        return None
+    row = _row_template(d).replace("%d", "").encode() + b",\n"
+    digits = stop - start - (p * len(row) - 2)
+    if not p * d <= digits <= _MAX_DIGITS * p * d:
+        return None
+    window = 8 * _BLOCK_ENTRIES
+    skeleton = row * min(p, max(1, window // len(row)))
+    table = np.empty(p * d, dtype=np.int64)
+    done = 0
+    while start < stop:
+        end = stop
+        if stop - start > window:
+            cut = data.rfind(b"],\n", start, start + window)
+            if cut < 0:
+                cut = data.find(b"],\n", start, stop)
+            end = stop if cut < 0 else cut + 3
+        values = _decode_rows(data, start, end, d, row, skeleton, end == stop)
+        if values is None or done + len(values) > table.size:
+            return None
+        table[done:done + len(values)] = values
+        done += len(values)
+        start = end
+    return table.reshape(p, d) if done == table.size else None
+
+
+def _decode_rows(data: bytes, start: int, end: int, d: int, row: bytes, skeleton: bytes,
+                 last: bool) -> np.ndarray | None:
+    """The indices of ``data[start:end]``, or None unless that text is whole
+    rows of ``row`` (a row template without its d ``%d`` slots, then a
+    comma and a newline) with an index in each slot, the last row without
+    its comma and newline when ``last``. ``skeleton`` is enough copies of
+    ``row`` for any window.
+
+    With its digits removed, the text must begin ``skeleton``. A digit run
+    that sits between a space and a comma or newline is in a slot, as the
+    template has no other such place, and there must be one run a slot.
+    An index is decoded from the 8 bytes that end with its last digit."""
+    nondigits = data[start:end].translate(None, b"0123456789")
+    rows, extra = divmod(len(nondigits) + 2 * last, len(row))
+    if extra or not skeleton.startswith(nondigits):
+        return None
+    text = np.frombuffer(data, np.uint8, end - start, start)
+    is_digit = text - 48 < 10                       # other bytes wrap past 9
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    if len(edges) != 2 * rows * d:
+        return None
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    after = text[ends]
+    if (lengths.max() > _MAX_DIGITS or (text[starts - 1] != 32).any()
+            or ((after != 44) & (after != 10)).any()
+            or ((text[starts] == 48) & (lengths > 1)).any()):
+        return None
+    words = np.ndarray((len(text) - 7,), "<u8", data, start, (1,))
+    return (words[ends - 8].view(np.uint8).reshape(-1, 8) & 15) @ _DIGIT_WEIGHTS

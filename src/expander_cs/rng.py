@@ -158,8 +158,12 @@ def uniforms(seed, count: int, start: int = 0) -> np.ndarray:
 
 
 def gaussians(seed, count: int) -> np.ndarray:
-    """Vector of standard Gaussians, same stream as Stream.gaussian_pair.
-    A sequence of seeds gives one row per seed."""
+    """Vector of standard Gaussians by Stream.gaussian_pair's Box-Muller
+    formulas on the same uniforms. numpy picks its log1p, cos and sin loops
+    by the CPU's features, and its AVX-512 loops differ from ``math`` by an
+    ulp on some arguments, so the draws repeat bit for bit on one numpy
+    build and CPU feature level and equal gaussian_pair's to rounding. A
+    sequence of seeds gives one row per seed."""
     pairs = (count + 1) // 2
     u = uniforms(seed, 2 * pairs)
     flat = u.reshape(-1)       # rows of even length: one pass serves every row

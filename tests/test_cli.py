@@ -608,6 +608,31 @@ def test_wide_design_monte_carlo_runs_under_a_memory_cap(tmp_path):
         assert code == 0 and "Traceback" not in err
 
 
+def test_an_oversized_graph_header_exits_2(tmp_path, capsys):
+    # the writer's layout with a header past the table cap over one entry
+    path = tmp_path / "big.json"
+    save_graph(matching_graph(1), path)
+    path.write_text(path.read_text().replace('"p": 1,', '"p": 16777217,'))
+    assert run(["verify", "--graph", path, "--s", 1, "--out", tmp_path / "r.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: neighbor table p*d = 16777217*1 exceeds limit 16777216\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_graph_piped_to_stdin_is_read(tmp_path):
+    # a pipe can be read once, so a graph not in the writer's layout must
+    # still reach the json decoder whole
+    text = json.dumps({"p": 2, "n": 4, "d": 2, "provenance": "x", "neighbors": [[0, 1], [2, 3]]})
+    env = {**os.environ, "PYTHONPATH": str(Path(expander_cs.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "expander_cs.cli", "verify", "--graph", "/dev/stdin", "--s", "1",
+         "--out", "r.json"], input=text, env=env, cwd=tmp_path, capture_output=True, text=True,
+        timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads((tmp_path / "r.json").read_text())["ok"] is True
+
+
 def test_nonfinite_penalty_exits_2(tmp_path, capsys):
     # lambda = inf used to solve: a null lasso objective reported converged,
     # a NaN oracle lhs that read as a refuted bound, an all-zero Dantzig run

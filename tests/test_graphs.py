@@ -11,6 +11,7 @@ from expander_cs import (GF, BipartiteGraph, CapacityError, ExpanderParams, load
                          random_left_regular, save_graph, suggest_pv_bounds,
                          suggest_random_params)
 from expander_cs import graphs
+from expander_cs.errors import load_object
 from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,
                                 graph_to_json_text)
 
@@ -347,3 +348,107 @@ def test_oversized_tables_raise_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- the graph file reader -----------------------------------------------------
+
+def _outcome(read):
+    """The graph ``read`` returns, or the type and message of what it raises."""
+    try:
+        return read()
+    except Exception as exc:                        # every error must match the json path's
+        return type(exc), str(exc)
+
+
+def _near_files(text: str):
+    """Files near a graph file's text: single-byte edits, other header
+    values, other json layouts, bad or moved indices, blanked rows, extra
+    and duplicate keys, truncations."""
+    data = text.encode()
+    for i in range(len(data)):
+        yield data[:i] + data[i + 1:]
+        for byte in b'05 \n,]"':
+            yield data[:i] + bytes([byte]) + data[i + 1:]
+            yield data[:i] + bytes([byte]) + data[i:]
+    obj = json.loads(text)
+    for key in "pnd":
+        for value in (obj[key] - 1, obj[key] + 1):
+            yield text.replace(f'"{key}": {obj[key]},', f'"{key}": {value},', 1).encode()
+    yield (json.dumps(obj, indent=4) + "\n").encode()
+    yield (json.dumps(obj, indent=1) + "\n").encode()
+    yield json.dumps(obj).encode()
+    yield json.dumps(obj, separators=(",", ":")).encode()
+    yield text.replace("\n", "\r\n").encode()
+    yield text.rstrip("\n").encode()
+    yield (text + "\n").encode()
+    last = str(obj["neighbors"][-1][-1])
+    at = text.rindex(last)
+    for index in ("0" + last, "-1", "true", "1.0", "1e1", "10000000", "00", " " + last):
+        yield (text[:at] + index + text[at + len(last):]).encode()
+    blank = text[:at] + text[at + len(last):]       # the last slot emptied ...
+    for i in range(len(blank)):
+        yield (blank[:i] + last + blank[i:]).encode()  # ... and its index moved
+    row = text.rindex("[")
+    blank = text[:row] + re.sub("[0-9]", "", text[row:])
+    yield blank.encode()                                # the last row's slots emptied
+    yield blank.replace(f'"p": {obj["p"]},', f'"p": {obj["p"] - 1},', 1).encode()
+    yield text.replace("{\n", '{\n  "p": 99,\n', 1).encode()
+    yield text.replace("{\n", '{\n  "x": [1],\n', 1).encode()
+    yield text.replace('  "neighbors"', '  "p": 1,\n  "neighbors"', 1).encode()
+    for cut in range(0, len(data), 7):
+        yield data[:cut]
+
+
+@pytest.mark.parametrize("make,block", [
+    (lambda: random_left_regular(3, 2, 11, seed=1), 1),            # a window a row
+    (lambda: random_left_regular(3, 2, 11, seed=1), 8),            # one or two rows
+    (lambda: random_left_regular(3, 2, 11, seed=1), graphs._BLOCK_ENTRIES),
+    (lambda: matching_graph(1), graphs._BLOCK_ENTRIES),
+    (lambda: BipartiteGraph(2, 12, 3, [[0, 5, 11], [1, 10, 11]], 'a"\\é\n'), 1),
+    (lambda: BipartiteGraph(4, graphs.MAX_SIDE, 2, [[0, 999999], [1000000, 1048575],
+                                                    [1000001, 1000002], [1000003, 1000004]],
+                            "wide"), 8),
+    (lambda: random_left_regular(3, 3, 5, seed=0), graphs._BLOCK_ENTRIES),
+], ids=["random-1", "random-8", "random", "matching1", "escapes-1", "7-digit-8", "1-digit"])
+def test_graph_file_reader_agrees_with_the_json_path(tmp_path, monkeypatch, make, block):
+    # every file the array path reads must give the json path's graph or error
+    monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", block)
+    path = tmp_path / "g.json"
+    g = make()
+    save_graph(g, path)
+    calls = []
+    monkeypatch.setattr(graphs, "load_object", lambda p: calls.append(p) or load_object(p))
+    assert load_graph(path) == g and not calls      # the writer's layout takes the array path
+    for data in _near_files(graph_to_json_text(g) + "\n"):
+        path.write_bytes(data)
+        expected = _outcome(lambda: graph_from_json_dict(load_object(path)))
+        assert _outcome(lambda: load_graph(path)) == expected, data
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", graphs.MAX_TABLE), ("p", graphs.MAX_TABLE + 1), ("d", graphs.MAX_TABLE),
+    ("n", 99999999)])
+def test_an_oversized_header_over_a_tiny_body_allocates_nothing(tmp_path, field, value):
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json_text(matching_graph(1)).replace(f'"{field}": 1,',
+                                                                  f'"{field}": {value},')
+                    + "\n")
+    tracemalloc.start()
+    try:
+        outcome = _outcome(lambda: load_graph(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == _outcome(lambda: graph_from_json_dict(load_object(path)))
+    assert isinstance(outcome, tuple) and peak < 1 << 20
+
+
+def test_the_reader_builds_no_table_past_the_cap(tmp_path, monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built past the cap")
+
+    save_graph(random_left_regular(3, 2, 5, seed=1), tmp_path / "g.json")
+    monkeypatch.setattr(graphs, "MAX_TABLE", 5)
+    monkeypatch.setattr(np, "empty", no_tables)     # the reader's table starts with one
+    with pytest.raises(CapacityError, match=r"^neighbor table p\*d = 3\*2 exceeds limit 5$"):
+        load_graph(tmp_path / "g.json")

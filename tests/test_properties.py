@@ -1,6 +1,6 @@
 """Property tests (hypothesis): design products (stacked products against
 their rows, the support-sized X gamma against the full table), the graph interchange
-format and its file writer, the connected-subset expansion certificate
+format, its file writer and the reader's array path, the connected-subset expansion certificate
 (against the full scan and the ESU enumeration), the sampled expansion
 check (against the bitmask scan of its draws), the lasso's optimality
 conditions, basis pursuit's dual certificate, the AR(1) noise blocks
@@ -10,6 +10,7 @@ conditions, basis pursuit's dual certificate, the AR(1) noise blocks
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from expander_cs.graphs import (graph_from_json_dict, graph_to_json_dict,  # noq
                                 graph_to_json_text)
 from expander_cs import (NoiseModel, connected, design, noise, solve,  # noqa: E402
                          trial_noise, verify)
+from expander_cs import graphs as graphs_module  # noqa: E402
 from expander_cs.bench import sparse_target  # noqa: E402
 from expander_cs.errors import CapacityError  # noqa: E402
 from expander_cs.rng import Stream, derive_seed, gaussians  # noqa: E402
@@ -160,6 +162,22 @@ def test_graph_file_text_is_json_indent_2(tmp_path_factory, g):
     save_graph(g, path)
     assert path.read_text(encoding="utf-8") == text + "\n"
     assert load_graph(path) == g
+
+
+@SETTINGS
+@hypothesis.given(graphs(max_p=30, max_n=graphs_module.MAX_SIDE, max_d=10),
+                  st.sampled_from([1, 5, 64, graphs_module._BLOCK_ENTRIES]))
+@hypothesis.example(BipartiteGraph(2, graphs_module.MAX_SIDE, 2,
+                                   [[0, 999999], [1000000, graphs_module.MAX_SIDE - 1]], ""),
+                    graphs_module._BLOCK_ENTRIES)
+def test_every_saved_graph_is_read_on_arrays(tmp_path_factory, g, block):
+    # a writer change that moves files off the reader's array path fails here
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    with mock.patch.object(graphs_module, "_BLOCK_ENTRIES", block), \
+            mock.patch.object(graphs_module, "load_object") as json_path:
+        save_graph(g, path)
+        assert load_graph(path) == g
+    json_path.assert_not_called()
 
 
 @SETTINGS

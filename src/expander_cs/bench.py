@@ -207,28 +207,21 @@ class ExperimentReport:
         return sum(1 for r in self.records if r.event) / len(self.records)
 
     def check_names(self) -> list[str]:
-        names: list[str] = []
-        for r in self.records:
-            for c in r.checks:
-                if c.name not in names:
-                    names.append(c.name)
-        return names
+        return list(self.pass_fractions())
 
     def pass_fractions(self) -> dict[str, float]:
         """Fraction of event trials (converged only) on which each
-        inequality held."""
-        out = {}
-        for name in self.check_names():
-            num = den = 0
-            for r in self.records:
-                if not (r.event and r.converged):
-                    continue
-                for c in r.checks:
-                    if c.name == name:
-                        den += 1
-                        num += c.holds
-            out[name] = num / den if den else 1.0
-        return out
+        inequality held, by check name in first-seen order; a name never
+        checked on such a trial reads 1.0."""
+        counts: dict[str, list[int]] = {}
+        for r in self.records:
+            counted = r.event and r.converged
+            for c in r.checks:
+                tally = counts.setdefault(c.name, [0, 0])
+                if counted:
+                    tally[0] += c.holds
+                    tally[1] += 1
+        return {name: num / den if den else 1.0 for name, (num, den) in counts.items()}
 
     def all_event_checks_hold(self) -> bool:
         return all(f == 1.0 for f in self.pass_fractions().values())

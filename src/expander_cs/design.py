@@ -14,15 +14,17 @@ nonzero entries alone: it costs what the support costs (Berinde et al.,
 Allerton 2008) and changes no bit, since a sum starts at +0.0, no
 addition makes it -0.0, and x + (+-0.0) = x for every other x. NaN and
 infinite entries are nonzero. Both products take a stack of rows (one
-per noise trial or path row) whose rows equal the one-row products bit
-for bit; row r of X gamma sums into bins offset by r n. A stack is
-gathered ``stack_rows`` rows at a time, at most STACK_ENTRIES entries, so
-on a wide design it gathers one row at a time, as the one-row product
-does. The X^T gather is ``take`` along the row axis, the same copy as a
-2-D fancy index and several times faster on wide rows.
+per noise trial or path row), and both take a vector as a stack of one
+row, so a vector's product is its stack row by construction; row r of
+X gamma sums into bins offset by r n. A stack is gathered ``stack_rows``
+rows at a time, at most STACK_ENTRIES entries, so on a wide design it
+gathers one row at a time. The X^T gather is ``take`` along the row axis,
+the same copy as a 2-D fancy index and several times faster on wide rows.
 
-A design holds that table and nothing derived from it: no solver state is
-kept between calls. The dense n x p matrix is capped at MAX_TABLE entries.
+A design holds p, n, d, that table and ``_starts``, the offsets 0, d, ...,
+(p - 1) d of the table's rows in its flat view, where X^T z sums each
+column's segment. No solver state is kept between calls. The dense n x p
+matrix is capped at MAX_TABLE entries.
 """
 
 from __future__ import annotations
@@ -80,15 +82,14 @@ class DesignMatrix:
         if z.ndim not in (1, 2) or z.shape[-1] != self.n:
             raise ValueError(f"expected vector of length {self.n}, got {z.shape}")
         flat = self.rows.reshape(-1)
-        if z.ndim == 1:
-            return np.add.reduceat(z[flat], self._starts) / self.d
-        acc = np.empty((len(z), self.p))
+        stack = z.reshape(-1, self.n)
+        acc = np.empty((len(stack), self.p))
         step = self.stack_rows
-        for r in range(0, len(z), step):
-            np.add.reduceat(z[r:r + step].take(flat, axis=1), self._starts, axis=1,
+        for r in range(0, len(stack), step):
+            np.add.reduceat(stack[r:r + step].take(flat, axis=1), self._starts, axis=1,
                             out=acc[r:r + step])
         acc /= self.d
-        return acc
+        return acc.reshape(z.shape[:-1] + (self.p,))
 
     def to_dense(self) -> np.ndarray:
         check_table("dense design n*p", self.n, self.p)

@@ -17,9 +17,10 @@ Derived values:
   * standard Gaussians: Box-Muller on word pairs (u1, u2) with
     r = sqrt(-2 ln(1 - u1)), angle 2 pi u2; the pair yields r cos, r sin.
 
-``Stream`` consumes words one by one; ``gaussians`` and
+``Stream`` consumes words one by one; ``uniforms``, ``gaussians`` and
 ``Stream.samples_without_replacement`` compute the same words in bulk with
-numpy. All walk the identical counter sequence. ``gaussians``,
+numpy. All walk the identical counter sequence; ``uniforms`` and
+``gaussians`` always start at its beginning. ``gaussians``,
 ``uniforms`` and ``_words`` also take a sequence of seeds and return one
 row per seed, each row word for word the call with that seed alone. A bulk
 draw of subsets turns its words into Python integers (the Fisher-Yates
@@ -147,10 +148,11 @@ def _words(seed, start: int, count: int) -> np.ndarray:
     return x
 
 
-def uniforms(seed, count: int, start: int = 0) -> np.ndarray:
-    """Vector of uniforms in [0, 1); identical to Stream word for word.
-    A sequence of seeds gives one row per seed."""
-    words = _words(seed, start, count)
+def uniforms(seed, count: int) -> np.ndarray:
+    """Vector of the first count uniforms in [0, 1) of seed's stream;
+    identical to Stream word for word. A sequence of seeds gives one row
+    per seed."""
+    words = _words(seed, 0, count)
     words >>= np.uint64(11)
     u = words.astype(np.float64)
     u *= 2.0**-53

@@ -82,7 +82,8 @@ BLOCK_DESIGNS = {"p40/d5/n60": lambda: random_left_regular(40, 5, 60, 3),
 
 
 def _same_report(new, ref):
-    assert _experiment_text(new, "json") == _experiment_text(ref, "json")
+    assert (_experiment_text(new, new.pass_fractions(), "json")
+            == _experiment_text(ref, ref.pass_fractions(), "json"))
     assert repr(new.records) == repr(ref.records)
 
 
@@ -348,3 +349,70 @@ def test_recovery_blocks_reproduce_the_per_trial_loop(certified, monkeypatch):
     rep = run_recovery_experiment(X, 2, 12, 5, cert)
     assert rep.flagged == 12
     _same_report(rep, mc_oracle.recovery_experiment(X, 2, 12, 5, cert))
+
+
+def per_name_pass_fractions(report):
+    """pass_fractions and check_names by one scan of the records per check
+    name: the oracle for the one-pass count."""
+    names = []
+    for r in report.records:
+        for c in r.checks:
+            if c.name not in names:
+                names.append(c.name)
+    out = {}
+    for name in names:
+        num = den = 0
+        for r in report.records:
+            if not (r.event and r.converged):
+                continue
+            for c in r.checks:
+                if c.name == name:
+                    den += 1
+                    num += c.holds
+        out[name] = num / den if den else 1.0
+    return out, names
+
+
+def _random_report(seed):
+    # failed trials without checks, off-event and unconverged trials, names
+    # that first appear late, repeat within a trial or never meet an event
+    rng = Stream(seed)
+    rep = ExperimentReport("dantzig", {})
+    for t in range(rng.below(12)):
+        names = ["a", "b", "c", "late", "off"][:1 + rng.below(4 if t < 3 else 5)]
+        checks = [] if rng.below(5) == 0 else [
+            CheckResult(name, 0.0, 1.0, [True, False, np.bool_(True)][rng.below(3)])
+            for name in names for _ in range(1 + (rng.below(6) == 0))]
+        event, converged = rng.below(4) > 0, rng.below(5) > 0
+        if any(c.name == "off" for c in checks):
+            event = False
+        rep.records.append(TrialRecord(t, event, converged, 1.0, 0.0, checks))
+    return rep
+
+
+def test_pass_fractions_match_the_per_name_scans():
+    unseen = 0
+    for seed in range(300):
+        rep = _random_report(seed)
+        want, names = per_name_pass_fractions(rep)
+        assert list(rep.pass_fractions().items()) == list(want.items()), seed
+        assert rep.check_names() == names, seed
+        assert rep.all_event_checks_hold() == all(f == 1.0 for f in want.values())
+        unseen += "off" in names
+    assert unseen > 10
+
+
+def test_pass_fractions_keep_first_seen_order_and_unseen_names():
+    rep = ExperimentReport("lasso", {})
+    rep.records = [
+        TrialRecord(0, True, True, 1.0, 0.0, []),                # a failed trial
+        TrialRecord(1, False, True, 1.0, 0.0, [CheckResult("z", 0.0, 1.0, False)]),
+        TrialRecord(2, True, True, 1.0, 0.0, [CheckResult("y", 0.0, 1.0, True),
+                                              CheckResult("x", 0.0, 1.0, False)]),
+        TrialRecord(3, True, False, 1.0, 0.0, [CheckResult("w", 0.0, 1.0, False)]),
+        TrialRecord(4, True, True, 1.0, 0.0, [CheckResult("x", 0.0, 1.0, True)]),
+    ]
+    assert list(rep.pass_fractions().items()) == [("z", 1.0), ("y", 1.0), ("x", 0.5),
+                                                  ("w", 1.0)]
+    assert rep.check_names() == ["z", "y", "x", "w"]
+    assert list(rep.pass_fractions().items()) == list(per_name_pass_fractions(rep)[0].items())

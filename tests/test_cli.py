@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import expander_cs
-from expander_cs.cli import _parser, dumps_17g, main
-from expander_cs.fields import GF
+from expander_cs.cli import _parser, _prime_power, dumps_17g, main
+from expander_cs.errors import CapacityError
+from expander_cs.fields import GF, MAX_FIELD_ORDER, is_prime
 from expander_cs.graphs import (BipartiteGraph, matching_graph, pv_expander,
                                 random_left_regular, save_graph)
 
@@ -343,6 +344,47 @@ def test_construct_pv_rejects_huge_q_before_factoring(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: field order q = 1000000007 exceeds limit 512")
+
+
+def reference_prime_power(q):
+    """q = r**k with the least divisor r tested for primality, the oracle for
+    ``_prime_power``, which relies on that divisor being prime."""
+    if q > MAX_FIELD_ORDER:
+        raise CapacityError(f"field order q = {q} exceeds limit {MAX_FIELD_ORDER}")
+    for r in range(2, q + 1):
+        if q % r == 0:
+            if not is_prime(r):
+                break
+            k = 0
+            t = q
+            while t % r == 0:
+                t //= r
+                k += 1
+            if t == 1:
+                return r, k
+            break
+    raise ValueError(f"{q} is not a prime power")
+
+
+def _outcome(f, q):
+    try:
+        return f(q)
+    except (CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_prime_power_matches_the_primality_tested_reference():
+    for q in range(-2, 601):
+        assert _outcome(_prime_power, q) == _outcome(reference_prime_power, q), q
+
+
+@pytest.mark.parametrize("q,message", [
+    (6, "6 is not a prime power"), (513, "field order q = 513 exceeds limit 512")])
+def test_construct_pv_rejects_q_that_is_no_field_order(tmp_path, capsys, q, message):
+    assert run(["construct", "pv", "--q", q, "--l", 2, "--m", 1, "--h", 2,
+                "--out", tmp_path / "g.json"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "g.json").exists()
 
 
 @pytest.mark.parametrize("content", [

@@ -1,5 +1,6 @@
 """Property tests (hypothesis): design products (stacked products against
-their rows, the support-sized X gamma against the full table), the graph interchange
+their rows, the support-sized X gamma against the full table, X^T z
+against one reduceat per vector), the graph interchange
 format, its file writer and the reader's array path, the connected-subset expansion certificate
 (against the full scan and the ESU enumeration), the sampled expansion
 check (against the bitmask scan of its draws), the lasso's optimality
@@ -32,6 +33,7 @@ from expander_cs.errors import CapacityError  # noqa: E402
 from expander_cs.rng import Stream, derive_seed, gaussians  # noqa: E402
 import mc_oracle  # noqa: E402
 from esu_oracle import _connected_subsets, _expansion_scan, esu_check  # noqa: E402
+from test_design import segment_sum_product  # noqa: E402
 from test_noise import reference_ar1  # noqa: E402
 from test_solve import _path_design, _same_path_rows  # noqa: E402
 
@@ -88,7 +90,7 @@ def test_stack_products_are_the_row_products_bit_for_bit(d, k, p, extra, seed, d
     stack = X.transpose_matvec(Z)
     assert stack.shape == (k, X.p)
     for row, z in zip(stack, Z):
-        assert row.tobytes() == X.transpose_matvec(z).tobytes()
+        assert row.tobytes() == segment_sum_product(X, z).tobytes()
     for bad in (np.zeros((k, X.n + 1)), np.zeros((1, k, X.n))):
         with pytest.raises(ValueError, match=f"length {X.n}"):
             X.transpose_matvec(bad)
@@ -133,6 +135,31 @@ def test_support_sized_matvec_is_the_full_table_sum_bit_for_bit(p, d, extra, k, 
         out = X.matvec(zeros)
         assert out.dtype == np.float64 and out.shape == zeros.shape[:-1] + (X.n,)
         assert not out.view(np.uint64).any()
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 40), st.integers(1, 25), st.integers(0, 30), st.integers(0, 17),
+                  st.integers(0, 2**32), st.data())
+def test_transpose_matvec_is_the_segment_sum_bit_for_bit(p, d, extra, k, seed, data):
+    # segments past 8 entries cross numpy's pairwise summation blocks; NaN
+    # and +-inf share segments, and a slice of the stack may hold one row
+    X = DesignMatrix(random_left_regular(p, d, d + extra, seed))
+    Z = np.array(data.draw(st.lists(st.one_of(ENTRIES, SPECIALS), min_size=k * X.n,
+                                    max_size=k * X.n))).reshape(k, X.n)
+    default = design.STACK_ENTRIES
+    design.STACK_ENTRIES = data.draw(st.integers(1, k + 1)) * p * d
+    with np.errstate(invalid="ignore", over="ignore"):      # inf - inf, sums past 1e308
+        want = np.array([segment_sum_product(X, z) for z in Z]).reshape(k, p)
+        try:
+            stack = X.transpose_matvec(Z)
+        finally:
+            design.STACK_ENTRIES = default
+        vectors = [X.transpose_matvec(z) for z in Z]
+    assert stack.dtype == np.float64 and stack.shape == (k, p)
+    assert (stack.view(np.uint64) == want.view(np.uint64)).all()
+    for vector, row in zip(vectors, want):
+        assert vector.shape == (p,)
+        assert (vector.view(np.uint64) == row.view(np.uint64)).all()
 
 
 @SETTINGS

@@ -16,7 +16,12 @@ manifest's parameters and the exit code. ``main`` alone writes the report
 and the manifest and maps exceptions to exit codes.
 
 Vectors in problem/solution JSON are written with 17 significant digits,
-enough to round-trip doubles exactly.
+enough to round-trip doubles exactly. ``dumps_17g`` writes every JSON
+report and manifest. It looks up an exact str, int, float, bool or None in
+one table of writers, with the text ``json.dumps`` gives (str through
+``encode_basestring_ascii``, int through ``int.__repr__``); numpy scalars
+and arrays, subclasses such as ``np.float64`` and ``IntEnum``, and
+containers take the ``isinstance`` tests, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +57,22 @@ from .verify import (EXPANSION_BUDGET, NSP_BUDGET, check_expansion_exhaustive,
 # serialization helpers
 # ---------------------------------------------------------------------------
 
+# json.dumps's text of each exact JSON scalar type, with floats at 17 digits
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            float: lambda x: f"{x:.17g}" if math.isfinite(x) else "null",
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
 def dumps_17g(obj, indent: int = 0) -> str:
     """JSON text with every float rendered at 17 significant digits."""
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}  {json.dumps(str(k))}: {dumps_17g(v, indent + 2)}'
+        items = [f'{pad}  {encode_basestring_ascii(str(k))}: {dumps_17g(v, indent + 2)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -68,12 +83,10 @@ def dumps_17g(obj, indent: int = 0) -> str:
             return "[" + ", ".join(dumps_17g(v) for v in seq) + "]"
         items = [pad + "  " + dumps_17g(v, indent + 2) for v in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if isinstance(obj, (int, str)):
         return json.dumps(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        return f"{obj:.17g}"
+        return _SCALARS[float](obj)
     if isinstance(obj, np.ndarray):
         return dumps_17g(obj.tolist(), indent)
     if isinstance(obj, (np.integer, np.floating, np.bool_)):

@@ -4,13 +4,15 @@ level by level on numpy arrays (see :mod:`expander_cs.verify`).
 
 Two left vertices collide when they share a right vertex. A level is the
 connected subsets of one size in lex order. Level 1 needs no work: every
-singleton has d neighbors. Level 2 is read off the table grouped by right
-vertex, with the neighbor count of each pair from its overlap. Level k
-grows level k-1 by collision neighbors and counts each new set over its
-table rows. Sets are ascending rows of a small-int array, and a level is
-built, counted and scanned in chunks of whole (size, smallest vertex)
-blocks of at most _CHUNK candidate entries, so the level before is the
-only one held whole.
+singleton has d neighbors. Level 2 groups the table by right vertex with
+one argsort; its inverse permutation and the groups' run lengths pair
+each table entry with the later members of its group, and each pair's
+neighbor count comes from its overlap. Level k grows level k-1 by
+collision neighbors and counts each new set over its table rows. Sets are
+ascending rows of a small-int array, and a level is built, counted and
+scanned in chunks of whole (size, smallest vertex) blocks of at most
+_CHUNK candidate entries, so the level before is the only one held whole;
+a block built from several chunks is merged as int64 keys where they fit.
 """
 
 from __future__ import annotations
@@ -34,24 +36,18 @@ def _runs(cum: np.ndarray, limit: int):
         i = j
 
 
-def _unique_sets(sets: np.ndarray, p: int) -> np.ndarray:
-    """The distinct rows of ``sets`` (each row ascending) in lex order,
-    through one mixed-radix key per row where p**k fits in int64."""
-    k = sets.shape[1]
-    if not len(sets):
+def _distinct(sets: np.ndarray, p: int) -> np.ndarray:
+    """The distinct sets of ``sets`` in lex order: one mixed-radix int64 key
+    each where p**k fits, and ascending rows otherwise. Keys stay keys."""
+    if sets.ndim == 2 and p ** sets.shape[1] < 1 << 63:
+        rows, sets = sets, sets[:, 0].astype(np.int64)
+        for c in range(1, rows.shape[1]):
+            sets = sets * p + rows[:, c]
+    if len(sets) < 2:
         return sets
-    if p**k < 1 << 63:
-        keys = sets[:, 0].astype(np.int64)
-        for c in range(1, k):
-            keys = keys * p + sets[:, c]
-        keys.sort()
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        out = np.empty((len(keys), k), sets.dtype)
-        for c in range(k - 1, -1, -1):
-            keys, out[:, c] = np.divmod(keys, p)
-        return out
-    ordered = sets[np.lexsort(sets.T[::-1])]
-    return ordered[np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))]
+    sets = np.sort(sets) if sets.ndim == 1 else sets[np.lexsort(sets.T[::-1])]
+    new = sets[1:] != sets[:-1]
+    return sets[np.concatenate(([True], new if new.ndim == 1 else new.any(axis=1)))]
 
 
 def _block_ends(sets: np.ndarray) -> np.ndarray:
@@ -62,21 +58,18 @@ def _block_ends(sets: np.ndarray) -> np.ndarray:
 def _pair_level(table: np.ndarray, dtype):
     """The connected 2-sets in lex order, as rows of ``dtype``, with their
     neighbor counts, in chunks of whole (2, root) blocks: yields (sets,
-    counts).
-
-    The table entries, sorted by right vertex and then left vertex, group
-    the left vertices of each right vertex in ascending order; each member
-    pairs with the later ones of its group, and a pair met at ``overlap``
-    right vertices has 2d - overlap neighbors."""
+    counts). The argsort keys right * p + left are distinct, so every sort
+    kind gives one order; run lengths give each entry's later group mates,
+    and a pair that shares ``overlap`` right vertices has 2d - overlap neighbors."""
     p, d = table.shape
-    entries = table.ravel() * p + np.arange(p).repeat(d)
-    keys = np.sort(entries)
-    where = np.searchsorted(keys, entries)      # sorted position of each table entry
-    del entries
-    right, left = np.divmod(keys, p)
-    del keys
-    after = np.searchsorted(right, right, side="right") - np.arange(len(right)) - 1
-    del right
+    flat = table.ravel()
+    order = np.argsort(flat * p + np.arange(p).repeat(d))
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))        # sorted position of each table entry
+    left = order // d
+    count = np.zeros(flat.max() + 1, np.int64)
+    np.add.at(count, flat, 1)                   # each right vertex's run length
+    after = count.cumsum()[flat[order]] - np.arange(len(order)) - 1
     cost = after[where].reshape(p, d).sum(axis=1).cumsum()
     for r0, r1 in _runs(cost, _CHUNK):
         pos = where[r0 * d:r1 * d]
@@ -138,8 +131,8 @@ def _grown_level(level: list[np.ndarray], indptr: np.ndarray, adj: np.ndarray,
     A connected set keeps a connected subset with the same root once a
     leaf of a spanning tree other than the root goes, so growing every
     parent by the collision neighbors above its root finds each set. A
-    root whose block takes several chunks to build merges them as it goes
-    and raises CapacityError as soon as the block passes ``left``."""
+    root whose block takes several chunks merges them as it goes, as keys
+    where they fit, and raises CapacityError once the block passes ``left``."""
     degree = indptr[1:] - indptr[:-1]
     while level:
         parents = level.pop(0)
@@ -151,20 +144,18 @@ def _grown_level(level: list[np.ndarray], indptr: np.ndarray, adj: np.ndarray,
         ends = _block_ends(parents)
         for i, j in _runs(cost[ends - 1], _CHUNK):
             a, b = (int(ends[i - 1]) if i else 0), int(ends[j - 1])
-            base = int(cost[a - 1]) if a else 0
-            if j > i + 1 or cost[b - 1] - base <= _CHUNK:
-                sets = _unique_sets(_children(parents[a:b], indptr, adj), p)
-            else:
-                sets, parts, held = np.empty((0, k), parents.dtype), [], 0
-                for x, y in _runs(cost[a:b] - base, _CHUNK):
-                    parts.append(_unique_sets(_children(parents[a + x:a + y], indptr, adj), p))
-                    held += len(parts[-1])
-                    if held > len(sets) or a + y == b:
-                        sets = _unique_sets(np.concatenate([*parts, sets]), p)
-                        parts, held = [], 0
-                        if len(sets) > left:
-                            raise CapacityError(
-                                f"connected {k}-sets exceed the budget ({left} left)")
+            parts = []                          # one, unless a block takes several chunks
+            for x, y in _runs(cost[a:b] - (cost[a - 1] if a else 0), _CHUNK):
+                parts.append(_distinct(_children(parents[a + x:a + y], indptr, adj), p))
+                if len(parts) > 1 and (a + y == b or sum(map(len, parts)) > 2 * len(parts[0])):
+                    parts = [_distinct(np.concatenate(parts), p)]
+                    if len(parts[0]) > left:
+                        raise CapacityError(f"connected {k}-sets exceed the budget ({left} left)")
+            sets = parts[0]
+            if sets.ndim == 1:                  # keys: decode the rows once
+                keys, sets = sets, np.empty((len(sets), k), parents.dtype)
+                for c in range(k - 1, -1, -1):
+                    keys, sets[:, c] = np.divmod(keys, p)
             if len(sets):
                 yield sets
                 left -= len(sets)

@@ -9,11 +9,15 @@ shared. The scan and the three enumeration functions below are that code,
 unchanged; :func:`esu_check` is the exact check built on them, so its
 reports and budget refusals are the ones the array check must reproduce,
 and the scan over the sampled check's draws gives the report the sampled
-check must reproduce.
+check must reproduce. :func:`searchsorted_pair_level` is the array check's
+order-2 level as it was before one argsort replaced its binary searches.
 """
 
 import math
 
+import numpy as np
+
+from expander_cs import connected
 from expander_cs.errors import CapacityError
 from expander_cs.graphs import BipartiteGraph
 from expander_cs.verify import (EXPANSION_BUDGET, VerificationReport, _least_counts,
@@ -126,3 +130,37 @@ def esu_check(g: BipartiteGraph, s: int, eps: float,
         trials = _subset_budget(g.p, len(violator) - 1) + _lex_rank(violator, g.p) + 1
     return VerificationReport("expansion_exhaustive", violator is None, worst,
                               witness, trials, None)
+
+
+def searchsorted_pair_level(table: np.ndarray, dtype):
+    """``connected._pair_level`` before the argsort: the table entries,
+    sorted by right vertex and then left vertex, are placed by a binary
+    search each, and the later members of each right vertex's group by
+    another. Yields the same (sets, counts) chunks."""
+    p, d = table.shape
+    entries = table.ravel() * p + np.arange(p).repeat(d)
+    keys = np.sort(entries)
+    where = np.searchsorted(keys, entries)      # sorted position of each table entry
+    del entries
+    right, left = np.divmod(keys, p)
+    del keys
+    after = np.searchsorted(right, right, side="right") - np.arange(len(right)) - 1
+    del right
+    cost = after[where].reshape(p, d).sum(axis=1).cumsum()
+    for r0, r1 in connected._runs(cost, connected._CHUNK):
+        pos = where[r0 * d:r1 * d]
+        reps = after[pos]
+        total = int(reps.sum())
+        if not total:
+            continue
+        at = np.repeat(pos, reps)
+        keys = left[at] * p
+        at += np.arange(1, total + 1) - np.repeat(np.cumsum(reps) - reps, reps)
+        keys += left[at]                        # each member with each later one
+        del at
+        keys.sort()
+        bounds = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+        overlap = bounds[1:] - bounds[:-1]
+        sets = np.empty((len(overlap), 2), dtype)
+        sets[:, 0], sets[:, 1] = np.divmod(keys[bounds[:-1]], p)
+        yield sets, 2 * d - overlap

@@ -331,6 +331,47 @@ def test_parser_is_built_once_and_reports_to_the_current_stderr():
         assert exc.value.code == 2 and "error:" in err.getvalue()
 
 
+def reference_dumps_17g(obj, indent: int = 0) -> str:
+    """``dumps_17g`` before it dispatched on exact types: every scalar
+    through ``json.dumps`` or the float branch, behind ``isinstance`` tests."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{pad}  {json.dumps(str(k))}: {reference_dumps_17g(v, indent + 2)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        if all(isinstance(v, (int, float, bool)) or v is None for v in seq):
+            return "[" + ", ".join(reference_dumps_17g(v) for v in seq) + "]"
+        items = [pad + "  " + reference_dumps_17g(v, indent + 2) for v in seq]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return "null"
+        return f"{obj:.17g}"
+    if isinstance(obj, np.ndarray):
+        return reference_dumps_17g(obj.tolist(), indent)
+    if isinstance(obj, (np.integer, np.floating, np.bool_)):
+        return reference_dumps_17g(obj.item(), indent)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def test_dumps_17g_keeps_float_subclasses_inline():
+    # np.float64 is a float subclass, so a list of them stays on one line;
+    # np.int64 is no int subclass, so a list of them takes one line each
+    floats = [np.float64(0.5), np.float64(-0.0), np.float64("nan")]
+    ints = [np.int64(3), np.int64(-4)]
+    assert dumps_17g(floats) == reference_dumps_17g(floats) == "[0.5, -0, null]"
+    assert dumps_17g({"v": ints}) == reference_dumps_17g({"v": ints}) == \
+        '{\n  "v": [\n    3,\n    -4\n  ]\n}'
+
+
 def test_dumps_17g_roundtrips_floats():
     vals = [1 / 3, 2**-53, 1e300, -0.1, 728.3671234567891]
     text = dumps_17g({"v": vals})

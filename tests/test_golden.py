@@ -14,7 +14,10 @@ simplex: they hold lasso or basis-pursuit estimates, which the exact path
 moves (and, on the duplicate columns of the solve design, takes to another
 optimum of equal value). The ``solve_*_unique`` digests were recorded
 later, on a design whose columns are pairwise distinct and whose optima the
-tests prove unique, so a change of tie rule cannot move them.
+tests prove unique, so a change of tie rule cannot move them. The
+``verify_pv13_exhaustive`` digest was recorded before the exact
+certificate's order-2 level was built from one argsort instead of binary
+searches.
 
 The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11).
 The kernel and LP cases go through LAPACK and the float formatting of
@@ -179,6 +182,8 @@ GOLDEN = {
         "2a0071fadeb21414ec3550f10e0b9bc0cd83db328268f8ff7a62234602914a9d",
     "verify_nsp_wide":
         "4e913b8f842100c1d06cfc847c732be9d67380c4c2d266d0409b1713766b824a",
+    "verify_pv13_exhaustive":
+        "2027bdfe468c323d575f0df09bc7d9d7bf378ae1bf7a10368544cc1faff5679b",
     "verify_rip1_tall":
         "26d2aabee237e87104ea67383190230b218d3b2b961e317b28b5e457763c279c",
     "verify_rip1_wide":
@@ -335,6 +340,15 @@ def test_construct_pv_graph_file(tmp_path):
                 "--out", out]) == 0
     _check("construct_pv", out.read_bytes())
     _check_manifest("construct_pv", out)
+
+
+def test_verify_pv_design_exhaustive(tmp_path):
+    graph = tmp_path / "pv13.json"
+    assert run(["construct", "pv", "--q", 13, "--l", 2, "--m", 2, "--h", 2,
+                "--out", graph]) == 0
+    out = tmp_path / "rep"
+    assert run(["verify", "--graph", graph, "--s", 2, "--out", out]) == 0
+    _check("verify_pv13_exhaustive", out.read_bytes())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -5,9 +5,12 @@ format, its file writer and the reader's array path, the connected-subset expans
 (against the full scan and the ESU enumeration), the sampled expansion
 check (against the bitmask scan of its draws), the lasso's optimality
 conditions, basis pursuit's dual certificate, the AR(1) noise blocks
-(against the recurrence on numpy scalars) and the lockstep l1 path
-(against the one-row path, row by row)."""
+(against the recurrence on numpy scalars), the lockstep l1 path
+(against the one-row path, row by row), the certificate's order-2 level
+(against the level built by binary searches) and the report writer
+(against its isinstance dispatch)."""
 
+import enum
 import itertools
 import json
 import math
@@ -29,10 +32,13 @@ from expander_cs import (NoiseModel, connected, design, noise, solve,  # noqa: E
                          trial_noise, verify)
 from expander_cs import graphs as graphs_module  # noqa: E402
 from expander_cs.bench import sparse_target  # noqa: E402
+from expander_cs.cli import dumps_17g  # noqa: E402
 from expander_cs.errors import CapacityError  # noqa: E402
 from expander_cs.rng import Stream, derive_seed, gaussians  # noqa: E402
 import mc_oracle  # noqa: E402
-from esu_oracle import _connected_subsets, _expansion_scan, esu_check  # noqa: E402
+from esu_oracle import (_connected_subsets, _expansion_scan, esu_check,  # noqa: E402
+                        searchsorted_pair_level)
+from test_cli import reference_dumps_17g  # noqa: E402
 from test_design import segment_sum_product  # noqa: E402
 from test_noise import reference_ar1  # noqa: E402
 from test_solve import _path_design, _same_path_rows  # noqa: E402
@@ -245,6 +251,84 @@ def test_array_certificate_equals_esu_enumeration(g, s, eps, chunk):
                 _outcome(esu_check, g, s, eps, b)
     finally:
         connected._CHUNK = default
+
+
+def _level_chunks(level):
+    return [(sets.dtype, sets.shape, sets.tobytes(), counts.dtype, counts.tobytes())
+            for sets, counts in level]
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 300), st.integers(1, 12), st.integers(1, 3000),
+                  st.integers(0, 2**64 - 1), st.sampled_from([np.int16, np.int32]),
+                  st.sampled_from([1, 7, 64, 4096, None]))
+@hypothesis.example(300, 12, 3000, 0, np.int16, None)
+@hypothesis.example(300, 12, 12, 1, np.int32, 64)
+def test_pair_level_equals_the_searchsorted_level(p, d, n, seed, dtype, chunk):
+    # the same (sets, counts) chunks, with the same dtypes and bytes, as
+    # the level built by binary searches; small chunks split the level
+    # into many runs, and a wide n leaves most pairs unmet
+    table = random_left_regular(p, min(d, n), n, seed).neighbors
+    with mock.patch.object(connected, "_CHUNK", chunk or connected._CHUNK):
+        assert _level_chunks(connected._pair_level(table, dtype)) == \
+            _level_chunks(searchsorted_pair_level(table, dtype))
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.int16), (300, np.int16), (1 << 15, np.int32)])
+def test_pair_level_of_a_matching_yields_nothing(n, dtype):
+    table = graphs_module.matching_graph(n).neighbors
+    assert list(connected._pair_level(table, dtype)) == [] == \
+        list(searchsorted_pair_level(table, dtype))
+
+
+class _Rank(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+_FLOATS = st.floats()                           # NaN, +-inf, +-0.0 and subnormals
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_LEAVES = st.one_of(
+    st.text(), st.text(alphabet='"\\\x00\x1f\x7fé€\U0001f600 '), st.integers(-2**80, 2**80),
+    st.booleans(), st.none(), _FLOATS, st.sampled_from([-0.0, math.nan, -math.inf, 5e-324]),
+    _FLOATS.map(np.float64), _INT64.map(np.int64), st.booleans().map(np.bool_),
+    st.lists(_FLOATS, max_size=4).map(lambda v: np.array(v, np.float64)),
+    st.lists(_INT64, max_size=4).map(lambda v: np.array(v, np.int64)),
+    st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, np.bool_)),
+    st.lists(_FLOATS, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)),
+    st.sampled_from(list(_Rank)))
+_KEYS = st.one_of(st.text(), st.integers(), _FLOATS, st.booleans(), st.none(),
+                  st.sampled_from(list(_Rank)))
+
+
+def _nested(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, kids, max_size=5)), max_leaves=25)
+
+
+def _written(write, obj, indent):
+    try:
+        return write(obj, indent)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+@SETTINGS
+@hypothesis.given(_nested(_LEAVES), st.sampled_from([0, 2, 5]))
+def test_dumps_17g_equals_the_isinstance_writer(obj, indent):
+    # the same text for strings with quotes, backslashes, control and
+    # non-ASCII characters, non-str keys, ints past 2^64, bools, None,
+    # floats, numpy scalars and arrays and IntEnum members
+    assert dumps_17g(obj, indent) == reference_dumps_17g(obj, indent)
+
+
+@SETTINGS
+@hypothesis.given(_nested(st.one_of(_LEAVES, st.sets(st.integers(), max_size=2),
+                                    st.binary(max_size=2))))
+def test_dumps_17g_refuses_what_the_isinstance_writer_refuses(obj):
+    # a set or bytes anywhere gives the same TypeError message
+    assert _written(dumps_17g, obj, 0) == _written(reference_dumps_17g, obj, 0)
 
 
 def _bitmask_sampled(g, s, eps, trials, seed):

@@ -98,6 +98,29 @@ def test_a_block_past_the_budget_raises_with_what_was_left(monkeypatch, chunk):
     assert str(esu.value).startswith("connected 4-sets exceed the budget (")
 
 
+@pytest.mark.parametrize("chunk", [1, 7, connected._CHUNK])
+def test_blocks_whose_keys_pass_int64_merge_as_rows(monkeypatch, chunk):
+    # at p = 2^16, p**k passes int64 from k = 4 on, so a block built from
+    # several chunks merges as rows there and as keys at k = 3. Left
+    # vertices 0-9 share right vertex 0, and the rest are a matching: the
+    # connected sets are the C(10, k) k-sets of the clique on 0-9, each
+    # with k + 1 neighbors. (The ESU oracle's bitmasks are too slow here.)
+    p = 1 << 16
+    table = np.arange(2 * p).reshape(p, 2)
+    table[:10, 0] = 0
+    g = BipartiteGraph(p, 2 * p, 2, table, "clique(10) and matching")
+    total = p + sum(math.comb(10, k) for k in range(2, 6))
+    monkeypatch.setattr(connected, "_CHUNK", chunk)
+    rep = check_expansion_exhaustive(g, 5, 0.5, budget=total)
+    assert rep.ok and rep.worst_ratio == 0.6
+    assert rep.witness["subset"] == [0, 1, 2, 3, 4] and rep.witness["neighbor_count"] == 6
+    # one short, the last (5, root) block, of one set, passes the budget;
+    # 127 short, the first, of C(9, 4) = 126 sets, with 125 left
+    for short, left in ((1, 0), (127, 125)):
+        with pytest.raises(CapacityError, match=fr"^connected 5-sets exceed the budget \({left} left\)$"):
+            check_expansion_exhaustive(g, 5, 0.5, budget=total - short)
+
+
 def test_exact_certificate_reaches_past_the_full_scan_count():
     # order 8 at p = 32: the sum of C(32, k) is 15,033,172, over the default
     # budget of 10**7, yet only 251 subsets are connected
